@@ -6,8 +6,9 @@ Five subcommands: gsa (independent-input sensitivity), counterfactual
 report). Every failure exits nonzero and prints a single line with an
 "error[EXX]:" prefix whose number is the exit code.
 
-Exit codes: 0 ok, 1 internal, 2 usage/file/parse, 3 cycle, 4 zero
-variance, 5 fit failure, 6 not oracle-reducible, 7 venn variable count.
+Exit codes: 0 ok, 1 internal, 2 usage/file/parse/model value, 3 cycle,
+4 zero variance, 5 fit failure, 6 not oracle-reducible, 7 venn variable
+count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .fit import FitConfig, fit_model, read_csv, read_dag
+from .formula import FormulaEvalError
 from .mc import EstimatorConfig
 from .report import (
     RunReport,
@@ -48,22 +50,9 @@ from .report import (
     subset_key,
     write_report,
 )
-from .scm import (
-    Deterministic,
-    RootCategorical,
-    RootEmpirical,
-    RootGaussian,
-    RootRademacher,
-    RootUniform,
-    counterfactual_total,
-    estimate_counterfactual_measure,
-    read_model,
-    write_model,
-)
+from .scm import counterfactual_total, estimate_counterfactual_measure, read_model, write_model
 from .sensitivity import estimate_measure, named_function
 from .venn import venn_ascii, venn_svg
-
-_ROOT_TYPES = (RootGaussian, RootUniform, RootRademacher, RootCategorical, RootEmpirical)
 
 
 def _one_line(msg) -> str:
@@ -112,7 +101,7 @@ def cmd_gsa(args) -> int:
     else:
         model = read_model(args.model)
         for n, mech in zip(model.dag.names, model.mechanisms):
-            if n != model.outcome and not isinstance(mech, _ROOT_TYPES):
+            if n != model.outcome and not mech.is_root:
                 raise DomainError(
                     f"gsa needs independent inputs, but node {n!r} has parents; "
                     "use the counterfactual command for causal models"
@@ -189,24 +178,18 @@ def _oracle_domain(model):
     values, probs = [], []
     for n, mech in zip(model.dag.names, model.mechanisms):
         if n == model.outcome:
-            if not isinstance(mech, Deterministic):
+            if mech.uses_noise:
                 raise NotReducibleError("oracle needs a deterministic outcome mechanism")
             continue
-        if isinstance(mech, RootRademacher):
-            v, p = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-        elif isinstance(mech, RootCategorical):
-            v, p = mech.values, mech.probs
-        elif isinstance(mech, RootEmpirical):
-            v, counts = np.unique(mech.values, return_counts=True)
-            p = counts / counts.sum()
-        else:
+        law = mech.discrete_law()
+        if law is None:
             raise NotReducibleError(
                 f"node {n!r} has a {mech.kind or type(mech).__name__} mechanism; "
                 "oracle needs discrete roots (rademacher, categorical or empirical)"
             )
         names.append(n)
-        values.append(v)
-        probs.append(p)
+        values.append(law[0])
+        probs.append(law[1])
     outcome_mech = model.mechanisms[model.dag.index(model.outcome)]
     parent_pos = {p: j for j, p in enumerate(names)}
     for p in outcome_mech.parent_names:
@@ -215,11 +198,7 @@ def _oracle_domain(model):
     cols = [parent_pos[p] for p in outcome_mech.parent_names]
 
     def f(w):
-        env = {p: w[:, c] for p, c in zip(outcome_mech.parent_names, cols)}
-        out = np.asarray(outcome_mech.formula.evaluate(env), dtype=float)
-        if out.ndim == 0:
-            out = np.full(w.shape[0], float(out))
-        return out
+        return outcome_mech.sample(np.zeros(w.shape[0]), w[:, cols])
 
     return DiscreteDomain(tuple(values), tuple(probs)), f, tuple(names)
 
@@ -338,6 +317,7 @@ _EXIT_MAP = (
     (FitError, 5),
     (NotReducibleError, 6),
     (ParseError, 2),
+    (FormulaEvalError, 2),
     (ModelError, 2),
     (DomainError, 2),
 )

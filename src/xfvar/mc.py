@@ -1,10 +1,21 @@
 """Pick-freeze Monte Carlo engine shared by `sensitivity` and `scm`.
 
-The engine consumes an outcome function of uniform noise, yfn(U) with U
-of shape (m, n_vars), and produces batch-summed statistics under the
-counter-based stream contract of `rng`. Replicate blocks are independent
-work items; per-block partial sums are combined in block order, so
-results are bit-identical for any thread count.
+Every estimator is one call of a single streaming kernel over an outcome
+function of uniform noise, yfn(U) with U of shape (m, n_noise). Per block
+of replicate pairs (E, E') the kernel evaluates y(E), y(E') and a list of
+hybrids, each taking some noise columns from E' and the rest from E, with
+one hybrid output alive at a time. It sums, per stderr batch, the
+baseline moments of y(E) and y(E') and the rows of a small per-estimator
+statistic; the ratio estimators share one pooled-variance and
+batch-stderr step.
+
+`pickfreeze_totals` and `superset_estimate` take one noise-column list per
+query variable: the hybrid of a variable set resamples the union of its
+variables' columns, and hybrids are enumerated by increasing bitmask.
+
+Noise follows the counter-based stream contract of `rng`. Replicate
+blocks are independent work items whose partial sums are combined in
+block order, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .algebra import MAX_VARS, TotalsTable
 from .errors import DomainError, ZeroVarianceError
 
 
@@ -102,28 +114,6 @@ def per_batch_sums(n_noise, cfg: EstimatorConfig, fill_block, n_stats):
     return acc
 
 
-def _batch_sizes(cfg: EstimatorConfig) -> np.ndarray:
-    return np.diff(_batch_starts(cfg.samples, cfg.batches)).astype(float)
-
-
-def _pooled_variance(sum_a, sum_a2, sum_b, sum_b2, counts):
-    """Population variance of the pooled 2m baseline outputs per batch."""
-    tot = 2.0 * counts
-    mean = (sum_a + sum_b) / tot
-    return (sum_a2 + sum_b2) / tot - mean**2
-
-
-def _ratio_stderr(num, den, label="denominator"):
-    """Batch-means stderr of a ratio of per-batch statistics."""
-    if np.any(den <= 0):
-        raise ZeroVarianceError(
-            f"a standard-error batch has non-positive {label}; "
-            "increase samples or reduce batches"
-        )
-    ratios = num / den
-    return float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
-
-
 def hybrid(e, ep, cols):
     """Replace the given noise columns of e with the resampled copy."""
     h = e.copy()
@@ -131,75 +121,127 @@ def hybrid(e, ep, cols):
     return h
 
 
-def pickfreeze_totals(yfn, n_noise, query_cols, cfg: EstimatorConfig):
-    """Totals for every nonempty query subset from common random pairs.
+def _union_cols(var_cols, mask):
+    """Noise columns of the variables whose bits are set in mask."""
+    return np.array(
+        [c for j, cols in enumerate(var_cols) if mask >> j & 1 for c in cols], dtype=np.intp
+    )
 
-    query_cols[s] lists the noise columns resampled for query bitmask s
-    (s = 1 .. 2**K - 1). The denominator is the all-coordinates
-    pick-freeze numerator sum((y(E) - y(E'))^2) / (2M), an unbiased
-    variance estimate built from the same pooled outputs, so the total of
-    the full query set is exactly 1 whenever it resamples every noise
-    coordinate. Returns (totals, stderrs, var_hat) with bitmask-indexed
-    arrays of length 2**K.
 
-    yfn is called exactly 2**K + 1 times per block: the two baselines
-    plus one hybrid per nonempty subset, enumerated by increasing bitmask.
+# Rows 0-3 of every kernel result: sums of y0, y0**2, y1 and y1**2.
+_MOMENTS = 4
+
+
+def _pickfreeze_sums(yfn, n_noise, hybrid_cols, stat, n_stats, cfg: EstimatorConfig):
+    """The kernel: per-batch sums of the baseline moments and of stat's rows.
+
+    y0 = yfn(E) and y1 = yfn(E'); stat(y0, y1, hybrids) must yield
+    n_stats rows, where hybrids iterates yfn over the hybrids that
+    resample hybrid_cols[0], hybrid_cols[1], ... in that order. Returns
+    a (4 + n_stats, batches) array whose first four rows are the moments.
     """
-    n_masks = len(query_cols)
 
     def fill_block(e, ep, add_row):
         y0 = yfn(e)
         y1 = yfn(ep)
-        add_row(0, (y0 - y1) ** 2)
-        for s in range(1, n_masks):
-            ys = yfn(hybrid(e, ep, query_cols[s]))
-            add_row(s, (y0 - ys) ** 2)
+        for r, vals in enumerate((y0, y0**2, y1, y1**2)):
+            add_row(r, vals)
+        hybrids = (yfn(hybrid(e, ep, cols)) for cols in hybrid_cols)
+        for r, vals in enumerate(stat(y0, y1, hybrids), _MOMENTS):
+            add_row(r, vals)
 
-    acc = per_batch_sums(n_noise, cfg, fill_block, n_masks)
+    return per_batch_sums(n_noise, cfg, fill_block, _MOMENTS + n_stats)
+
+
+def _pooled_variance(sums, counts):
+    """Population variance of the pooled 2m baseline outputs per batch."""
+    tot = 2.0 * counts
+    mean = (sums[0] + sums[2]) / tot
+    return (sums[1] + sums[3]) / tot - mean**2
+
+
+def _ratio_stderr(num, den):
+    """Batch-means stderr of a ratio of per-batch statistics."""
+    if np.any(den <= 0):
+        raise ZeroVarianceError(
+            "a standard-error batch has non-positive variance; "
+            "increase samples or reduce batches"
+        )
+    ratios = num / den
+    return float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
+
+
+def _pooled_ratio(acc, num, cfg: EstimatorConfig) -> Estimate:
+    """A statistic over the pooled baseline variance, with its stderr.
+
+    num(sums, count) maps kernel row sums over count replicates to the
+    statistic; it is applied to the grand totals for the value and to
+    the per-batch sums for the batch-means stderr.
+    """
+    m = float(cfg.samples)
+    totals = [row.sum() for row in acc]
+    vpool = _pooled_variance(totals, np.array(m))
+    if vpool <= 0.0:
+        raise ZeroVarianceError("outcome variance estimate is zero")
+    counts = np.diff(_batch_starts(cfg.samples, cfg.batches)).astype(float)
+    stderr = _ratio_stderr(num(acc, counts), _pooled_variance(acc, counts))
+    return Estimate(float(num(totals, m) / vpool), stderr, cfg.samples)
+
+
+def pickfreeze_totals(yfn, n_noise, var_cols, cfg: EstimatorConfig) -> TotalsTable:
+    """Totals for every nonempty set of query variables from common random pairs.
+
+    var_cols[j] lists the noise columns owned by query variable j. The
+    denominator is the all-coordinates pick-freeze numerator
+    sum((y(E) - y(E'))^2) / (2M), an unbiased variance estimate built
+    from the same pooled outputs, so the total of the full query set is
+    exactly 1 whenever it resamples every noise coordinate.
+
+    yfn is called exactly 2**K + 1 times per block: the two baselines
+    plus one hybrid per nonempty subset, so K is capped by cfg.max_vars.
+    """
+    k = len(var_cols)
+    if k > min(cfg.max_vars, MAX_VARS):
+        raise DomainError(
+            f"{k} query variables need 2**{k} evaluations per pair; "
+            f"raise max_vars (now {cfg.max_vars}) to allow this"
+        )
+    n_masks = 1 << k
+
+    def stat(y0, y1, hybrids):
+        yield (y0 - y1) ** 2
+        for ys in hybrids:
+            yield (y0 - ys) ** 2
+
+    hybrid_cols = [_union_cols(var_cols, s) for s in range(1, n_masks)]
+    acc = _pickfreeze_sums(yfn, n_noise, hybrid_cols, stat, n_masks, cfg)[_MOMENTS:]
     base = acc[0]
     denom = float(base.sum())
     if denom <= 0.0:
         raise ZeroVarianceError("outcome shows no variation across resampled noise")
-    if np.any(base <= 0.0):
-        raise ZeroVarianceError(
-            "a standard-error batch saw zero outcome variation; "
-            "increase samples or reduce batches"
-        )
     totals = np.zeros(n_masks)
     stderrs = np.zeros(n_masks)
-    nb = cfg.batches
     for s in range(1, n_masks):
         totals[s] = float(acc[s].sum()) / denom
-        ratios = acc[s] / base
-        stderrs[s] = float(np.std(ratios, ddof=1) / np.sqrt(nb))
-    var_hat = denom / (2.0 * cfg.samples)
-    return totals, stderrs, var_hat
+        stderrs[s] = _ratio_stderr(acc[s], base)
+    return TotalsTable(k, totals, stderrs)
+
+
+def range_tolerance(table: TotalsTable) -> float:
+    """How far Monte Carlo totals may stray outside [0, 1] before
+    measure_from_totals rejects them."""
+    return 0.05 + 10.0 * float(table.stderr.max(initial=0.0))
 
 
 def upper_estimate(yfn, n_noise, cols, cfg: EstimatorConfig) -> Estimate:
     """Total (upper) index of one subset: half mean squared pick-freeze
     difference over the pooled empirical variance of the 2M baselines."""
 
-    def fill_block(e, ep, add_row):
-        y0 = yfn(e)
-        y1 = yfn(ep)
-        ys = yfn(hybrid(e, ep, cols))
-        add_row(0, (y0 - ys) ** 2)
-        add_row(1, y0)
-        add_row(2, y0**2)
-        add_row(3, y1)
-        add_row(4, y1**2)
+    def stat(y0, y1, hybrids):
+        yield (y0 - next(hybrids)) ** 2
 
-    acc = per_batch_sums(n_noise, cfg, fill_block, 5)
-    counts = _batch_sizes(cfg)
-    m = float(cfg.samples)
-    vpool = _pooled_variance(acc[1].sum(), acc[2].sum(), acc[3].sum(), acc[4].sum(), np.array(m))
-    if vpool <= 0.0:
-        raise ZeroVarianceError("outcome variance estimate is zero")
-    value = acc[0].sum() / (2.0 * m) / vpool
-    vpool_b = _pooled_variance(acc[1], acc[2], acc[3], acc[4], counts)
-    stderr = _ratio_stderr(acc[0] / (2.0 * counts), vpool_b, "variance")
-    return Estimate(float(value), stderr, cfg.samples)
+    acc = _pickfreeze_sums(yfn, n_noise, [cols], stat, 1, cfg)
+    return _pooled_ratio(acc, lambda s, c: s[4] / (2.0 * c), cfg)
 
 
 def lower_estimate(yfn, n_noise, keep_complement_cols, cfg: EstimatorConfig) -> Estimate:
@@ -209,64 +251,34 @@ def lower_estimate(yfn, n_noise, keep_complement_cols, cfg: EstimatorConfig) -> 
     keep_complement_cols lists the resampled (complement) noise columns.
     """
 
-    def fill_block(e, ep, add_row):
-        y0 = yfn(e)
-        y1 = yfn(ep)
-        g = yfn(hybrid(e, ep, keep_complement_cols))
-        add_row(0, y0 * g)
-        add_row(1, g)
-        add_row(2, y0)
-        add_row(3, y0**2)
-        add_row(4, y1)
-        add_row(5, y1**2)
+    def stat(y0, y1, hybrids):
+        g = next(hybrids)
+        yield y0 * g
+        yield g
 
-    acc = per_batch_sums(n_noise, cfg, fill_block, 6)
-    counts = _batch_sizes(cfg)
-    m = float(cfg.samples)
-    vpool = _pooled_variance(acc[2].sum(), acc[3].sum(), acc[4].sum(), acc[5].sum(), np.array(m))
-    if vpool <= 0.0:
-        raise ZeroVarianceError("outcome variance estimate is zero")
-    cov = acc[0].sum() / m - (acc[2].sum() / m) * (acc[1].sum() / m)
-    cov_b = acc[0] / counts - (acc[2] / counts) * (acc[1] / counts)
-    vpool_b = _pooled_variance(acc[2], acc[3], acc[4], acc[5], counts)
-    stderr = _ratio_stderr(cov_b, vpool_b, "variance")
-    return Estimate(float(cov / vpool), stderr, cfg.samples)
+    acc = _pickfreeze_sums(yfn, n_noise, [keep_complement_cols], stat, 2, cfg)
+    return _pooled_ratio(acc, lambda s, c: s[4] / c - (s[0] / c) * (s[5] / c), cfg)
 
 
-def superset_estimate(yfn, n_noise, submask_cols, cfg: EstimatorConfig) -> Estimate:
-    """Superset importance of one subset from its interaction contrast.
+def superset_estimate(yfn, n_noise, var_cols, cfg: EstimatorConfig) -> Estimate:
+    """Superset importance of one variable set from its interaction contrast.
 
-    submask_cols maps each submask of the subset (including 0 and the
-    subset itself) to the noise columns it resamples; the contrast is the
-    signed sum of hybrids, and the estimate is Var(contrast) over
-    2**|S| times the pooled variance.
+    var_cols[j] lists the noise columns owned by variable j of the set.
+    The contrast is the signed sum of the hybrids of every submask (the
+    empty submask is y(E) itself), and the estimate is Var(contrast)
+    over 2**|S| times the pooled variance.
     """
-    size = len(submask_cols).bit_length() - 1  # len is 2**|S|
+    size = len(var_cols)
+    signs = [(-1.0) ** (size - bin(i).count("1")) for i in range(1 << size)]
 
-    def fill_block(e, ep, add_row):
-        y0 = yfn(e)
-        y1 = yfn(ep)
-        contrast = None
-        for sub, (sign, cols) in submask_cols.items():
-            ys = y0 if sub == 0 else yfn(hybrid(e, ep, cols))
-            term = sign * ys
-            contrast = term if contrast is None else contrast + term
-        add_row(0, contrast)
-        add_row(1, contrast**2)
-        add_row(2, y0)
-        add_row(3, y0**2)
-        add_row(4, y1)
-        add_row(5, y1**2)
+    def stat(y0, y1, hybrids):
+        contrast = signs[0] * y0
+        for sign, ys in zip(signs[1:], hybrids):
+            contrast = contrast + sign * ys
+        yield contrast
+        yield contrast**2
 
-    acc = per_batch_sums(n_noise, cfg, fill_block, 6)
-    counts = _batch_sizes(cfg)
-    m = float(cfg.samples)
-    vpool = _pooled_variance(acc[2].sum(), acc[3].sum(), acc[4].sum(), acc[5].sum(), np.array(m))
-    if vpool <= 0.0:
-        raise ZeroVarianceError("outcome variance estimate is zero")
-    var_i = acc[1].sum() / m - (acc[0].sum() / m) ** 2
-    var_i_b = acc[1] / counts - (acc[0] / counts) ** 2
-    vpool_b = _pooled_variance(acc[2], acc[3], acc[4], acc[5], counts)
+    hybrid_cols = [_union_cols(var_cols, i) for i in range(1, 1 << size)]
+    acc = _pickfreeze_sums(yfn, n_noise, hybrid_cols, stat, 2, cfg)
     scale = 2.0**size
-    stderr = _ratio_stderr(var_i_b / scale, vpool_b, "variance")
-    return Estimate(float(var_i / (scale * vpool)), stderr, cfg.samples)
+    return _pooled_ratio(acc, lambda s, c: (s[5] / c - (s[4] / c) ** 2) / scale, cfg)

@@ -23,10 +23,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng
-from .algebra import MAX_VARS, Provenance, TotalsTable, measure_from_totals
+from .algebra import Provenance, measure_from_totals
 from .errors import CycleError, DomainError, ModelError, ParseError
 from .formula import Formula, parse_formula
-from .mc import Estimate, EstimatorConfig, pickfreeze_totals, upper_estimate
+from .mc import Estimate, EstimatorConfig, pickfreeze_totals, range_tolerance, upper_estimate
 
 __all__ = [
     "Dag",
@@ -263,14 +263,28 @@ def empirical_quantile(values, e):
     return values[idx]
 
 
+def _check_finite(node, what, values):
+    if not np.all(np.isfinite(values)):
+        raise ModelError(f"node {node!r}: {what} must be finite")
+
+
 class Mechanism:
-    """One node's conditional-quantile transform V = Q(e | parents)."""
+    """One node's conditional-quantile transform V = Q(e | parents).
+
+    Roots take no parents. Discrete roots also report their law as
+    (values, probs) through discrete_law(); every other mechanism
+    returns None there.
+    """
 
     kind = None
+    is_root = False
     uses_noise = True
 
     def sample(self, e, parents):
         raise NotImplementedError
+
+    def discrete_law(self):
+        return None
 
     def to_json(self):
         raise NotImplementedError
@@ -278,11 +292,13 @@ class Mechanism:
 
 class RootGaussian(Mechanism):
     kind = "root_gaussian"
+    is_root = True
 
     def __init__(self, node, mean=0.0, std=1.0):
         self.node = node
         self.mean = float(mean)
         self.std = float(std)
+        _check_finite(node, "mean and std", [self.mean, self.std])
         if not (self.std >= 0.0):
             raise ModelError(f"node {node!r}: std must be >= 0")
 
@@ -295,11 +311,13 @@ class RootGaussian(Mechanism):
 
 class RootUniform(Mechanism):
     kind = "root_uniform"
+    is_root = True
 
     def __init__(self, node, low=0.0, high=1.0):
         self.node = node
         self.low = float(low)
         self.high = float(high)
+        _check_finite(node, "low and high", [self.low, self.high])
         if not (self.high >= self.low):
             raise ModelError(f"node {node!r}: need high >= low")
 
@@ -312,6 +330,7 @@ class RootUniform(Mechanism):
 
 class RootRademacher(Mechanism):
     kind = "root_rademacher"
+    is_root = True
 
     def __init__(self, node):
         self.node = node
@@ -319,12 +338,16 @@ class RootRademacher(Mechanism):
     def sample(self, e, parents):
         return np.where(e > 0.5, 1.0, -1.0)
 
+    def discrete_law(self):
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+
     def to_json(self):
         return {"kind": self.kind}
 
 
 class RootCategorical(Mechanism):
     kind = "root_categorical"
+    is_root = True
 
     def __init__(self, node, values, probs, labels=None):
         self.node = node
@@ -335,6 +358,7 @@ class RootCategorical(Mechanism):
             raise ModelError(f"node {node!r}: values and probs must be equal-length lists")
         if len(self.values) == 0:
             raise ModelError(f"node {node!r}: empty categorical")
+        _check_finite(node, "values and probs", [self.values, self.probs])
         if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
             raise ModelError(f"node {node!r}: probs must be nonnegative and sum to 1")
         if self.labels is not None and len(self.labels) != len(self.values):
@@ -345,6 +369,9 @@ class RootCategorical(Mechanism):
     def sample(self, e, parents):
         idx = np.searchsorted(self._cum, e, side="left")
         return self.values[np.clip(idx, 0, len(self.values) - 1)]
+
+    def discrete_law(self):
+        return self.values, self.probs
 
     def to_json(self):
         out = {
@@ -359,17 +386,21 @@ class RootCategorical(Mechanism):
 
 class RootEmpirical(Mechanism):
     kind = "root_empirical"
+    is_root = True
 
     def __init__(self, node, values):
         self.node = node
         self.values = np.sort(np.asarray(values, dtype=float))
         if self.values.ndim != 1 or len(self.values) == 0:
             raise ModelError(f"node {node!r}: need a nonempty sample list")
-        if not np.all(np.isfinite(self.values)):
-            raise ModelError(f"node {node!r}: sample values must be finite")
+        _check_finite(node, "sample values", self.values)
 
     def sample(self, e, parents):
         return empirical_quantile(self.values, e)
+
+    def discrete_law(self):
+        values, counts = np.unique(self.values, return_counts=True)
+        return values, counts / counts.sum()
 
     def to_json(self):
         return {"kind": self.kind, "values": [float(v) for v in self.values]}
@@ -390,6 +421,7 @@ class QuantileTable(Mechanism):
         self.levels = np.asarray(levels, dtype=float)
         if self.levels.ndim != 1 or len(self.levels) < 1:
             raise ModelError(f"node {node!r}: need at least one quantile level")
+        _check_finite(node, "levels", self.levels)
         if np.any(self.levels <= 0) or np.any(self.levels >= 1):
             raise ModelError(f"node {node!r}: levels must lie strictly inside (0, 1)")
         if np.any(np.diff(self.levels) <= 0):
@@ -405,6 +437,7 @@ class QuantileTable(Mechanism):
                     f"node {node!r}: cell {key!r} grid length {g.size} != "
                     f"{self.levels.size} levels"
                 )
+            _check_finite(node, f"cell {key!r} grid", g)
             if np.any(np.diff(g) < 0):
                 raise ModelError(f"node {node!r}: cell {key!r} grid must be non-decreasing")
             self.cells[str(key)] = g
@@ -491,21 +524,17 @@ class Deterministic(Mechanism):
 
     def sample(self, e, parents):
         env = {n: parents[:, j] for j, n in enumerate(self.parent_names)}
-        return self.formula.evaluate(env)
+        out = np.asarray(self.formula.evaluate(env), dtype=float)
+        return np.full(len(e), float(out)) if out.ndim == 0 else out
 
     def to_json(self):
         return {"kind": self.kind, "expr": self.formula.source}
-
-
-_ROOT_KINDS = {"root_gaussian", "root_uniform", "root_rademacher", "root_categorical", "root_empirical"}
 
 
 def mechanism_from_json(node, parent_names, obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ModelError(f"node {node!r}: mechanism must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind in _ROOT_KINDS and parent_names:
-        raise ModelError(f"node {node!r}: root mechanism cannot have parents")
     if kind == "root_gaussian":
         return RootGaussian(node, obj.get("mean", 0.0), obj.get("std", 1.0))
     if kind == "root_uniform":
@@ -549,15 +578,11 @@ class ScmModel:
         if len(self.mechanisms) != len(self.dag.names):
             raise ModelError("need one mechanism per node")
         for n, ps, mech in zip(self.dag.names, self.dag.parents, self.mechanisms):
-            declared = getattr(mech, "parent_names", ())
-            if tuple(declared) != tuple(ps) and not isinstance(
-                mech, (RootGaussian, RootUniform, RootRademacher, RootCategorical, RootEmpirical)
-            ):
-                raise ModelError(f"node {n!r}: mechanism parents {declared} != {tuple(ps)}")
-            if isinstance(
-                mech, (RootGaussian, RootUniform, RootRademacher, RootCategorical, RootEmpirical)
-            ) and ps:
-                raise ModelError(f"node {n!r}: root mechanism cannot have parents")
+            if mech.is_root:
+                if ps:
+                    raise ModelError(f"node {n!r}: root mechanism cannot have parents")
+            elif tuple(mech.parent_names) != ps:
+                raise ModelError(f"node {n!r}: mechanism parents {mech.parent_names} != {ps}")
         order = topo_order(self.dag)  # raises CycleError on cycles
         object.__setattr__(self, "_order", tuple(order))
         anc = ancestral_closure(self.dag, [self.outcome])
@@ -582,8 +607,6 @@ class ScmModel:
             else:
                 parents = np.zeros((noise.shape[0], 0))
             v = np.asarray(self.mechanisms[i].sample(noise[:, i], parents), dtype=float)
-            if v.ndim == 0:  # constant formula
-                v = np.full(noise.shape[0], float(v))
             if v.shape != (noise.shape[0],):
                 raise ModelError(f"node {n!r}: mechanism produced shape {v.shape}")
             values[n] = v
@@ -664,29 +687,17 @@ def estimate_counterfactual_measure(
     query_names = [
         n for n in model.dag.names if include_outcome or n != model.outcome
     ]
-    k = len(query_names)
-    if k == 0:
+    if not query_names:
         raise DomainError("no query variables: lone-outcome model without include_outcome")
-    if k > min(cfg.max_vars, MAX_VARS):
-        raise DomainError(
-            f"{k} query variables need 2**{k} evaluations per pair; "
-            f"raise max_vars (now {cfg.max_vars}) to allow this"
-        )
-    col_of = [model.dag.index(n) for n in query_names]
-    query_cols = [None] + [
-        np.array([col_of[j] for j in range(k) if s & (1 << j)], dtype=np.intp)
-        for s in range(1, 1 << k)
-    ]
-    totals, stderrs, _ = pickfreeze_totals(
-        model.outcome_values, model.n_nodes, query_cols, cfg
-    )
+    var_cols = [[model.dag.index(n)] for n in query_names]
+    table = pickfreeze_totals(model.outcome_values, model.n_nodes, var_cols, cfg)
     flags = tuple(model.fitted)
     if not include_outcome:
         flags = flags + ("outcome-excluded",)
     prov = Provenance("monte_carlo", samples=cfg.samples, seed=cfg.seed, flags=flags)
-    table = TotalsTable(k, totals, stderrs)
-    range_tol = 0.05 + 10.0 * float(stderrs.max(initial=0.0))
-    return measure_from_totals(table, tuple(query_names), provenance=prov, tol=range_tol)
+    return measure_from_totals(
+        table, tuple(query_names), provenance=prov, tol=range_tolerance(table)
+    )
 
 
 # ---------------------------------------------------------------------------

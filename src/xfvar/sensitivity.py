@@ -14,19 +14,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .algebra import (
-    MAX_VARS,
-    ExplanationMeasure,
-    Provenance,
-    TotalsTable,
-    measure_from_totals,
-)
+from .algebra import MAX_VARS, ExplanationMeasure, Provenance, measure_from_totals
 from .errors import DomainError
 from .mc import (
     Estimate,
     EstimatorConfig,
     lower_estimate,
     pickfreeze_totals,
+    range_tolerance,
     superset_estimate,
     upper_estimate,
 )
@@ -109,13 +104,8 @@ def estimate_lower(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig)
 
 def estimate_superset(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig) -> Estimate:
     """Superset importance of a variable subset via its interaction contrast."""
-    s = _check_subset(subset, sampler.k)
-    submask_cols = {}
-    for i in range(1 << len(s)):
-        chosen = [s[b] for b in range(len(s)) if i & (1 << b)]
-        sign = (-1.0) ** (len(s) - len(chosen))
-        submask_cols[i] = (sign, np.array(chosen, dtype=np.intp))
-    return superset_estimate(_as_yfn(f, sampler), sampler.k, submask_cols, cfg)
+    var_cols = [[j] for j in _check_subset(subset, sampler.k)]
+    return superset_estimate(_as_yfn(f, sampler), sampler.k, var_cols, cfg)
 
 
 def estimate_measure(f, sampler: IndependentSampler, cfg: EstimatorConfig, names) -> ExplanationMeasure:
@@ -128,20 +118,10 @@ def estimate_measure(f, sampler: IndependentSampler, cfg: EstimatorConfig, names
     names = tuple(names)
     if len(names) != sampler.k:
         raise DomainError(f"got {len(names)} names for {sampler.k} variables")
-    if sampler.k > cfg.max_vars:
-        raise DomainError(
-            f"{sampler.k} variables need 2**{sampler.k} evaluations per pair; "
-            f"raise max_vars (now {cfg.max_vars}) to allow this"
-        )
-    query_cols = [None] + [
-        np.array([j for j in range(sampler.k) if s & (1 << j)], dtype=np.intp)
-        for s in range(1, 1 << sampler.k)
-    ]
-    totals, stderrs, _ = pickfreeze_totals(_as_yfn(f, sampler), sampler.k, query_cols, cfg)
+    var_cols = [[j] for j in range(sampler.k)]
+    table = pickfreeze_totals(_as_yfn(f, sampler), sampler.k, var_cols, cfg)
     prov = Provenance("monte_carlo", samples=cfg.samples, seed=cfg.seed)
-    table = TotalsTable(sampler.k, totals, stderrs)
-    range_tol = 0.05 + 10.0 * float(stderrs.max(initial=0.0))
-    return measure_from_totals(table, names, provenance=prov, tol=range_tol)
+    return measure_from_totals(table, names, provenance=prov, tol=range_tolerance(table))
 
 
 def interaction_contrast(f, w, w2, subset) -> float:

@@ -248,6 +248,30 @@ def test_zero_variance_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[E04]:")
 
 
+@pytest.mark.parametrize(
+    "root, expr",
+    [
+        ({"kind": "root_gaussian"}, "log(X)"),  # non-finite outcome values
+        ({"kind": "root_gaussian", "mean": float("nan")}, "X"),  # non-finite parameter
+    ],
+)
+def test_bad_model_values_exit_2(tmp_path, capsys, root, expr):
+    model = {
+        "variables": ["X", "Y"],
+        "outcome": "Y",
+        "nodes": [
+            {"name": "X", "parents": [], "mechanism": root},
+            {"name": "Y", "parents": ["X"], "mechanism": {"kind": "deterministic", "expr": expr}},
+        ],
+    }
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(model))
+    code = run_cli(["counterfactual", "--model", str(p), "--samples", "1000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[E02]:") and err.count("\n") == 1
+
+
 def _write_fit_inputs(tmp_path):
     import numpy as np
 

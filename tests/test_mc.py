@@ -73,15 +73,18 @@ def test_seed_changes_draws():
 def test_pickfreeze_totals_full_set_is_one():
     yfn = _product_y(3)
     cfg = EstimatorConfig(samples=30_000, seed=2)
-    cols = [tuple(j for j in range(3) if s >> j & 1) for s in range(8)]
-    totals, stderrs, var_hat = pickfreeze_totals(yfn, 3, cols, cfg)
+    table = pickfreeze_totals(yfn, 3, [[0], [1], [2]], cfg)
+    totals, stderrs = table.total, table.stderr
     # resampling every input gives an independent copy: exactly 1 by construction
     assert totals[7] == 1.0
-    # y is a product of three iid uniform(-1,1) factors: Var = (1/3)^3
-    assert var_hat == pytest.approx(1.0 / 27.0, rel=0.05)
     # everything sits in the triple interaction, so every total is 1
     for s in (1, 2, 3):
         assert totals[s] == pytest.approx(1.0, abs=3 * stderrs[s] + 1e-3)
+
+
+def test_pickfreeze_totals_caps_query_variables():
+    with pytest.raises(DomainError):
+        pickfreeze_totals(_product_y(3), 3, [[0], [1], [2]], EstimatorConfig(samples=1000, max_vars=2))
 
 
 def test_batch_count_affects_stderr_only():

@@ -25,6 +25,7 @@ from xfvar.scm import (
     empirical_quantile,
     estimate_counterfactual_measure,
     forward_sample,
+    mechanism_from_json,
     model_from_json,
     model_to_json,
     read_model,
@@ -119,6 +120,36 @@ def test_root_categorical_validation():
         RootCategorical("X", [1.0, 2.0], [0.7, 0.7])
     with pytest.raises(ModelError):
         RootCategorical("X", [1.0], [0.5, 0.5])
+
+
+def test_discrete_laws():
+    v, p = RootEmpirical("X", [2.0, 1.0, 2.0, 2.0]).discrete_law()
+    assert list(v) == [1.0, 2.0] and list(p) == [0.25, 0.75]
+    v, p = RootRademacher("X").discrete_law()
+    assert list(v) == [-1.0, 1.0] and list(p) == [0.5, 0.5]
+    assert RootGaussian("X").discrete_law() is None
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "parents, mech",
+    [
+        ((), {"kind": "root_gaussian", "mean": NAN}),
+        ((), {"kind": "root_gaussian", "std": INF}),
+        ((), {"kind": "root_uniform", "low": -INF}),
+        ((), {"kind": "root_uniform", "high": NAN}),
+        ((), {"kind": "root_categorical", "values": [1.0, NAN], "probs": [0.5, 0.5]}),
+        ((), {"kind": "root_categorical", "values": [1.0, 2.0], "probs": [NAN, 0.5]}),
+        (("P",), {"kind": "quantile_table", "levels": [0.25, NAN], "cells": {"1": [0.0, 1.0]}}),
+        (("P",), {"kind": "quantile_table", "levels": [0.25, 0.75], "cells": {"1": [NAN, 1.0]}}),
+        (("P",), {"kind": "quantile_table", "levels": [0.25, 0.75], "cells": {"1": [0.0, INF]}}),
+    ],
+)
+def test_non_finite_parameters_rejected(parents, mech):
+    with pytest.raises(ModelError, match="must be finite"):
+        mechanism_from_json("X", parents, mech)
 
 
 def test_quantile_table_interpolates_and_clamps():
