@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .algebra import clip_negative_atoms
 from .anova_oracle import (
+    ENUMERATION_BUDGET,
     DiscreteDomain,
     exact_contrast_var,
     exact_measure,
@@ -212,6 +213,11 @@ def cmd_oracle(args) -> int:
         domain, f, names = _oracle_domain(model)
     except DomainError as e:  # over-budget enumeration
         raise NotReducibleError(str(e)) from None
+    # the cross-checks below enumerate all pairs of domain points
+    if domain.size * domain.size > ENUMERATION_BUDGET:
+        raise NotReducibleError(
+            f"pair enumeration {domain.size}x{domain.size} exceeds budget {ENUMERATION_BUDGET}"
+        )
     dec = hoeffding_decompose(f, domain)
     idx = indices_from_decomposition(dec)
     measure = exact_measure(dec, names)

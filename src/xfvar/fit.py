@@ -25,7 +25,6 @@ from .errors import FitError, ModelError, ParseError
 from .rng import aux_generator
 from .scm import (
     AdditiveNoise,
-    CellKeyer,
     Dag,
     HeteroGaussian,
     ParentFn,
@@ -33,6 +32,9 @@ from .scm import (
     RootCategorical,
     RootEmpirical,
     ScmModel,
+    bin_index,
+    cell_ids,
+    cell_key,
 )
 
 DEFAULT_LEVELS = tuple(round(0.01 + 0.02 * i, 2) for i in range(50))  # 0.01 .. 0.99
@@ -187,28 +189,41 @@ def parent_binning(data: Dataset, parents, cfg: FitConfig):
 
 
 def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
-    """Shared setup: y, keyer, unique cell code rows, per-row inverse."""
+    """Shared setup: y, binning, cell keys and the rows of each cell.
+
+    Cells are ordered by discrete value and bin index, parent by parent,
+    and each cell's rows are in data order.
+    """
     if node in data.categorical:
         raise FitError(f"node {node!r} is categorical; only roots may be categorical")
     y = data.numeric(node)
-    pm = (
-        np.column_stack([data.numeric(p) for p in parents])
-        if parents
-        else np.zeros((data.n, 0))
+    binning = parent_binning(data, parents, cfg)
+    cols = [data.numeric(p) for p in parents]
+    codes, radices = [], []
+    for col, b in zip(cols, binning):
+        if b is None:
+            values, code = np.unique(col, return_inverse=True)
+            radices.append(len(values))
+        else:
+            code = bin_index(b, col)
+            radices.append(len(b) + 1)
+        codes.append(code)
+    ids = cell_ids(node, codes, radices, data.n)
+    _, first, inv, counts = np.unique(
+        ids, return_index=True, return_inverse=True, return_counts=True
     )
-    keyer = CellKeyer(len(parents), parent_binning(data, parents, cfg))
-    uniq, inv = keyer.group(pm)
-    for i, row in enumerate(uniq):
-        cnt = int(np.sum(inv == i))
+    parts = [col if b is None else c for col, b, c in zip(cols, binning, codes)]
+    keys = [cell_key(binning, [p[i] for p in parts]) for i in first]
+    for key, cnt in zip(keys, counts):
         if cnt < cfg.min_cell:
             raise FitError(
-                f"node {node!r}: cell {keyer.render(row)!r} has {cnt} rows "
-                f"(min_cell is {cfg.min_cell})"
+                f"node {node!r}: cell {key!r} has {cnt} rows (min_cell is {cfg.min_cell})"
             )
-    return y, keyer, uniq, inv
+    rows = np.split(np.argsort(inv, kind="stable"), np.cumsum(counts)[:-1])
+    return y, binning, keys, rows
 
 
-def _fold_split(inv, n_cells, n, seed):
+def _fold_split(rows, n, seed):
     """Per-cell alternating 2-fold split on a seeded permutation.
 
     Stratifying within cells keeps both folds nonempty in every cell (any
@@ -217,20 +232,24 @@ def _fold_split(inv, n_cells, n, seed):
     rank = np.empty(n, dtype=np.intp)
     rank[aux_generator(seed, "folds").permutation(n)] = np.arange(n)
     fold = np.zeros(n, dtype=np.intp)
-    for c in range(n_cells):
-        rows = np.flatnonzero(inv == c)
-        rows = rows[np.argsort(rank[rows], kind="stable")]
-        fold[rows[1::2]] = 1
+    for r in rows:
+        r = r[np.argsort(rank[r], kind="stable")]
+        fold[r[1::2]] = 1
     return fold
 
 
-def _oof_residuals(y, inv, n_cells, fold):
-    """Residuals against the mean of the opposite fold, per cell."""
+def _residuals(y, rows, means, cfg: FitConfig):
+    """Residuals against the cell means: in-sample with one fold, else
+    against the mean of the opposite fold, per cell."""
     resid = np.empty_like(y)
-    for c in range(n_cells):
-        rows = np.flatnonzero(inv == c)
-        in0 = rows[fold[rows] == 0]
-        in1 = rows[fold[rows] == 1]
+    if cfg.folds == 1:
+        for r, m in zip(rows, means):
+            resid[r] = y[r] - m
+        return resid
+    fold = _fold_split(rows, len(y), cfg.seed)
+    for r in rows:
+        in0 = r[fold[r] == 0]
+        in1 = r[fold[r] == 1]
         resid[in0] = y[in0] - y[in1].mean()
         resid[in1] = y[in1] - y[in0].mean()
     return resid
@@ -288,22 +307,18 @@ def fit_root(column, node="root", categorical=False):
     return RootEmpirical(node, np.asarray(column, dtype=float))
 
 
-def _mean_cells(y, keyer, uniq, inv):
-    return {keyer.render(row): float(y[inv == i].mean()) for i, row in enumerate(uniq)}
+def _mean_cells(y, keys, rows):
+    return {key: float(y[r].mean()) for key, r in zip(keys, rows)}
 
 
 def fit_additive(data: Dataset, node, parents, cfg: FitConfig):
     """Location-shift mechanism: cell means plus one shared residual pool."""
     parents = tuple(parents)
-    y, keyer, uniq, inv = _cell_groups(data, node, parents, cfg)
-    cells = _mean_cells(y, keyer, uniq, inv)
-    if cfg.folds == 2:
-        fold = _fold_split(inv, len(uniq), data.n, cfg.seed)
-        resid = _oof_residuals(y, inv, len(uniq), fold)
-    else:
-        resid = y - np.array([cells[keyer.render(row)] for row in uniq])[inv]
+    y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
+    cells = _mean_cells(y, keys, rows)
+    resid = _residuals(y, rows, cells.values(), cfg)
     mech = AdditiveNoise(
-        node, parents, ParentFn(node, parents, cells=cells, binning=keyer.binning), resid
+        node, parents, ParentFn(node, parents, cells=cells, binning=binning), resid
     )
     mech.cross_fitted = cfg.folds == 2
     return mech
@@ -312,23 +327,17 @@ def fit_additive(data: Dataset, node, parents, cfg: FitConfig):
 def fit_hetero_gaussian(data: Dataset, node, parents, cfg: FitConfig):
     """Gaussian-noise mechanism with per-cell mean and standard deviation."""
     parents = tuple(parents)
-    y, keyer, uniq, inv = _cell_groups(data, node, parents, cfg)
-    cells = _mean_cells(y, keyer, uniq, inv)
-    if cfg.folds == 2:
-        fold = _fold_split(inv, len(uniq), data.n, cfg.seed)
-        resid = _oof_residuals(y, inv, len(uniq), fold)
-    else:
-        resid = y - np.array([cells[keyer.render(row)] for row in uniq])[inv]
-    sq = resid**2
+    y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
+    cells = _mean_cells(y, keys, rows)
+    sq = _residuals(y, rows, cells.values(), cfg) ** 2
     std_cells = {
-        keyer.render(row): float(np.sqrt(max(sq[inv == i].mean(), VARIANCE_FLOOR)))
-        for i, row in enumerate(uniq)
+        key: float(np.sqrt(max(sq[r].mean(), VARIANCE_FLOOR))) for key, r in zip(keys, rows)
     }
     mech = HeteroGaussian(
         node,
         parents,
-        ParentFn(node, parents, cells=cells, binning=keyer.binning),
-        ParentFn(node, parents, cells=std_cells, binning=keyer.binning),
+        ParentFn(node, parents, cells=cells, binning=binning),
+        ParentFn(node, parents, cells=std_cells, binning=binning),
     )
     mech.cross_fitted = cfg.folds == 2
     return mech
@@ -337,12 +346,11 @@ def fit_hetero_gaussian(data: Dataset, node, parents, cfg: FitConfig):
 def fit_quantile_grid(data: Dataset, node, parents, cfg: FitConfig):
     """Per-cell empirical quantile grids at cfg.levels, made monotone."""
     parents = tuple(parents)
-    y, keyer, uniq, inv = _cell_groups(data, node, parents, cfg)
-    cells = {}
-    for i, row in enumerate(uniq):
-        grid = isotonic_rearrange(empirical_levels(y[inv == i], cfg.levels))
-        cells[keyer.render(row)] = grid
-    mech = QuantileTable(node, parents, cfg.levels, cells, binning=keyer.binning)
+    y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
+    cells = {
+        key: isotonic_rearrange(empirical_levels(y[r], cfg.levels)) for key, r in zip(keys, rows)
+    }
+    mech = QuantileTable(node, parents, cfg.levels, cells, binning=binning)
     mech.cross_fitted = False
     return mech
 

@@ -147,56 +147,164 @@ def canon_value(v) -> str:
     return format(float(v) + 0.0, ".12g")
 
 
-def _bin_index(edges, v):
-    # edges are interior cut points; values beyond the ends take the
-    # nearest outer bin
+def bin_index(edges, v):
+    """Bin of each value: the number of interior cut points at or below
+    it, so values beyond the ends take the nearest outer bin."""
     return np.searchsorted(edges, v, side="right")
 
 
-class CellKeyer:
-    """Maps parent-value rows to canonical cell keys.
+def cell_key(binning, row) -> str:
+    """The cell key of one parent row.
+
+    row holds the value of each discrete parent (binning entry None) and
+    the bin index of each binned parent; the key joins canon_value of
+    the former and b<i> of the latter with "|".
+    """
+    return "|".join(
+        canon_value(v) if b is None else "b%d" % v for b, v in zip(binning, row)
+    )
+
+
+def cell_ids(node, codes, radices, n_rows):
+    """Mixed-radix int64 cell ids of per-parent integer codes.
+
+    The first parent is the most significant digit, so ids sort like
+    the code rows do. Raises ModelError when the radix product does not
+    fit an int64.
+    """
+    size = 1
+    for r in radices:
+        size *= int(r)
+    if size > np.iinfo(np.int64).max:
+        raise ModelError(
+            f"node {node!r}: {' x '.join(str(int(r)) for r in radices)} parent cells "
+            "overflow int64 cell ids"
+        )
+    ids = np.zeros(n_rows, dtype=np.int64)
+    for c, r in zip(codes, radices):
+        ids *= int(r)
+        ids += c
+    return ids
+
+
+class CellIndex:
+    """Compiled lookup from parent-value rows to the cells of one table.
 
     binning holds one entry per parent: None for a discrete parent keyed
     by exact value, or an array of interior cut points for a binned
-    continuous parent keyed by bin index.
+    continuous parent keyed by bin index. Each parent maps to an integer
+    code: a binned parent to its bin index; a discrete parent to the rank
+    of its value among the values the table's keys name, or to one extra
+    code when no key names it. The codes combine into an int64 cell id
+    (cell_ids). Keys no parent row can produce, such as a non-canonical
+    "1.0" or a bin past the last one, get no id and never match.
+
+    keys lists the matchable keys in id order; rows() gives each parent
+    row's position in that list.
     """
 
-    def __init__(self, n_parents, binning=None):
+    def __init__(self, node, n_parents, binning, keys):
         if binning is None:
             binning = (None,) * n_parents
         if len(binning) != n_parents:
             raise ModelError("binning length must match parent count")
+        self.node = node
         self.binning = tuple(
             None if b is None else np.asarray(b, dtype=float) for b in binning
         )
+        split = [(k, k.split("|") if n_parents else []) for k in keys]
+        split = [(k, parts) for k, parts in split if len(parts) == n_parents]
+        # per discrete parent: the values its key parts name, sorted, with
+        # a NaN sentinel at the end that no value compares equal to, and
+        # the code of each value's canonical rendering
+        self._values, self._code_of, self._radices = [], [], []
+        for j, b in enumerate(self.binning):
+            if b is None:
+                parsed = (_float_or_none(parts[j]) for _, parts in split)
+                named = np.unique([v for v in parsed if v is not None])
+                self._values.append(np.append(named, np.nan))
+                self._code_of.append({canon_value(v): i for i, v in enumerate(named)})
+                self._radices.append(len(named) + 1)
+            else:
+                self._values.append(None)
+                self._code_of.append(None)
+                self._radices.append(len(b) + 1)
+        matchable, key_codes = [], []
+        for key, parts in split:
+            row = [
+                self._code_of[j].get(part) if b is None else _bin_part(part, len(b) + 1)
+                for j, (b, part) in enumerate(zip(self.binning, parts))
+            ]
+            if None not in row:
+                matchable.append(key)
+                key_codes.append(row)
+        ids = cell_ids(node, list(zip(*key_codes)), self._radices, len(matchable))
+        order = np.argsort(ids)
+        self.keys = [matchable[i] for i in order]
+        self._ids = np.append(ids[order], -1)  # -1: a sentinel no cell id equals
 
-    def codes(self, parents):
-        """Per-column numeric codes whose equality defines the cell."""
-        cols = []
+    def _parent_codes(self, parents):
+        codes = []
         for j, b in enumerate(self.binning):
             col = parents[:, j]
-            cols.append(col if b is None else _bin_index(b, col).astype(float))
-        return np.column_stack(cols) if cols else np.zeros((parents.shape[0], 0))
+            if b is not None:
+                codes.append(bin_index(b, col))
+                continue
+            values = self._values[j]
+            code = np.searchsorted(values, col)
+            exact = values[code] == col
+            if not exact.all():
+                # render only the distinct values that are not exact key values
+                miss = ~exact
+                uniq, inv = np.unique(col[miss], return_inverse=True)
+                other = len(values) - 1
+                code[miss] = np.array(
+                    [self._code_of[j].get(canon_value(v), other) for v in uniq], dtype=np.intp
+                )[inv]
+            codes.append(code)
+        return codes
 
-    def render(self, code_row):
-        parts = []
-        for j, b in enumerate(self.binning):
-            v = code_row[j]
-            parts.append(canon_value(v) if b is None else "b%d" % int(v))
-        return "|".join(parts)
+    def rows(self, parents):
+        """Position in keys of each parent row's cell.
 
-    def group(self, parents):
-        """Group rows by cell: (code rows, inverse index per input row)."""
-        codes = self.codes(parents)
-        if codes.shape[1] == 0:
-            return np.zeros((1, 0)), np.zeros(len(parents), dtype=np.intp)
-        uniq, inv = np.unique(codes, axis=0, return_inverse=True)
-        return uniq, inv.ravel()
+        Raises ModelError naming the smallest unseen cell (rows ordered by
+        discrete value and bin index, parent by parent).
+        """
+        codes = self._parent_codes(parents)
+        ids = cell_ids(self.node, codes, self._radices, parents.shape[0])
+        pos = np.searchsorted(self._ids[:-1], ids)
+        found = self._ids[pos] == ids
+        if not found.all():
+            miss = ~found
+            cols = [
+                parents[miss, j] if b is None else c[miss]
+                for j, (b, c) in enumerate(zip(self.binning, codes))
+            ]
+            first = np.lexsort(cols[::-1])[0] if cols else 0
+            key = cell_key(self.binning, [c[first] for c in cols])
+            raise ModelError(f"node {self.node!r}: no cell for parent values {key!r}")
+        return pos
 
     def to_json(self):
         if all(b is None for b in self.binning):
             return None
         return [None if b is None else [float(x) for x in b] for b in self.binning]
+
+
+def _float_or_none(part):
+    try:
+        return float(part)
+    except ValueError:
+        return None
+
+
+def _bin_part(part, n_bins):
+    """Bin index a b<i> key part names, or None when no value lands there."""
+    try:
+        i = int(part[1:])
+    except ValueError:
+        return None
+    return i if part == "b%d" % i and 0 <= i < n_bins else None
 
 
 class ParentFn:
@@ -208,27 +316,23 @@ class ParentFn:
         if (formula is None) == (cells is None):
             raise ModelError(f"node {node!r}: need exactly one of expr or cells")
         self.formula = formula
-        self.cells = None if cells is None else {str(k): float(v) for k, v in cells.items()}
-        self.keyer = None if cells is None else CellKeyer(len(self.parent_names), binning)
+        self.cells = None
+        if cells is not None:
+            self.cells = {str(k): float(v) for k, v in cells.items()}
+            self.index = CellIndex(node, len(self.parent_names), binning, self.cells)
+            self._values = np.array([self.cells[k] for k in self.index.keys], dtype=float)
 
     def __call__(self, parents):
         if self.formula is not None:
             env = {n: parents[:, j] for j, n in enumerate(self.parent_names)}
             return self.formula.evaluate(env)
-        uniq, inv = self.keyer.group(parents)
-        vals = np.empty(len(uniq))
-        for i, row in enumerate(uniq):
-            key = self.keyer.render(row)
-            if key not in self.cells:
-                raise ModelError(f"node {self.node!r}: no cell for parent values {key!r}")
-            vals[i] = self.cells[key]
-        return vals[inv]
+        return self._values[self.index.rows(parents)]
 
     def to_json(self):
         if self.formula is not None:
             return {"expr": self.formula.source}
         out = {"cells": dict(sorted(self.cells.items()))}
-        b = self.keyer.to_json()
+        b = self.index.to_json()
         if b is not None:
             out["binning"] = b
         return out
@@ -428,7 +532,6 @@ class QuantileTable(Mechanism):
             raise ModelError(f"node {node!r}: levels must be strictly increasing")
         if not self.parent_names:
             raise ModelError(f"node {node!r}: quantile_table needs parents; use a root")
-        self.keyer = CellKeyer(len(self.parent_names), binning)
         self.cells = {}
         for key, grid in cells.items():
             g = np.asarray(grid, dtype=float)
@@ -441,17 +544,26 @@ class QuantileTable(Mechanism):
             if np.any(np.diff(g) < 0):
                 raise ModelError(f"node {node!r}: cell {key!r} grid must be non-decreasing")
             self.cells[str(key)] = g
+        self.index = CellIndex(node, len(self.parent_names), binning, self.cells)
+        # flat (cell, level) tables; the slope of the last level is a zero pad
+        grid = np.array([self.cells[k] for k in self.index.keys], dtype=float)
+        grid = grid.reshape(len(self.index.keys), len(self.levels))
+        with np.errstate(over="ignore"):  # an infinite slope is np.interp's too
+            slope = np.diff(grid, axis=1) / np.diff(self.levels)
+        self._grid = grid.ravel()
+        self._slope = np.pad(slope, ((0, 0), (0, 1))).ravel()
 
     def sample(self, e, parents):
-        uniq, inv = self.keyer.group(parents)
-        out = np.empty(len(e))
-        for i, row in enumerate(uniq):
-            key = self.keyer.render(row)
-            grid = self.cells.get(key)
-            if grid is None:
-                raise ModelError(f"node {self.node!r}: no cell for parent values {key!r}")
-            sel = inv == i
-            out[sel] = np.interp(e[sel], self.levels, grid)
+        # np.interp's arithmetic, so the bits match it: the grid value at
+        # or below the first level, on a level and from the last level on;
+        # slope*(e - x0) + g0 from the segment's left end (x0, g0) between
+        levels = self.levels
+        j = np.maximum(np.searchsorted(levels, e, side="right") - 1, 0)
+        at = self.index.rows(parents) * len(levels) + j
+        g0 = self._grid[at]
+        d = e - levels[j]
+        out = self._slope[at] * d + g0
+        np.copyto(out, g0, where=(d <= 0) | (e >= levels[-1]))
         return out
 
     def to_json(self):
@@ -460,7 +572,7 @@ class QuantileTable(Mechanism):
             "levels": [float(x) for x in self.levels],
             "cells": {k: [float(v) for v in g] for k, g in sorted(self.cells.items())},
         }
-        b = self.keyer.to_json()
+        b = self.index.to_json()
         if b is not None:
             out["binning"] = b
         return out
@@ -596,20 +708,27 @@ class ScmModel:
         return self.dag.index(name)
 
     def _evaluate(self, noise, node_order):
-        """Evaluate the given nodes in order; noise is (m, V)."""
+        """Evaluate the given nodes in order; noise is (m, V).
+
+        Raises ModelError for a node whose values are not all finite, so
+        an overflow inside a mechanism surfaces there, not downstream.
+        """
         values = {}
         idx = {n: i for i, n in enumerate(self.dag.names)}
-        for n in node_order:
-            i = idx[n]
-            ps = self.dag.parents[i]
-            if ps:
-                parents = np.column_stack([values[p] for p in ps])
-            else:
-                parents = np.zeros((noise.shape[0], 0))
-            v = np.asarray(self.mechanisms[i].sample(noise[:, i], parents), dtype=float)
-            if v.shape != (noise.shape[0],):
-                raise ModelError(f"node {n!r}: mechanism produced shape {v.shape}")
-            values[n] = v
+        with np.errstate(all="ignore"):
+            for n in node_order:
+                i = idx[n]
+                ps = self.dag.parents[i]
+                if ps:
+                    parents = np.column_stack([values[p] for p in ps])
+                else:
+                    parents = np.zeros((noise.shape[0], 0))
+                v = np.asarray(self.mechanisms[i].sample(noise[:, i], parents), dtype=float)
+                if v.shape != (noise.shape[0],):
+                    raise ModelError(f"node {n!r}: mechanism produced shape {v.shape}")
+                if not np.isfinite(v).all():
+                    raise ModelError(f"node {n!r}: mechanism produced a non-finite value")
+                values[n] = v
         return values
 
     def forward(self, noise):

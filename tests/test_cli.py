@@ -171,6 +171,27 @@ def test_oracle_not_reducible(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[E06]:")
 
 
+def test_oracle_pair_budget_checked_before_decomposition(tmp_path, capsys, monkeypatch):
+    import xfvar.cli
+
+    def never(*args):
+        raise AssertionError("hoeffding_decompose ran on an over-budget domain")
+
+    monkeypatch.setattr(xfvar.cli, "hoeffding_decompose", never)
+    names = [f"W{i}" for i in range(12)]
+    nodes = [{"name": n, "parents": [], "mechanism": {"kind": "root_rademacher"}} for n in names]
+    nodes.append(
+        {"name": "Y", "parents": names, "mechanism": {"kind": "deterministic", "expr": " + ".join(names)}}
+    )
+    p = tmp_path / "k12.json"
+    p.write_text(json.dumps({"variables": names + ["Y"], "outcome": "Y", "nodes": nodes}))
+    code = run_cli(["oracle", "--model", str(p)])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error[E06]:") and err.count("\n") == 1
+    assert "4096x4096" in err
+
+
 def test_venn_golden_svg(tmp_path, in_repo_root):
     out = tmp_path / "v.svg"
     code = run_cli(["venn", "--report", "tests/data/model1_report.json", "--out", str(out)])
@@ -253,6 +274,7 @@ def test_zero_variance_exit_4(tmp_path, capsys):
     [
         ({"kind": "root_gaussian"}, "log(X)"),  # non-finite outcome values
         ({"kind": "root_gaussian", "mean": float("nan")}, "X"),  # non-finite parameter
+        ({"kind": "root_gaussian", "std": 1e308}, "X"),  # finite parameter, overflowing values
     ],
 )
 def test_bad_model_values_exit_2(tmp_path, capsys, root, expr):

@@ -197,6 +197,14 @@ def test_forward_sample_validates_vector():
         forward_sample(m, [0.5, 0.5, 1.5])
 
 
+def test_non_finite_node_values_name_the_node():
+    dag = Dag(("X", "Y"), ((), ("X",)))
+    mechs = (RootGaussian("X", 0.0, 1e308), Deterministic("Y", ("X",), parse_formula("X", ("X",))))
+    m = ScmModel(dag, mechs, "Y")
+    with pytest.raises(ModelError, match="node 'X'.*non-finite"):
+        m.forward(np.array([[0.999, 0.5]]))
+
+
 def test_counterfactual_outcome_golden():
     m = model2()
     # swap W1's noise from heads to tails; W2 keeps its own noise
