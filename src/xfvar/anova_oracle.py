@@ -4,7 +4,10 @@ Everything here is brute force by design: the product domain is
 enumerated in row-major order, conditional expectations are exact
 weighted sums, and interaction-contrast covariances enumerate all
 (W, W') pairs. This module is the reference the Monte Carlo estimators
-and the algebra constructions are verified against.
+and the algebra constructions are verified against. Only the
+decomposition runs in a command (`oracle`); the pair-enumeration closed
+forms (`exact_pickfreeze`, `exact_contrast_var`, `exact_contrast_cov`)
+are test references for it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .algebra import (
     subset_zeta,
     superset_zeta,
 )
-from .errors import ConsistencyError, DomainError, ZeroVarianceError
+from .errors import DomainError, ZeroVarianceError
 
 ENUMERATION_BUDGET = 10**7
 
@@ -113,10 +116,12 @@ def hoeffding_decompose(f, domain: DiscreteDomain) -> AnovaDecomposition:
     For each subset S the conditional mean m_S = E[f | W_S] is an exact
     weighted marginalization; components follow by Moebius inversion
     f_S = sum over T <= S of (-1)^{|S|-|T|} m_T, equivalent to the
-    recursion f_S = E[f - sum of strict sub-components | W_S]. Internal
-    checks verify zero marginals of every component along each of its
-    axes (which implies pairwise orthogonality) and that component
-    variances add up to Var(f), both at 1e-9 scale.
+    recursion f_S = E[f - sum of strict sub-components | W_S]. The
+    inversion touches prod_j (1 + 2 d_j) table elements for supports of
+    sizes d_j. Nothing is checked at run time: sigma2[S] = E[f_S^2] is
+    non-negative by construction, and the tests check that every
+    component has zero marginals along its own axes (so components are
+    orthogonal) and that the sigma2 add up to total_variance.
     """
     k = domain.k
     shape = domain.shape()
@@ -155,28 +160,6 @@ def hoeffding_decompose(f, domain: DiscreteDomain) -> AnovaDecomposition:
             sigma2[s] = float(np.sum(w * comp**2))
 
     total_variance = float(np.sum(domain.weights() * (vals.ravel() - mean) ** 2))
-    scale = max(total_variance, 1.0)
-
-    # zero marginal along every own axis implies E[f_S f_T] = 0 for S != T
-    for s in iter_subsets(k, nonempty=True):
-        comp = components[s]
-        axes = [j for j in range(k) if s >> j & 1]
-        for pos, j in enumerate(axes):
-            marg = np.tensordot(comp, domain.probs[j], axes=([pos], [0]))
-            if marg.size and np.max(np.abs(marg)) > 1e-9 * scale:
-                raise ConsistencyError(
-                    f"component {s:b} has non-zero marginal along variable {j}"
-                )
-    if abs(sigma2.sum() - total_variance) > 1e-9 * scale:
-        raise ConsistencyError("component variances do not add up to the total variance")
-
-    # clamp float dust; anything larger is a bug
-    tiny = 1e-12 * max(total_variance, 1e-300)
-    neg = sigma2 < 0
-    if np.any(sigma2 < -tiny):
-        raise ConsistencyError("negative variance component beyond float tolerance")
-    sigma2[neg] = 0.0
-
     return AnovaDecomposition(domain, mean, sigma2, total_variance, components)
 
 

@@ -14,6 +14,7 @@ count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -24,12 +25,14 @@ from .algebra import clip_negative_atoms
 from .anova_oracle import (
     ENUMERATION_BUDGET,
     DiscreteDomain,
-    exact_contrast_var,
     exact_measure,
-    exact_pickfreeze,
     hoeffding_decompose,
     indices_from_decomposition,
 )
+
+# Not called here: perfbench/tracing.py wraps these two at xfvar.cli through
+# getattr, and `--trace 1` fails on every workload without them.
+from .anova_oracle import exact_contrast_var, exact_pickfreeze  # noqa: F401
 from .errors import (
     CycleError,
     DomainError,
@@ -204,32 +207,22 @@ def _oracle_domain(model):
     return DiscreteDomain(tuple(values), tuple(probs)), f, tuple(names)
 
 
-_ORACLE_TOL = 1e-10
-
-
 def cmd_oracle(args) -> int:
     model = read_model(args.model)
     try:
         domain, f, names = _oracle_domain(model)
     except DomainError as e:  # over-budget enumeration
         raise NotReducibleError(str(e)) from None
-    # the cross-checks below enumerate all pairs of domain points
-    if domain.size * domain.size > ENUMERATION_BUDGET:
+    # the Moebius inversion in hoeffding_decompose touches prod_j (1 + 2 d_j) elements
+    work = math.prod(1 + 2 * d for d in domain.shape())
+    if work > ENUMERATION_BUDGET:
         raise NotReducibleError(
-            f"pair enumeration {domain.size}x{domain.size} exceeds budget {ENUMERATION_BUDGET}"
+            f"decomposition work {work} exceeds budget {ENUMERATION_BUDGET}"
         )
     dec = hoeffding_decompose(f, domain)
     idx = indices_from_decomposition(dec)
     measure = exact_measure(dec, names)
-    scale = max(1.0, dec.total_variance)
     n = 1 << len(names)
-    for s in range(1, n):
-        lo, up = exact_pickfreeze(f, domain, s)
-        if abs(lo - idx.lower[s]) > _ORACLE_TOL * scale or abs(up - idx.upper[s]) > _ORACLE_TOL * scale:
-            raise XfvarError(f"oracle cross-check failed for subset mask {s}")
-        cv = exact_contrast_var(f, domain, s) / (2 ** bin(s).count("1"))
-        if abs(cv - idx.superset[s]) > _ORACLE_TOL * scale:
-            raise XfvarError(f"oracle contrast cross-check failed for subset mask {s}")
     lower_table = {
         subset_key(names, s): float(idx.lower[s] / dec.total_variance) for s in range(1, n)
     }

@@ -47,7 +47,3 @@ class FitError(XfvarError):
 
 class NotReducibleError(XfvarError):
     """Model cannot be reduced to a finite independent domain for exact analysis."""
-
-
-class ConsistencyError(XfvarError):
-    """An internal cross-check failed; indicates a bug, not a user error."""

@@ -102,8 +102,8 @@ def read_csv(path, categorical=(), used=None):
     """Ingest a CSV with a header row.
 
     Only the columns named in `used` (default: all) are checked; a row is
-    dropped when any used numeric cell fails to parse as a real number or
-    any used cell is empty. Returns (Dataset, warnings).
+    dropped when any used numeric cell fails to parse as a finite real
+    number or any used cell is empty. Returns (Dataset, warnings).
     """
     categorical = frozenset(categorical)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -149,14 +149,25 @@ def read_csv(path, categorical=(), used=None):
         for c in use:
             kept[c].append(vals[c])
 
-    warnings = []
-    if dropped:
-        warnings.append(f"dropped {dropped} of {len(rows)} rows with missing or unparseable cells")
     n = len(next(iter(kept.values()))) if use else 0
     columns = {
         c: (np.array(kept[c], dtype=object) if c in categorical else np.array(kept[c], dtype=float))
         for c in use
     }
+    numeric = [columns[c] for c in use if c not in categorical]
+    if numeric:
+        # float() parses "nan" and "inf"; drop those rows like unparseable ones
+        finite = np.logical_and.reduce([np.isfinite(v) for v in numeric])
+        if not finite.all():
+            columns = {c: v[finite] for c, v in columns.items()}
+            n_finite = int(finite.sum())
+            dropped += n - n_finite
+            n = n_finite
+    warnings = []
+    if dropped:
+        warnings.append(
+            f"dropped {dropped} of {len(rows)} rows with missing, unparseable or non-finite cells"
+        )
     return Dataset(columns, n, categorical & frozenset(use)), warnings
 
 
@@ -317,11 +328,9 @@ def fit_additive(data: Dataset, node, parents, cfg: FitConfig):
     y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
     cells = _mean_cells(y, keys, rows)
     resid = _residuals(y, rows, cells.values(), cfg)
-    mech = AdditiveNoise(
+    return AdditiveNoise(
         node, parents, ParentFn(node, parents, cells=cells, binning=binning), resid
     )
-    mech.cross_fitted = cfg.folds == 2
-    return mech
 
 
 def fit_hetero_gaussian(data: Dataset, node, parents, cfg: FitConfig):
@@ -333,14 +342,12 @@ def fit_hetero_gaussian(data: Dataset, node, parents, cfg: FitConfig):
     std_cells = {
         key: float(np.sqrt(max(sq[r].mean(), VARIANCE_FLOOR))) for key, r in zip(keys, rows)
     }
-    mech = HeteroGaussian(
+    return HeteroGaussian(
         node,
         parents,
         ParentFn(node, parents, cells=cells, binning=binning),
         ParentFn(node, parents, cells=std_cells, binning=binning),
     )
-    mech.cross_fitted = cfg.folds == 2
-    return mech
 
 
 def fit_quantile_grid(data: Dataset, node, parents, cfg: FitConfig):
@@ -350,9 +357,7 @@ def fit_quantile_grid(data: Dataset, node, parents, cfg: FitConfig):
     cells = {
         key: isotonic_rearrange(empirical_levels(y[r], cfg.levels)) for key, r in zip(keys, rows)
     }
-    mech = QuantileTable(node, parents, cfg.levels, cells, binning=binning)
-    mech.cross_fitted = False
-    return mech
+    return QuantileTable(node, parents, cfg.levels, cells, binning=binning)
 
 
 _METHODS = {

@@ -753,7 +753,7 @@ def forward_sample(model: ScmModel, noise):
     e = np.asarray(noise, dtype=float).ravel()
     if e.size != model.n_nodes:
         raise ModelError(f"noise vector must have length {model.n_nodes}")
-    if np.any(e < 0) or np.any(e > 1):
+    if not np.all((e >= 0) & (e <= 1)):
         raise ModelError("noise coordinates must lie in [0, 1]")
     vals = model.forward(e.reshape(1, -1))
     return {n: float(v[0]) for n, v in vals.items()}

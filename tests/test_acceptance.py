@@ -51,6 +51,8 @@ from xfvar import (
 )
 from xfvar.cli import main as cli_main
 
+from anova_checks import check_decomposition
+
 
 def _line(num, ok, detail):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -225,7 +227,7 @@ def test_criterion_03_measure_construction_equivalence():
     for seed in range(50):
         rs = np.random.default_rng(1000 + seed)
         dom, f = _random_model(rs)
-        dec = hoeffding_decompose(f, dom)
+        dec = check_decomposition(hoeffding_decompose(f, dom))
         idx = indices_from_decomposition(dec)
         names = tuple(f"X{i}" for i in range(dom.k))
 
@@ -309,7 +311,7 @@ def test_criterion_06_pickfreeze_closed_forms():
     for seed in range(20):
         rs = np.random.default_rng(4000 + seed)
         dom, f = _random_model(rs)
-        dec = hoeffding_decompose(f, dom)
+        dec = check_decomposition(hoeffding_decompose(f, dom))
         idx = indices_from_decomposition(dec)
         scale = max(1.0, dec.total_variance)
         for s in range(1, 1 << dom.k):
@@ -332,7 +334,7 @@ def test_criterion_07_measure_validation_rates():
     for seed in range(20):
         rs = np.random.default_rng(5000 + seed)
         dom, f = _random_model(rs)
-        dec = hoeffding_decompose(f, dom)
+        dec = check_decomposition(hoeffding_decompose(f, dom))
         m = exact_measure(dec, tuple(f"X{i}" for i in range(dom.k)))
         worst_mass = max(worst_mass, abs(float(m.atom_mass.sum()) - 1.0))
         worst_neg = max(worst_neg, -float(m.atom_mass.min()))
@@ -421,7 +423,7 @@ def test_criterion_10_shapley_permutation_equality():
     for seed in range(12):
         rs = np.random.default_rng(6000 + seed)
         dom, f = _random_model(rs)
-        dec = hoeffding_decompose(f, dom)
+        dec = check_decomposition(hoeffding_decompose(f, dom))
         names = tuple(f"X{i}" for i in range(dom.k))
         m = exact_measure(dec, names)
         phi = shapley_from_measure(m).values
@@ -464,7 +466,7 @@ def test_criterion_11_efron_stein_and_monotonicity():
     for seed in range(100):
         rs = np.random.default_rng(7000 + seed)
         dom, f = _random_model(rs)
-        dec = hoeffding_decompose(f, dom)
+        dec = check_decomposition(hoeffding_decompose(f, dom))
         m = exact_measure(dec, tuple(f"X{i}" for i in range(dom.k)))
         totals = totals_from_measure(m).total
         es_gap = 1.0 - float(sum(totals[1 << j] for j in range(dom.k)))

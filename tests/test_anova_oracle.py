@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,11 @@ from xfvar.anova_oracle import (
     indices_from_decomposition,
     rademacher_domain,
 )
+from xfvar.cli import _oracle_domain
 from xfvar.errors import DomainError, ZeroVarianceError
+from xfvar.scm import model_from_json, read_model
+
+from anova_checks import check_decomposition
 
 
 def _xor(w):
@@ -47,14 +53,14 @@ def test_domain_validation():
 
 
 def test_xor_decomposition():
-    dec = hoeffding_decompose(_xor, rademacher_domain(2))
+    dec = check_decomposition(hoeffding_decompose(_xor, rademacher_domain(2)))
     assert dec.mean == pytest.approx(0.0, abs=1e-15)
     assert dec.total_variance == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(dec.sigma2, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_linear_decomposition():
-    dec = hoeffding_decompose(_linear, rademacher_domain(2))
+    dec = check_decomposition(hoeffding_decompose(_linear, rademacher_domain(2)))
     assert np.allclose(dec.sigma2, [0.0, 1.0, 4.0, 0.0], atol=1e-13)
     idx = indices_from_decomposition(dec)
     assert idx.lower[0b01] == pytest.approx(1.0, abs=1e-13)
@@ -70,7 +76,7 @@ def test_components_sum_to_function():
         [[0.3, 0.7], [0.2, 0.5, 0.3], [0.5, 0.5]],
     )
     f = _random_table_fn_general(dom, seed=0)
-    dec = hoeffding_decompose(f, dom)
+    dec = check_decomposition(hoeffding_decompose(f, dom))
     grid = dom.grid()
     # component 0 is the grand mean; the rest live on marginal grids
     recon = np.zeros(dom.size)
@@ -104,7 +110,7 @@ def _random_table_fn_general(dom, seed):
 def test_variances_are_orthogonal_sum():
     dom = rademacher_domain(3)
     f = _random_table_fn(3, seed=1)
-    dec = hoeffding_decompose(f, dom)
+    dec = check_decomposition(hoeffding_decompose(f, dom))
     assert dec.sigma2.sum() == pytest.approx(dec.total_variance, rel=1e-12)
     assert dec.sigma2[0] == 0.0
 
@@ -115,7 +121,7 @@ def test_pickfreeze_identities_match_decomposition():
         [[0.4, 0.6], [0.2, 0.5, 0.3], [0.25, 0.75]],
     )
     f = _random_table_fn_general(dom, seed=2)
-    dec = hoeffding_decompose(f, dom)
+    dec = check_decomposition(hoeffding_decompose(f, dom))
     idx = indices_from_decomposition(dec)
     for s in range(1, 8):
         lo, up = exact_pickfreeze(f, dom, s)
@@ -126,7 +132,7 @@ def test_pickfreeze_identities_match_decomposition():
 def test_contrast_variance_is_scaled_superset_index():
     dom = rademacher_domain(3)
     f = _random_table_fn(3, seed=3)
-    dec = hoeffding_decompose(f, dom)
+    dec = check_decomposition(hoeffding_decompose(f, dom))
     idx = indices_from_decomposition(dec)
     for s in range(1, 8):
         size = bin(s).count("1")
@@ -155,13 +161,17 @@ def test_contrast_cov_identity():
 
 
 def test_exact_measure_xor():
-    m = exact_measure(hoeffding_decompose(_xor, rademacher_domain(2)), ("A", "B"))
+    dec = check_decomposition(hoeffding_decompose(_xor, rademacher_domain(2)))
+    m = exact_measure(dec, ("A", "B"))
     assert np.allclose(m.atom_mass, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
     assert m.provenance.kind == "exact"
 
 
 def test_constant_function_rejected():
-    dec = hoeffding_decompose(lambda w: np.zeros(w.shape[0]), rademacher_domain(2))
+    def zero(w):
+        return np.zeros(w.shape[0])
+
+    dec = check_decomposition(hoeffding_decompose(zero, rademacher_domain(2)))
     with pytest.raises(ZeroVarianceError):
         exact_measure(dec, ("A", "B"))
 
@@ -169,3 +179,52 @@ def test_constant_function_rejected():
 def test_enumeration_budget():
     with pytest.raises(DomainError):
         DiscreteDomain([np.arange(4000.0)] * 4, [np.full(4000, 1 / 4000)] * 4)
+
+
+def _node(name, parents, mechanism):
+    return {"name": name, "parents": list(parents), "mechanism": mechanism}
+
+
+def _ring7_model():
+    """Seven Rademacher roots and Y = sum_i a_i W_i + sum_i b_i W_i W_(i+1 mod 7),
+    the shape of the benchmark's oracle workload."""
+    rs = np.random.default_rng(7)
+    names = [f"W{i}" for i in range(1, 8)]
+    coef = np.round(rs.uniform(0.1, 1.0, 14) * rs.choice([-1.0, 1.0], 14), 4)
+    terms = [f"{coef[i]}*{n}" for i, n in enumerate(names)]
+    terms += [f"{coef[7 + i]}*{n}*{names[(i + 1) % 7]}" for i, n in enumerate(names)]
+    nodes = [_node(n, [], {"kind": "root_rademacher"}) for n in names]
+    nodes.append(_node("Y", names, {"kind": "deterministic", "expr": " + ".join(terms)}))
+    return model_from_json({"variables": names + ["Y"], "outcome": "Y", "nodes": nodes})
+
+
+def _categorical_empirical_model():
+    nodes = [
+        _node("A", [], {"kind": "root_categorical", "values": [0.0, 1.0, 2.0], "probs": [0.2, 0.5, 0.3]}),
+        _node("B", [], {"kind": "root_empirical", "values": [-1.5, 0.25, 0.25, 2.0, 3.0]}),
+        _node("Y", ["A", "B"], {"kind": "deterministic", "expr": "A + 0.5*B + A*B + sigmoid(A - B)"}),
+    ]
+    return model_from_json({"variables": ["A", "B", "Y"], "outcome": "Y", "nodes": nodes})
+
+
+_ORACLE_MODELS = {
+    "model1": lambda: read_model(Path(__file__).parent / "data" / "model1.json"),
+    "ring7": _ring7_model,
+    "categorical_empirical": _categorical_empirical_model,
+}
+
+
+@pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+def test_oracle_domain_matches_pair_references(model):
+    # the oracle command reports indices from the decomposition alone; the
+    # pair-enumeration closed forms must agree with them at 1e-10 * max(1, var)
+    domain, f, _ = _oracle_domain(_ORACLE_MODELS[model]())
+    dec = check_decomposition(hoeffding_decompose(f, domain))
+    idx = indices_from_decomposition(dec)
+    tol = 1e-10 * max(1.0, dec.total_variance)
+    for s in range(1, 1 << domain.k):
+        lower, upper = exact_pickfreeze(f, domain, s)
+        assert abs(lower - idx.lower[s]) <= tol, s
+        assert abs(upper - idx.upper[s]) <= tol, s
+        contrast = exact_contrast_var(f, domain, s) / (1 << bin(s).count("1"))
+        assert abs(contrast - idx.superset[s]) <= tol, s

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from xfvar.cli import main
+from xfvar.errors import NotReducibleError
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -171,6 +172,16 @@ def test_oracle_not_reducible(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[E06]:")
 
 
+def _rademacher_sum_model(path, k):
+    names = [f"W{i}" for i in range(k)]
+    nodes = [{"name": n, "parents": [], "mechanism": {"kind": "root_rademacher"}} for n in names]
+    nodes.append(
+        {"name": "Y", "parents": names, "mechanism": {"kind": "deterministic", "expr": " + ".join(names)}}
+    )
+    path.write_text(json.dumps({"variables": names + ["Y"], "outcome": "Y", "nodes": nodes}))
+    return str(path)
+
+
 def test_oracle_pair_budget_checked_before_decomposition(tmp_path, capsys, monkeypatch):
     import xfvar.cli
 
@@ -178,18 +189,55 @@ def test_oracle_pair_budget_checked_before_decomposition(tmp_path, capsys, monke
         raise AssertionError("hoeffding_decompose ran on an over-budget domain")
 
     monkeypatch.setattr(xfvar.cli, "hoeffding_decompose", never)
-    names = [f"W{i}" for i in range(12)]
-    nodes = [{"name": n, "parents": [], "mechanism": {"kind": "root_rademacher"}} for n in names]
-    nodes.append(
-        {"name": "Y", "parents": names, "mechanism": {"kind": "deterministic", "expr": " + ".join(names)}}
-    )
-    p = tmp_path / "k12.json"
-    p.write_text(json.dumps({"variables": names + ["Y"], "outcome": "Y", "nodes": nodes}))
-    code = run_cli(["oracle", "--model", str(p)])
+    code = run_cli(["oracle", "--model", _rademacher_sum_model(tmp_path / "k12.json", 12)])
     assert code == 6
     err = capsys.readouterr().err
     assert err.startswith("error[E06]:") and err.count("\n") == 1
-    assert "4096x4096" in err
+    assert f"decomposition work {5**12} exceeds budget" in err
+
+
+@pytest.mark.parametrize("k, reached", [(10, True), (11, False)])
+def test_oracle_decomposition_budget_edge(tmp_path, capsys, monkeypatch, k, reached):
+    # binary inputs cost 5^K Moebius elements: K = 10 fits the 10^7 budget, K = 11 does not
+    import xfvar.cli
+
+    def sentinel(f, domain):
+        raise NotReducibleError(f"sentinel reached with {domain.k} inputs")
+
+    monkeypatch.setattr(xfvar.cli, "hoeffding_decompose", sentinel)
+    code = run_cli(["oracle", "--model", _rademacher_sum_model(tmp_path / "m.json", k)])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert ("sentinel reached" in err) == reached
+    assert ("exceeds budget" in err) == (not reached)
+
+
+# A law on which the retired pair-enumeration cross-check rejected Y = 1000 + A + A*B
+_OFFSET_LAWS = (
+    ([0.202, 0.694], [0.8343, 0.1657]),
+    (
+        [-1.427, -1.423, -0.77, -0.135, 0.076, 0.788, 0.844, 1.165],
+        [0.1771, 0.0884, 0.2316, 0.0551, 0.0322, 0.0485, 0.3178, 0.0493],
+    ),
+)
+
+
+def test_oracle_constant_offset_leaves_atoms(tmp_path, capsys):
+    atoms = {}
+    for offset in ("", "1000 + ", "100000000 + "):
+        nodes = [
+            {"name": n, "parents": [], "mechanism": {"kind": "root_categorical", "values": v, "probs": w}}
+            for n, (v, w) in zip("AB", _OFFSET_LAWS)
+        ]
+        outcome = {"kind": "deterministic", "expr": offset + "A + A*B"}
+        nodes.append({"name": "Y", "parents": ["A", "B"], "mechanism": outcome})
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"variables": ["A", "B", "Y"], "outcome": "Y", "nodes": nodes}))
+        assert run_cli(["oracle", "--model", str(p)]) == 0, capsys.readouterr().err
+        atoms[offset] = json.loads(capsys.readouterr().out)["atoms"]
+    for offset, tol in (("1000 + ", 1e-12), ("100000000 + ", 1e-7)):
+        # an offset of 1e8 leaves about eight significant digits of A + A*B
+        assert max(abs(atoms[offset][s] - a) for s, a in atoms[""].items()) <= tol
 
 
 def test_venn_golden_svg(tmp_path, in_repo_root):

@@ -72,6 +72,19 @@ def test_read_csv_drops_bad_rows(tmp_path):
     assert len(warnings) == 1 and "2" in warnings[0]
 
 
+def test_read_csv_drops_non_finite_rows(tmp_path):
+    # float() parses these; a categorical label "nan" and an unused column stay
+    p = tmp_path / "d.csv"
+    with open(p, "w") as fh:
+        fh.write("sex,a,b,junk\nF,1,2,nan\nM,nan,3,x\nF,4,inf,x\nnan,5,6,x\nF,-Infinity,1,x\nM,7,8,x\n")
+    data, warnings = read_csv(p, categorical=("sex",), used=("sex", "a", "b"))
+    assert data.n == 3
+    assert list(data.column("a")) == [1.0, 5.0, 7.0]
+    assert list(data.column("b")) == [2.0, 6.0, 8.0]
+    assert list(data.column("sex")) == ["F", "nan", "M"]
+    assert warnings == ["dropped 3 of 6 rows with missing, unparseable or non-finite cells"]
+
+
 def test_read_csv_ignores_unused_junk_column(tmp_path):
     p = tmp_path / "d.csv"
     with open(p, "w") as fh:

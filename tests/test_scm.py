@@ -195,6 +195,8 @@ def test_forward_sample_validates_vector():
         forward_sample(m, [0.5, 0.5])
     with pytest.raises(ModelError):
         forward_sample(m, [0.5, 0.5, 1.5])
+    with pytest.raises(ModelError):
+        forward_sample(m, [np.nan, 0.5, 0.5])
 
 
 def test_non_finite_node_values_name_the_node():
