@@ -202,7 +202,7 @@ def _oracle_domain(model):
     cols = [parent_pos[p] for p in outcome_mech.parent_names]
 
     def f(w):
-        return outcome_mech.sample(np.zeros(w.shape[0]), w[:, cols])
+        return outcome_mech.sample(np.zeros(w.shape[0]), tuple(w[:, c] for c in cols))
 
     return DiscreteDomain(tuple(values), tuple(probs)), f, tuple(names)
 

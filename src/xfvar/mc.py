@@ -1,13 +1,17 @@
 """Pick-freeze Monte Carlo engine shared by `sensitivity` and `scm`.
 
-Every estimator is one call of a single streaming kernel over an outcome
-function of uniform noise, yfn(U) with U of shape (m, n_noise). Per block
-of replicate pairs (E, E') the kernel evaluates y(E), y(E') and a list of
-hybrids, each taking some noise columns from E' and the rest from E, with
-one hybrid output alive at a time. It sums, per stderr batch, the
-baseline moments of y(E) and y(E') and the rows of a small per-estimator
-statistic; the ratio estimators share one pooled-variance and
-batch-stderr step.
+Every estimator is one call of a single streaming kernel. Per block of
+replicate pairs (E, E') of uniform noise, shape (m, n_noise) each, the
+kernel opens one hybrid evaluator, open_block(E, E'), which returns
+y(cols): the outcome of the hybrid that takes the noise columns cols from
+E' and the rest from E. y(()) is y(E) and y(every column) is y(E'). The
+providers decide how much of each hybrid they recompute: `sensitivity`
+transforms E and E' once and builds hybrids in value space, `scm`
+memoizes node values on the resampled ancestors. Per block the kernel
+asks for y(E), y(E') and a list of hybrids, with one hybrid output alive
+at a time. It sums, per stderr batch, the baseline moments of y(E) and
+y(E') and the rows of a small per-estimator statistic; the ratio
+estimators share one pooled-variance and batch-stderr step.
 
 `pickfreeze_totals` and `superset_estimate` take one noise-column list per
 query variable: the hybrid of a variable set resamples the union of its
@@ -115,7 +119,7 @@ def per_batch_sums(n_noise, cfg: EstimatorConfig, fill_block, n_stats):
 
 
 def hybrid(e, ep, cols):
-    """Replace the given noise columns of e with the resampled copy."""
+    """Copy of e whose given columns are taken from the resampled ep."""
     h = e.copy()
     h[:, cols] = ep[:, cols]
     return h
@@ -132,21 +136,26 @@ def _union_cols(var_cols, mask):
 _MOMENTS = 4
 
 
-def _pickfreeze_sums(yfn, n_noise, hybrid_cols, stat, n_stats, cfg: EstimatorConfig):
+def _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, n_stats, cfg: EstimatorConfig):
     """The kernel: per-batch sums of the baseline moments and of stat's rows.
 
-    y0 = yfn(E) and y1 = yfn(E'); stat(y0, y1, hybrids) must yield
-    n_stats rows, where hybrids iterates yfn over the hybrids that
-    resample hybrid_cols[0], hybrid_cols[1], ... in that order. Returns
-    a (4 + n_stats, batches) array whose first four rows are the moments.
+    open_block(E, E') is called once per block and returns y(cols), the
+    outcome of the hybrid that takes cols from E'. y0 = y(E) and
+    y1 = y(E'); stat(y0, y1, hybrids) must yield n_stats rows, where
+    hybrids iterates y over hybrid_cols[0], hybrid_cols[1], ... in that
+    order. Returns a (4 + n_stats, batches) array whose first four rows
+    are the moments.
     """
+    none = np.zeros(0, dtype=np.intp)
+    every = np.arange(n_noise, dtype=np.intp)
 
     def fill_block(e, ep, add_row):
-        y0 = yfn(e)
-        y1 = yfn(ep)
+        y = open_block(e, ep)
+        y0 = y(none)
+        y1 = y(every)
         for r, vals in enumerate((y0, y0**2, y1, y1**2)):
             add_row(r, vals)
-        hybrids = (yfn(hybrid(e, ep, cols)) for cols in hybrid_cols)
+        hybrids = (y(cols) for cols in hybrid_cols)
         for r, vals in enumerate(stat(y0, y1, hybrids), _MOMENTS):
             add_row(r, vals)
 
@@ -188,7 +197,7 @@ def _pooled_ratio(acc, num, cfg: EstimatorConfig) -> Estimate:
     return Estimate(float(num(totals, m) / vpool), stderr, cfg.samples)
 
 
-def pickfreeze_totals(yfn, n_noise, var_cols, cfg: EstimatorConfig) -> TotalsTable:
+def pickfreeze_totals(open_block, n_noise, var_cols, cfg: EstimatorConfig) -> TotalsTable:
     """Totals for every nonempty set of query variables from common random pairs.
 
     var_cols[j] lists the noise columns owned by query variable j. The
@@ -197,8 +206,9 @@ def pickfreeze_totals(yfn, n_noise, var_cols, cfg: EstimatorConfig) -> TotalsTab
     from the same pooled outputs, so the total of the full query set is
     exactly 1 whenever it resamples every noise coordinate.
 
-    yfn is called exactly 2**K + 1 times per block: the two baselines
-    plus one hybrid per nonempty subset, so K is capped by cfg.max_vars.
+    Each block asks for 2**K + 1 outcomes: the two baselines plus one
+    hybrid per nonempty subset, so K is capped by cfg.max_vars. What one
+    outcome costs is up to the provider behind open_block.
     """
     k = len(var_cols)
     if k > min(cfg.max_vars, MAX_VARS):
@@ -214,7 +224,7 @@ def pickfreeze_totals(yfn, n_noise, var_cols, cfg: EstimatorConfig) -> TotalsTab
             yield (y0 - ys) ** 2
 
     hybrid_cols = [_union_cols(var_cols, s) for s in range(1, n_masks)]
-    acc = _pickfreeze_sums(yfn, n_noise, hybrid_cols, stat, n_masks, cfg)[_MOMENTS:]
+    acc = _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, n_masks, cfg)[_MOMENTS:]
     base = acc[0]
     denom = float(base.sum())
     if denom <= 0.0:
@@ -233,18 +243,18 @@ def range_tolerance(table: TotalsTable) -> float:
     return 0.05 + 10.0 * float(table.stderr.max(initial=0.0))
 
 
-def upper_estimate(yfn, n_noise, cols, cfg: EstimatorConfig) -> Estimate:
+def upper_estimate(open_block, n_noise, cols, cfg: EstimatorConfig) -> Estimate:
     """Total (upper) index of one subset: half mean squared pick-freeze
     difference over the pooled empirical variance of the 2M baselines."""
 
     def stat(y0, y1, hybrids):
         yield (y0 - next(hybrids)) ** 2
 
-    acc = _pickfreeze_sums(yfn, n_noise, [cols], stat, 1, cfg)
+    acc = _pickfreeze_sums(open_block, n_noise, [cols], stat, 1, cfg)
     return _pooled_ratio(acc, lambda s, c: s[4] / (2.0 * c), cfg)
 
 
-def lower_estimate(yfn, n_noise, keep_complement_cols, cfg: EstimatorConfig) -> Estimate:
+def lower_estimate(open_block, n_noise, keep_complement_cols, cfg: EstimatorConfig) -> Estimate:
     """Lower index of one subset: covariance of f(W) with the hybrid that
     keeps the subset and resamples everything else, over the pooled variance.
 
@@ -256,11 +266,11 @@ def lower_estimate(yfn, n_noise, keep_complement_cols, cfg: EstimatorConfig) -> 
         yield y0 * g
         yield g
 
-    acc = _pickfreeze_sums(yfn, n_noise, [keep_complement_cols], stat, 2, cfg)
+    acc = _pickfreeze_sums(open_block, n_noise, [keep_complement_cols], stat, 2, cfg)
     return _pooled_ratio(acc, lambda s, c: s[4] / c - (s[0] / c) * (s[5] / c), cfg)
 
 
-def superset_estimate(yfn, n_noise, var_cols, cfg: EstimatorConfig) -> Estimate:
+def superset_estimate(open_block, n_noise, var_cols, cfg: EstimatorConfig) -> Estimate:
     """Superset importance of one variable set from its interaction contrast.
 
     var_cols[j] lists the noise columns owned by variable j of the set.
@@ -279,6 +289,6 @@ def superset_estimate(yfn, n_noise, var_cols, cfg: EstimatorConfig) -> Estimate:
         yield contrast**2
 
     hybrid_cols = [_union_cols(var_cols, i) for i in range(1, 1 << size)]
-    acc = _pickfreeze_sums(yfn, n_noise, hybrid_cols, stat, 2, cfg)
+    acc = _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, 2, cfg)
     scale = 2.0**size
     return _pooled_ratio(acc, lambda s, c: (s[5] / c - (s[4] / c) ** 2) / scale, cfg)

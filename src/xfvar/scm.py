@@ -35,6 +35,7 @@ __all__ = [
     "parse_formula",
     "Formula",
     "ScmModel",
+    "HybridOutcomes",
     "forward_sample",
     "sample_noise",
     "counterfactual_outcome",
@@ -200,7 +201,8 @@ class CellIndex:
     "1.0" or a bin past the last one, get no id and never match.
 
     keys lists the matchable keys in id order; rows() gives each parent
-    row's position in that list.
+    row's position in that list. Parent values arrive as a tuple of 1-D
+    columns, one per parent.
     """
 
     def __init__(self, node, n_parents, binning, keys):
@@ -245,8 +247,7 @@ class CellIndex:
 
     def _parent_codes(self, parents):
         codes = []
-        for j, b in enumerate(self.binning):
-            col = parents[:, j]
+        for j, (b, col) in enumerate(zip(self.binning, parents)):
             if b is not None:
                 codes.append(bin_index(b, col))
                 continue
@@ -264,21 +265,20 @@ class CellIndex:
             codes.append(code)
         return codes
 
-    def rows(self, parents):
-        """Position in keys of each parent row's cell.
+    def rows(self, parents, n_rows):
+        """Position in keys of each of the n_rows parent rows' cells.
 
         Raises ModelError naming the smallest unseen cell (rows ordered by
         discrete value and bin index, parent by parent).
         """
         codes = self._parent_codes(parents)
-        ids = cell_ids(self.node, codes, self._radices, parents.shape[0])
+        ids = cell_ids(self.node, codes, self._radices, n_rows)
         pos = np.searchsorted(self._ids[:-1], ids)
         found = self._ids[pos] == ids
         if not found.all():
             miss = ~found
             cols = [
-                parents[miss, j] if b is None else c[miss]
-                for j, (b, c) in enumerate(zip(self.binning, codes))
+                p[miss] if b is None else c[miss] for b, p, c in zip(self.binning, parents, codes)
             ]
             first = np.lexsort(cols[::-1])[0] if cols else 0
             key = cell_key(self.binning, [c[first] for c in cols])
@@ -308,7 +308,10 @@ def _bin_part(part, n_bins):
 
 
 class ParentFn:
-    """Scalar function of a node's parents: a formula or a cell table."""
+    """Scalar function of a node's parents: a formula or a cell table.
+
+    Called with a tuple of 1-D parent columns and the row count.
+    """
 
     def __init__(self, node, parent_names, formula=None, cells=None, binning=None):
         self.node = node
@@ -322,11 +325,10 @@ class ParentFn:
             self.index = CellIndex(node, len(self.parent_names), binning, self.cells)
             self._values = np.array([self.cells[k] for k in self.index.keys], dtype=float)
 
-    def __call__(self, parents):
+    def __call__(self, parents, n_rows):
         if self.formula is not None:
-            env = {n: parents[:, j] for j, n in enumerate(self.parent_names)}
-            return self.formula.evaluate(env)
-        return self._values[self.index.rows(parents)]
+            return self.formula.evaluate(dict(zip(self.parent_names, parents)))
+        return self._values[self.index.rows(parents, n_rows)]
 
     def to_json(self):
         if self.formula is not None:
@@ -375,7 +377,9 @@ def _check_finite(node, what, values):
 class Mechanism:
     """One node's conditional-quantile transform V = Q(e | parents).
 
-    Roots take no parents. Discrete roots also report their law as
+    sample(e, parents) takes the noise column e and a tuple of 1-D
+    parent columns of the same length, in parent_names order; roots get
+    an empty tuple. Discrete roots also report their law as
     (values, probs) through discrete_law(); every other mechanism
     returns None there.
     """
@@ -559,7 +563,7 @@ class QuantileTable(Mechanism):
         # slope*(e - x0) + g0 from the segment's left end (x0, g0) between
         levels = self.levels
         j = np.maximum(np.searchsorted(levels, e, side="right") - 1, 0)
-        at = self.index.rows(parents) * len(levels) + j
+        at = self.index.rows(parents, len(e)) * len(levels) + j
         g0 = self._grid[at]
         d = e - levels[j]
         out = self._slope[at] * d + g0
@@ -592,7 +596,7 @@ class AdditiveNoise(Mechanism):
             raise ModelError(f"node {node!r}: residual pool is empty")
 
     def sample(self, e, parents):
-        return self.mean(parents) + empirical_quantile(self.residuals, e)
+        return self.mean(parents, len(e)) + empirical_quantile(self.residuals, e)
 
     def to_json(self):
         return {
@@ -614,10 +618,10 @@ class HeteroGaussian(Mechanism):
         self.std = std
 
     def sample(self, e, parents):
-        s = np.asarray(self.std(parents), dtype=float)
+        s = np.asarray(self.std(parents, len(e)), dtype=float)
         if np.any(s < 0):
             raise ModelError(f"node {self.node!r}: stddev went negative")
-        return self.mean(parents) + s * _gauss_quantile(e)
+        return self.mean(parents, len(e)) + s * _gauss_quantile(e)
 
     def to_json(self):
         return {"kind": self.kind, "mean": self.mean.to_json(), "std": self.std.to_json()}
@@ -635,8 +639,7 @@ class Deterministic(Mechanism):
         self.formula = formula
 
     def sample(self, e, parents):
-        env = {n: parents[:, j] for j, n in enumerate(self.parent_names)}
-        out = np.asarray(self.formula.evaluate(env), dtype=float)
+        out = np.asarray(self.formula.evaluate(dict(zip(self.parent_names, parents))), dtype=float)
         return np.full(len(e), float(out)) if out.ndim == 0 else out
 
     def to_json(self):
@@ -696,9 +699,16 @@ class ScmModel:
             elif tuple(mech.parent_names) != ps:
                 raise ModelError(f"node {n!r}: mechanism parents {mech.parent_names} != {ps}")
         order = topo_order(self.dag)  # raises CycleError on cycles
-        object.__setattr__(self, "_order", tuple(order))
         anc = ancestral_closure(self.dag, [self.outcome])
-        object.__setattr__(self, "_outcome_order", tuple(n for n in order if n in anc))
+        idx = {n: i for i, n in enumerate(self.dag.names)}
+        # node indices: every node and the outcome's ancestry in topological
+        # order, and each node's parents
+        object.__setattr__(self, "_order", tuple(idx[n] for n in order))
+        object.__setattr__(self, "_outcome_order", tuple(idx[n] for n in order if n in anc))
+        object.__setattr__(self, "_outcome_index", idx[self.outcome])
+        object.__setattr__(
+            self, "_parent_idx", tuple(tuple(idx[p] for p in ps) for ps in self.dag.parents)
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -707,28 +717,31 @@ class ScmModel:
     def node_index(self, name: str) -> int:
         return self.dag.index(name)
 
-    def _evaluate(self, noise, node_order):
-        """Evaluate the given nodes in order; noise is (m, V).
+    def _node_values(self, i, e, values):
+        """Values of node i from its noise column e and values, a node
+        index -> array map holding its parents. Callers silence numpy's
+        floating-point warnings around it.
 
-        Raises ModelError for a node whose values are not all finite, so
-        an overflow inside a mechanism surfaces there, not downstream.
+        Raises ModelError for a wrong output shape or a value that is not
+        finite, so an overflow inside a mechanism surfaces at its node,
+        not downstream.
         """
+        parents = tuple(values[p] for p in self._parent_idx[i])
+        v = np.asarray(self.mechanisms[i].sample(e, parents), dtype=float)
+        if v.shape != e.shape:
+            raise ModelError(f"node {self.dag.names[i]!r}: mechanism produced shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ModelError(
+                f"node {self.dag.names[i]!r}: mechanism produced a non-finite value"
+            )
+        return v
+
+    def _evaluate(self, noise, node_order):
+        """Evaluate the given node indices in order; noise is (m, V)."""
         values = {}
-        idx = {n: i for i, n in enumerate(self.dag.names)}
         with np.errstate(all="ignore"):
-            for n in node_order:
-                i = idx[n]
-                ps = self.dag.parents[i]
-                if ps:
-                    parents = np.column_stack([values[p] for p in ps])
-                else:
-                    parents = np.zeros((noise.shape[0], 0))
-                v = np.asarray(self.mechanisms[i].sample(noise[:, i], parents), dtype=float)
-                if v.shape != (noise.shape[0],):
-                    raise ModelError(f"node {n!r}: mechanism produced shape {v.shape}")
-                if not np.isfinite(v).all():
-                    raise ModelError(f"node {n!r}: mechanism produced a non-finite value")
-                values[n] = v
+            for i in node_order:
+                values[i] = self._node_values(i, noise[:, i], values)
         return values
 
     def forward(self, noise):
@@ -736,16 +749,96 @@ class ScmModel:
         noise = np.asarray(noise, dtype=float)
         if noise.ndim != 2 or noise.shape[1] != self.n_nodes:
             raise ModelError(f"noise must have shape (m, {self.n_nodes})")
-        return self._evaluate(noise, self._order)
+        values = self._evaluate(noise, self._order)
+        return {self.dag.names[i]: v for i, v in values.items()}
 
     def outcome_values(self, noise):
         """Outcome column only; skips nodes outside the outcome's ancestry."""
-        vals = self._evaluate(np.asarray(noise, dtype=float), self._outcome_order)
-        return vals[self.outcome]
+        values = self._evaluate(np.asarray(noise, dtype=float), self._outcome_order)
+        return values[self._outcome_index]
 
     def noise_columns(self, nodes):
         """Noise coordinates owned by the given node names."""
         return np.array(sorted(self.dag.index(str(n)) for n in nodes), dtype=np.intp)
+
+
+# Most values one node may memoize per block: 32 arrays of rng.BLOCK_LEN
+# float64 values are 2 MiB.
+MEMO_ENTRIES = 32
+
+
+def _col_mask(cols):
+    """Bitmask of a list of noise columns."""
+    mask = 0
+    for c in cols:
+        mask |= 1 << int(c)
+    return mask
+
+
+class HybridOutcomes:
+    """The outcome under hybrid noise, one replicate block at a time.
+
+    open_block(E, E') returns y(cols), the outcome of the hybrid that
+    takes the noise columns cols from E' (the mc kernel's evaluator).
+    Under any hybrid, a node's values depend only on which columns of
+    An*(v), the node and its ancestors, the hybrid resamples, so y
+    memoizes node values per block keyed on that bitmask. With Q the
+    mask of query_cols, the columns the estimator's hybrids resample, a
+    memoized node v costs 2**|An*(v) & Q| evaluations per block, plus one
+    for y(E') when An*(v) has columns outside Q; nodes outside the
+    outcome's ancestry cost nothing.
+
+    Only values that more than one hybrid can read are stored: never the
+    outcome, never a node whose ancestors cover Q, never a key with
+    columns outside Q (only y(E') reads it), and only for nodes whose
+    2**|An*(v) & Q| entries fit MEMO_ENTRIES. Every other node is
+    evaluated once per hybrid from its parents' values. An*(child)
+    contains An*(parent), so the memoized nodes form an ancestral set.
+    """
+
+    def __init__(self, model: ScmModel, query_cols):
+        self.model = model
+        self.query = _col_mask(query_cols)
+        anc = {}
+        steps = []
+        for i in model._outcome_order:
+            a = 1 << i
+            for p in model._parent_idx[i]:
+                a |= anc[p]
+            anc[i] = a
+            shared = a & self.query
+            memo = (
+                i != model._outcome_index
+                and shared != self.query
+                and (1 << shared.bit_count()) <= MEMO_ENTRIES
+            )
+            steps.append((i, a, memo))
+        self.steps = tuple(steps)
+
+    def open_block(self, e, ep):
+        """y(cols) for one block; its memo lives as long as y does.
+
+        y closes over the memo but the memo holds only arrays, so a
+        block's values are freed as soon as the kernel drops y.
+        """
+        model, steps, query = self.model, self.steps, self.query
+        memo = {}
+
+        def y(cols):
+            mask = _col_mask(cols)
+            values = {}
+            with np.errstate(all="ignore"):
+                for i, anc, memoized in steps:
+                    key = anc & mask
+                    v = memo.get((i, key)) if memoized else None
+                    if v is None:
+                        v = model._node_values(i, (ep if mask >> i & 1 else e)[:, i], values)
+                        if memoized and not key & ~query:
+                            memo[(i, key)] = v
+                    values[i] = v
+            return values[model._outcome_index]
+
+        return y
 
 
 def forward_sample(model: ScmModel, noise):
@@ -790,7 +883,7 @@ def counterfactual_total(model: ScmModel, nodes, cfg: EstimatorConfig) -> Estima
     if not names:
         raise DomainError("node set must be nonempty")
     cols = model.noise_columns(names)
-    return upper_estimate(model.outcome_values, model.n_nodes, cols, cfg)
+    return upper_estimate(HybridOutcomes(model, cols).open_block, model.n_nodes, cols, cfg)
 
 
 def estimate_counterfactual_measure(
@@ -800,8 +893,11 @@ def estimate_counterfactual_measure(
 
     With include_outcome the outcome variable joins the algebra and its
     own atom absorbs the mass not explained by the other nodes; without
-    it that mass stays on the empty atom. Costs 2**K + 1 outcome
-    evaluations per sample pair for K query variables.
+    it that mass stays on the empty atom. Each block of sample pairs
+    asks for 2**K + 1 outcomes for K query variables. HybridOutcomes
+    evaluates the outcome node and any node past the memo cap once for
+    each of them, a root twice, another memoized node v 2**|An*(v)|
+    times, and a node outside the outcome's ancestry never.
     """
     query_names = [
         n for n in model.dag.names if include_outcome or n != model.outcome
@@ -809,7 +905,8 @@ def estimate_counterfactual_measure(
     if not query_names:
         raise DomainError("no query variables: lone-outcome model without include_outcome")
     var_cols = [[model.dag.index(n)] for n in query_names]
-    table = pickfreeze_totals(model.outcome_values, model.n_nodes, var_cols, cfg)
+    outcomes = HybridOutcomes(model, [c for (c,) in var_cols])
+    table = pickfreeze_totals(outcomes.open_block, model.n_nodes, var_cols, cfg)
     flags = tuple(model.fitted)
     if not include_outcome:
         flags = flags + ("outcome-excluded",)

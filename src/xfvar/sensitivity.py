@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit, ndtri
 
+from . import mc
 from .algebra import MAX_VARS, ExplanationMeasure, Provenance, measure_from_totals
 from .errors import DomainError
 from .mc import (
@@ -68,16 +69,28 @@ def standard_normal_sampler(k: int) -> IndependentSampler:
     return IndependentSampler(tuple(normal_quantile() for _ in range(k)))
 
 
-def _as_yfn(f, sampler: IndependentSampler):
-    def yfn(u):
-        y = np.asarray(f(sampler.transform(u)), dtype=float)
-        if y.shape != (u.shape[0],):
-            raise DomainError(
-                f"function must map (m, {sampler.k}) inputs to (m,) outputs, got {y.shape}"
-            )
+def independent_outcomes(f, sampler: IndependentSampler):
+    """Hybrid evaluator of f over the sampler's inputs, for the mc kernel.
+
+    open_block(E, E') transforms both noise blocks once; y(cols) builds
+    the hybrid in value space, which equals the transform of the noise
+    hybrid because every quantile acts on its own column, and calls f.
+    """
+
+    def open_block(e, ep):
+        x, xp = sampler.transform(e), sampler.transform(ep)
+
+        def y(cols):
+            out = np.asarray(f(mc.hybrid(x, xp, cols)), dtype=float)
+            if out.shape != (x.shape[0],):
+                raise DomainError(
+                    f"function must map (m, {sampler.k}) inputs to (m,) outputs, got {out.shape}"
+                )
+            return out
+
         return y
 
-    return yfn
+    return open_block
 
 
 def _check_subset(subset, k) -> tuple:
@@ -92,34 +105,35 @@ def _check_subset(subset, k) -> tuple:
 def estimate_upper(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig) -> Estimate:
     """Upper sensitivity (total Sobol index) of a variable subset."""
     cols = np.array(_check_subset(subset, sampler.k), dtype=np.intp)
-    return upper_estimate(_as_yfn(f, sampler), sampler.k, cols, cfg)
+    return upper_estimate(independent_outcomes(f, sampler), sampler.k, cols, cfg)
 
 
 def estimate_lower(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig) -> Estimate:
     """Lower sensitivity (closed Sobol index) of a variable subset."""
     s = _check_subset(subset, sampler.k)
     comp = np.array([j for j in range(sampler.k) if j not in s], dtype=np.intp)
-    return lower_estimate(_as_yfn(f, sampler), sampler.k, comp, cfg)
+    return lower_estimate(independent_outcomes(f, sampler), sampler.k, comp, cfg)
 
 
 def estimate_superset(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig) -> Estimate:
     """Superset importance of a variable subset via its interaction contrast."""
     var_cols = [[j] for j in _check_subset(subset, sampler.k)]
-    return superset_estimate(_as_yfn(f, sampler), sampler.k, var_cols, cfg)
+    return superset_estimate(independent_outcomes(f, sampler), sampler.k, var_cols, cfg)
 
 
 def estimate_measure(f, sampler: IndependentSampler, cfg: EstimatorConfig, names) -> ExplanationMeasure:
     """Full explanation measure over all variables of the sampler.
 
-    Costs (2**K + 1) function calls per sample pair, so K is capped by
-    cfg.max_vars. The full-set total is exactly 1 by construction; the
-    remaining totals feed the inclusion-exclusion inversion.
+    Costs two input transforms and (2**K + 1) function calls per block
+    of sample pairs, so K is capped by cfg.max_vars. The full-set total
+    is exactly 1 by construction; the remaining totals feed the
+    inclusion-exclusion inversion.
     """
     names = tuple(names)
     if len(names) != sampler.k:
         raise DomainError(f"got {len(names)} names for {sampler.k} variables")
     var_cols = [[j] for j in range(sampler.k)]
-    table = pickfreeze_totals(_as_yfn(f, sampler), sampler.k, var_cols, cfg)
+    table = pickfreeze_totals(independent_outcomes(f, sampler), sampler.k, var_cols, cfg)
     prov = Provenance("monte_carlo", samples=cfg.samples, seed=cfg.seed)
     return measure_from_totals(table, names, provenance=prov, tol=range_tolerance(table))
 

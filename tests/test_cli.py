@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from xfvar import rng, scm
 from xfvar.cli import main
-from xfvar.errors import NotReducibleError
+from xfvar.errors import ModelError, NotReducibleError
+from xfvar.mc import hybrid
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -340,6 +342,62 @@ def test_bad_model_values_exit_2(tmp_path, capsys, root, expr):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error[E02]:") and err.count("\n") == 1
+
+
+# V fails on rows where both rare discrete roots are 1: an unseen cell, a
+# value that overflows, or (patched in) a wrong output shape.
+_RARE = {"kind": "root_categorical", "values": [0.0, 1.0], "probs": [0.75, 0.25]}
+_FAILING_V = {
+    "unseen cell": {"kind": "quantile_table", "levels": [0.5],
+                    "cells": {"0|0": [0.0], "0|1": [1.0], "1|0": [2.0]}},
+    "non-finite": {"kind": "additive_noise", "mean": {"expr": "1e308*A*B"}, "residuals": [1e308]},
+    "shape": {"kind": "deterministic", "expr": "A*B"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_V))
+def test_node_failing_only_under_hybrids_exit_2(tmp_path, capsys, monkeypatch, case):
+    if case == "shape":
+        sample = scm.Deterministic.sample
+
+        def short(self, e, parents):
+            out = sample(self, e, parents)
+            return out[:-1] if self.node == "V" and (out == 1.0).any() else out
+
+        monkeypatch.setattr(scm.Deterministic, "sample", short)
+    model = {
+        "outcome": "Y",
+        "nodes": [
+            {"name": "A", "parents": [], "mechanism": _RARE},
+            {"name": "B", "parents": [], "mechanism": _RARE},
+            {"name": "V", "parents": ["A", "B"], "mechanism": _FAILING_V[case]},
+            {"name": "Y", "parents": ["V", "A"], "mechanism": {"kind": "deterministic", "expr": "min(V, 1) + A"}},
+        ],
+    }
+    m = scm.model_from_json(model)
+
+    def fails(noise):
+        try:
+            m.outcome_values(noise)
+        except ModelError:
+            return True
+        return False
+
+    # a seed whose first 20 base and resampled rows both evaluate, while a
+    # hybrid that mixes them does not
+    for seed in range(500):
+        u = rng.uniform_block(seed, 0, 4)[:20]
+        e, ep = u[:, :, 0], u[:, :, 1]
+        if not fails(e) and not fails(ep) and fails(hybrid(e, ep, [0])):
+            break
+    else:
+        pytest.fail("no seed fails only under a hybrid")
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    code = run_cli(["counterfactual", "--model", str(p), "--samples", "20", "--seed", str(seed)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[E02]: node 'V'") and err.count("\n") == 1, err
 
 
 def _write_fit_inputs(tmp_path):

@@ -3,13 +3,20 @@ import pytest
 
 from xfvar.errors import DomainError, ZeroVarianceError
 from xfvar.mc import Estimate, EstimatorConfig, pickfreeze_totals, upper_estimate
+from xfvar.sensitivity import IndependentSampler, independent_outcomes
+
+
+def _of_noise(yfn, k):
+    """The kernel's evaluator for yfn of the k uniform noise columns
+    themselves: the independent-input provider with identity transforms."""
+    return independent_outcomes(yfn, IndependentSampler(tuple(lambda u: u for _ in range(k))))
 
 
 def _product_y(k):
     def yfn(e):
         return np.prod(2.0 * e - 1.0, axis=1)
 
-    return yfn
+    return _of_noise(yfn, k)
 
 
 def test_config_validation():
@@ -36,7 +43,7 @@ def test_upper_estimate_additive():
         return e[:, 0] + e[:, 1]
 
     cfg = EstimatorConfig(samples=200_000, seed=1)
-    est = upper_estimate(yfn, 2, (0,), cfg)
+    est = upper_estimate(_of_noise(yfn, 2), 2, (0,), cfg)
     assert est.value == pytest.approx(0.5, abs=0.01)
     assert 0 < est.stderr < 0.02
     assert est.samples == 200_000
@@ -47,7 +54,7 @@ def test_zero_variance_raises():
         return np.ones(e.shape[0])
 
     with pytest.raises(ZeroVarianceError):
-        upper_estimate(yfn, 2, (0,), EstimatorConfig(samples=1000))
+        upper_estimate(_of_noise(yfn, 2), 2, (0,), EstimatorConfig(samples=1000))
 
 
 def test_thread_count_does_not_change_bits():

@@ -103,15 +103,15 @@ def test_canon_value_merges_signed_zero():
 
 def test_root_mechanisms_sample():
     e = np.array([0.01, 0.25, 0.5, 0.75, 0.99])
-    g = RootGaussian("X", 1.0, 2.0).sample(e, None)
+    g = RootGaussian("X", 1.0, 2.0).sample(e, ())
     assert g[2] == pytest.approx(1.0, abs=1e-9)
-    u = RootUniform("X", -1.0, 3.0).sample(e, None)
+    u = RootUniform("X", -1.0, 3.0).sample(e, ())
     assert u[2] == pytest.approx(1.0, abs=1e-12)
-    r = RootRademacher("X").sample(e, None)
+    r = RootRademacher("X").sample(e, ())
     assert list(r) == [-1, -1, -1, 1, 1]
-    c = RootCategorical("X", [10.0, 20.0, 30.0], [0.25, 0.5, 0.25]).sample(e, None)
+    c = RootCategorical("X", [10.0, 20.0, 30.0], [0.25, 0.5, 0.25]).sample(e, ())
     assert list(c) == [10.0, 10.0, 20.0, 20.0, 30.0]
-    emp = RootEmpirical("X", [5.0, 6.0, 7.0, 8.0]).sample(e, None)
+    emp = RootEmpirical("X", [5.0, 6.0, 7.0, 8.0]).sample(e, ())
     assert list(emp) == [5.0, 5.0, 6.0, 7.0, 8.0]
 
 
@@ -159,7 +159,7 @@ def test_quantile_table_interpolates_and_clamps():
         levels=(0.25, 0.75),
         cells={canon_value(1.0): [10.0, 20.0]},
     )
-    p = np.full(5, 1.0)[:, None]
+    p = (np.full(5, 1.0),)
     e = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     got = qt.sample(e, p)
     assert np.allclose(got, [10.0, 10.0, 15.0, 20.0, 20.0])
@@ -168,13 +168,13 @@ def test_quantile_table_interpolates_and_clamps():
 def test_quantile_table_unseen_cell_raises():
     qt = QuantileTable("X", ("P",), levels=(0.5,), cells={canon_value(1.0): [3.0]})
     with pytest.raises(ModelError, match="no cell"):
-        qt.sample(np.array([0.5]), np.array([[2.0]]))
+        qt.sample(np.array([0.5]), (np.array([2.0]),))
 
 
 def test_additive_noise_two_point():
     mean = ParentFn("X", ("P",), formula=parse_formula("2*P", ("P",)))
     mech = AdditiveNoise("X", ("P",), mean, [-1.0, 1.0])
-    p = np.array([[1.0], [1.0]])
+    p = (np.array([1.0, 1.0]),)
     got = mech.sample(np.array([0.3, 0.8]), p)
     assert list(got) == [1.0, 3.0]
 

@@ -4,7 +4,9 @@ not only when the benchmark runs with `--trace 1`."""
 
 import importlib
 import importlib.util
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,30 @@ def test_every_mechanism_defines_sample(tracing):
     assert classes
     for cls in classes:
         assert "sample" in cls.__dict__, cls.__name__
+
+
+def test_node_spans_count_memoized_mechanism_calls(tracing, tmp_path):
+    # scm.node_evals sums the scm.<kind> spans; the memoized evaluator must
+    # reach every mechanism through its class attribute so each call is one
+    chain = {
+        "outcome": "Y",
+        "nodes": [
+            {"name": "A", "parents": [], "mechanism": {"kind": "root_gaussian"}},
+            {"name": "B", "parents": ["A"], "mechanism": {
+                "kind": "hetero_gaussian", "mean": {"expr": "A"}, "std": {"expr": "1 + abs(A)"}}},
+            {"name": "Y", "parents": ["B"], "mechanism": {"kind": "deterministic", "expr": "B^2"}},
+        ],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    from xfvar.cli import main
+
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        argv = ["counterfactual", "--model", str(path), "--samples", "1000"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    kinds = set(tracing.mechanism_span_names())
+    evals = Counter(sp[tracing.NAME] for sp in tracer.spans if sp[tracing.NAME] in kinds)
+    # one block with every node queried: 2**|An*(v)| calls for A and B, one
+    # per outcome (2**3 + 1) for Y
+    assert evals == {"scm.root_gaussian": 2, "scm.hetero_gaussian": 4, "scm.deterministic": 9}
