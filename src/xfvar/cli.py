@@ -79,6 +79,17 @@ def _threads() -> int:
     return v
 
 
+def _seed(text) -> int:
+    """--seed: an integer in [0, 2**64), the key width of the rng streams."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= v < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {text}")
+    return v
+
+
 def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(samples=args.samples, seed=args.seed, threads=_threads())
 
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mc_flags(sp):
         sp.add_argument("--samples", type=int, default=200_000, help="number of sample pairs")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--out", help="output file (default: stdout)")
 
     sp = sub.add_parser("gsa", help="sensitivity measure for independent inputs")
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--levels", help="comma-separated quantile levels in (0,1)")
     sp.add_argument("--min-cell", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="output model file")
     sp.set_defaults(fn=cmd_fit)
 

@@ -6,17 +6,18 @@ class XfvarError(Exception):
 
 
 class ParseError(XfvarError):
-    """Syntax or name error in a clause or formula string.
+    """Syntax or name error in a clause or formula string, or a malformed
+    field in a file that parsed as JSON.
 
     Attributes
     ----------
-    offset : int
+    offset : int or None
         Byte offset into the UTF-8 encoding of the source where the
-        problem was detected.
+        problem was detected; None for a malformed field.
     """
 
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (at byte offset {offset})")
+    def __init__(self, message, offset=None):
+        super().__init__(message if offset is None else f"{message} (at byte offset {offset})")
         self.offset = offset
 
 

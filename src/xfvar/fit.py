@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,13 +27,13 @@ from .rng import aux_generator
 from .scm import (
     AdditiveNoise,
     Dag,
+    GuideTable,
     HeteroGaussian,
     ParentFn,
     QuantileTable,
     RootCategorical,
     RootEmpirical,
     ScmModel,
-    bin_index,
     cell_ids,
     cell_key,
 )
@@ -93,8 +94,8 @@ class Dataset:
         col = self.column(name)
         if name in self.categorical:
             labels = sorted(set(col.tolist()))
-            code = {lab: float(i) for i, lab in enumerate(labels)}
-            return np.array([code[v] for v in col.tolist()])
+            code = {lab: i for i, lab in enumerate(labels)}
+            return np.fromiter(map(code.__getitem__, col.tolist()), dtype=float, count=len(col))
         return col
 
 
@@ -120,55 +121,48 @@ def read_csv(path, categorical=(), used=None):
     missing = [c for c in use if c not in header]
     if missing:
         raise FitError(f"CSV is missing columns: {', '.join(sorted(missing))}")
-    pos = {c: header.index(c) for c in use}
 
-    kept = {c: [] for c in use}
-    dropped = 0
-    for row in rows:
-        if len(row) != len(header):
-            dropped += 1
-            continue
-        vals = {}
-        ok = True
-        for c in use:
-            cell = row[pos[c]].strip()
-            if cell == "":
-                ok = False
-                break
-            if c in categorical:
-                vals[c] = cell
-            else:
-                try:
-                    vals[c] = float(cell)
-                except ValueError:
-                    ok = False
-                    break
-        if not ok:
-            dropped += 1
-            continue
-        for c in use:
-            kept[c].append(vals[c])
-
-    n = len(next(iter(kept.values()))) if use else 0
-    columns = {
-        c: (np.array(kept[c], dtype=object) if c in categorical else np.array(kept[c], dtype=float))
-        for c in use
-    }
-    numeric = [columns[c] for c in use if c not in categorical]
-    if numeric:
-        # float() parses "nan" and "inf"; drop those rows like unparseable ones
-        finite = np.logical_and.reduce([np.isfinite(v) for v in numeric])
-        if not finite.all():
-            columns = {c: v[finite] for c, v in columns.items()}
-            n_finite = int(finite.sum())
-            dropped += n - n_finite
-            n = n_finite
+    width = len(header)
+    whole = [row for row in rows if len(row) == width]
+    keep = np.ones(len(whole), dtype=bool)
+    columns = {}
+    for c in use:
+        cells = list(map(itemgetter(header.index(c)), whole))
+        if c in categorical:
+            col = np.array(list(map(str.strip, cells)), dtype=object)
+            keep &= col != ""
+        else:
+            col = _parse_floats(cells)
+            keep &= np.isfinite(col)  # float() parses "nan" and "inf"
+        columns[c] = col
+    n = int(keep.sum()) if use else 0
+    if n < len(whole):
+        columns = {c: v[keep] for c, v in columns.items()}
+    dropped = len(rows) - n
     warnings = []
     if dropped:
         warnings.append(
             f"dropped {dropped} of {len(rows)} rows with missing, unparseable or non-finite cells"
         )
     return Dataset(columns, n, categorical & frozenset(use)), warnings
+
+
+def _parse_floats(cells):
+    """float() of every cell, NaN where it fails (an empty cell included).
+
+    float() skips the whitespace str.strip() removes, so a cell parses
+    exactly as its stripped text does.
+    """
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        out = np.empty(len(cells))
+        for i, cell in enumerate(cells):
+            try:
+                out[i] = float(cell)
+            except ValueError:
+                out[i] = np.nan
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +210,7 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
             values, code = np.unique(col, return_inverse=True)
             radices.append(len(values))
         else:
-            code = bin_index(b, col)
+            code = GuideTable(b, "right")(col)
             radices.append(len(b) + 1)
         codes.append(code)
     ids = cell_ids(node, codes, radices, data.n)

@@ -25,6 +25,7 @@ block order, so results are bit-identical for any thread count.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .algebra import MAX_VARS, TotalsTable
-from .errors import DomainError, ZeroVarianceError
+from .errors import DomainError, ModelError, ZeroVarianceError
 
 
 @dataclass
@@ -94,8 +95,8 @@ def per_batch_sums(n_noise, cfg: EstimatorConfig, fill_block, n_stats):
         g0 = block_index * rng.BLOCK_LEN
         g1 = min(g0 + rng.BLOCK_LEN, m)
         u = rng.uniform_block(cfg.seed, block_index, n_noise)[: g1 - g0]
-        b0 = int(np.searchsorted(starts, g0, "right") - 1)
-        b1 = int(np.searchsorted(starts, g1 - 1, "right") - 1)
+        b0 = bisect_right(starts, g0) - 1
+        b1 = bisect_right(starts, g1 - 1) - 1
         bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
         part = np.zeros((n_stats, b1 - b0 + 1))
 
@@ -145,21 +146,32 @@ def _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, n_stats, cfg: Estim
     hybrids iterates y over hybrid_cols[0], hybrid_cols[1], ... in that
     order. Returns a (4 + n_stats, batches) array whose first four rows
     are the moments.
+
+    Raises ModelError when twice a row's total is not finite: finite
+    outcomes whose squares overflow float64. The ratio steps that follow
+    add at most two totals, so they stay finite.
     """
     none = np.zeros(0, dtype=np.intp)
     every = np.arange(n_noise, dtype=np.intp)
 
     def fill_block(e, ep, add_row):
         y = open_block(e, ep)
-        y0 = y(none)
-        y1 = y(every)
-        for r, vals in enumerate((y0, y0**2, y1, y1**2)):
-            add_row(r, vals)
-        hybrids = (y(cols) for cols in hybrid_cols)
-        for r, vals in enumerate(stat(y0, y1, hybrids), _MOMENTS):
-            add_row(r, vals)
+        # set here as well: pool threads do not inherit the caller's errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            y0 = y(none)
+            y1 = y(every)
+            for r, vals in enumerate((y0, y0**2, y1, y1**2)):
+                add_row(r, vals)
+            hybrids = (y(cols) for cols in hybrid_cols)
+            for r, vals in enumerate(stat(y0, y1, hybrids), _MOMENTS):
+                add_row(r, vals)
 
-    return per_batch_sums(n_noise, cfg, fill_block, _MOMENTS + n_stats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = per_batch_sums(n_noise, cfg, fill_block, _MOMENTS + n_stats)
+        finite = np.isfinite(2.0 * acc.sum(axis=1)).all()
+    if not finite:
+        raise ModelError("outcome values are too large to square in float64")
+    return acc
 
 
 def _pooled_variance(sums, counts):

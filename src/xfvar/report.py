@@ -9,18 +9,20 @@ serialize is byte-identical; golden tests freeze the schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
+    MAX_VARS,
     ExplanationMeasure,
     Provenance,
     measure_interaction,
     shapley_from_measure,
     totals_from_measure,
 )
-from .errors import ParseError, XfvarError
+from .errors import ParseError
 
 
 def subset_key(names, mask: int) -> str:
@@ -74,32 +76,68 @@ def report_to_json(rep: RunReport) -> dict:
 
 
 def report_from_json(obj) -> RunReport:
+    """The report a parsed JSON object holds.
+
+    Raises ParseError naming the first malformed field: a missing key, a
+    field of the wrong type, a missing or non-finite atom, or bad
+    provenance.
+    """
     if not isinstance(obj, dict):
-        raise XfvarError("report must be a JSON object")
+        raise ParseError("report must be a JSON object")
     for key in ("variables", "atoms", "provenance"):
         if key not in obj:
-            raise XfvarError(f"report is missing {key!r}")
+            raise ParseError(f"report is missing {key!r}")
+    if not isinstance(obj["variables"], list) or not 1 <= len(obj["variables"]) <= MAX_VARS:
+        raise ParseError(f"report 'variables' must be a list of 1 to {MAX_VARS} names")
     names = tuple(str(n) for n in obj["variables"])
-    n = 1 << len(names)
-    atoms = np.zeros(n)
-    for s in range(n):
+    if len(set(names)) != len(names):
+        raise ParseError("report 'variables' must be unique")
+    atoms = _subset_table(obj, "atoms", names)
+    stderr = _subset_table(obj, "atom_stderr", names) if "atom_stderr" in obj else None
+    config = obj.get("config", {})
+    warnings = obj.get("warnings", [])
+    if not isinstance(config, dict):
+        raise ParseError("report 'config' must be an object")
+    if not isinstance(warnings, list):
+        raise ParseError("report 'warnings' must be a list")
+    measure = ExplanationMeasure(names, atoms, stderr, _provenance(obj["provenance"]))
+    return RunReport(measure, config=dict(config), warnings=tuple(warnings), outcome=obj.get("outcome"))
+
+
+def _subset_table(obj, field, names):
+    """Dense bitmask-indexed array of a per-subset table of the report."""
+    table = obj[field]
+    if not isinstance(table, dict):
+        raise ParseError(f"report {field!r} must be an object")
+    out = np.zeros(1 << len(names))
+    for s in range(len(out)):
         key = subset_key(names, s)
-        if key not in obj["atoms"]:
-            raise XfvarError(f"report atoms are missing subset {key!r}")
-        atoms[s] = float(obj["atoms"][key])
-    stderr = None
-    if "atom_stderr" in obj:
-        stderr = np.array(
-            [float(obj["atom_stderr"][subset_key(names, s)]) for s in range(n)]
+        if key not in table:
+            raise ParseError(f"report {field!r} is missing subset {key!r}")
+        v = table[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ParseError(f"report {field!r} entry {key!r} must be a finite number, got {v!r}")
+        out[s] = float(v)
+    return out
+
+
+def _provenance(obj):
+    if not (
+        isinstance(obj, dict)
+        and obj.get("kind") in ("exact", "monte_carlo")
+        and all(_is_count(obj.get(k)) for k in ("samples", "seed"))
+        and isinstance(obj.get("flags", []), list)
+    ):
+        raise ParseError(
+            "report 'provenance' must be an object with kind 'exact' or 'monte_carlo', "
+            "integer samples and seed, and a list of flags"
         )
-    prov = Provenance.from_json(obj["provenance"])
-    measure = ExplanationMeasure(names, atoms, stderr, prov)
-    return RunReport(
-        measure,
-        config=dict(obj.get("config", {})),
-        warnings=tuple(obj.get("warnings", ())),
-        outcome=obj.get("outcome"),
-    )
+    return Provenance.from_json(obj)
+
+
+def _is_count(v):
+    """None or a nonnegative integer (not a bool)."""
+    return v is None or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)
 
 
 def dumps_report(rep: RunReport) -> str:

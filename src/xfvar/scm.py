@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,10 +149,58 @@ def canon_value(v) -> str:
     return format(float(v) + 0.0, ".12g")
 
 
-def bin_index(edges, v):
-    """Bin of each value: the number of interior cut points at or below
-    it, so values beyond the ends take the nearest outer bin."""
-    return np.searchsorted(edges, v, side="right")
+class GuideTable:
+    """np.searchsorted(points, x, side) for a fixed sorted table, by
+    indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4).
+
+    points must be finite and non-decreasing. A key x goes to bucket
+    floor(x*scale - offset), clamped to [0, M + 1]; the map is monotone,
+    so every point in a lower bucket lies below x and every point in a
+    higher one above it. start[k] counts the points in buckets below k,
+    and passes, the most points any one bucket holds, runs of
+    c += points[c] <= x ("right") or < x ("left") finish the count
+    inside x's own bucket. The result is searchsorted's integer for
+    every key, NaN (counted past every point) and +-inf included.
+
+    M is the power of two at or above 2 * len(points), and scale the
+    power of two that spreads the points' range over at most M buckets,
+    so the points fill buckets 0..M and bucket M + 1, where keys above
+    every point and NaN start, holds none. Cost per key: one multiply,
+    one subtract, two clamps and one gather, then passes gathers and
+    compares, whatever the table size.
+    """
+
+    def __init__(self, points, side):
+        pts = np.asarray(points, dtype=float)
+        m = 1 << max(1, (2 * len(pts) - 1).bit_length())
+        lo, hi = (float(pts[0]), float(pts[-1])) if len(pts) else (0.0, 0.0)
+        half = hi * 0.5 - lo * 0.5  # half the range: never overflows
+        scale = 1.0
+        if half > 0:
+            _, exp = math.frexp(0.5 * m / half)  # 2**(exp - 1) <= m / range
+            scale = math.ldexp(1.0, min(exp - 1, 1000))
+        self._scale, self._offset, self._top = scale, lo * scale, float(m + 1)
+        counts = np.bincount(self._buckets(pts), minlength=m + 2)
+        self._start = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
+        self._passes = int(counts.max())
+        # a NaN pad compares false, so a count never runs past len(points)
+        self._points = np.append(pts, np.nan)
+        self._compare = np.less_equal if side == "right" else np.less
+
+    def _buckets(self, x):
+        t = x * self._scale
+        t -= self._offset
+        np.fmin(t, self._top, out=t)  # NaN goes to the top bucket
+        np.fmax(t, 0.0, out=t)
+        return t.astype(np.intp)
+
+    def __call__(self, x):
+        """searchsorted(points, x, side) of a 1-D float array x."""
+        c = self._start.take(self._buckets(x))
+        points, compare = self._points, self._compare
+        for _ in range(self._passes):
+            c += compare(points.take(c), x)
+        return c
 
 
 def cell_key(binning, row) -> str:
@@ -188,21 +237,35 @@ def cell_ids(node, codes, radices, n_rows):
     return ids
 
 
+# Largest cell-id space (product of the parents' code counts) that gets a
+# dense id -> position table: 2**16 intp entries are 512 KiB.
+DENSE_CELL_IDS = 1 << 16
+
+
 class CellIndex:
     """Compiled lookup from parent-value rows to the cells of one table.
 
     binning holds one entry per parent: None for a discrete parent keyed
     by exact value, or an array of interior cut points for a binned
     continuous parent keyed by bin index. Each parent maps to an integer
-    code: a binned parent to its bin index; a discrete parent to the rank
-    of its value among the values the table's keys name, or to one extra
-    code when no key names it. The codes combine into an int64 cell id
-    (cell_ids). Keys no parent row can produce, such as a non-canonical
-    "1.0" or a bin past the last one, get no id and never match.
+    code: a binned parent to its bin index, the number of cut points at
+    or below the value, so values past either end take the outer bin; a
+    discrete parent to the rank of its value among the values the
+    table's keys name, or to one extra code when no key names it. The
+    codes combine into an int64 cell id (cell_ids). Keys no parent row
+    can produce, such as a non-canonical "1.0" or a bin past the last
+    one, get no id and never match.
 
     keys lists the matchable keys in id order; rows() gives each parent
     row's position in that list. Parent values arrive as a tuple of 1-D
     columns, one per parent.
+
+    Cost per row: one GuideTable search per parent, an exactness check
+    per discrete parent (rows whose value is not a key value exactly are
+    rendered once per distinct value), a multiply-add per parent for the
+    id, and one gather from a dense id -> position table when the id
+    space has at most DENSE_CELL_IDS cells; larger id spaces binary-search
+    the sorted ids instead.
     """
 
     def __init__(self, node, n_parents, binning, keys):
@@ -214,12 +277,22 @@ class CellIndex:
         self.binning = tuple(
             None if b is None else np.asarray(b, dtype=float) for b in binning
         )
+        for j, b in enumerate(self.binning):
+            if b is not None and not (
+                b.ndim == 1 and np.isfinite(b).all() and (np.diff(b) >= 0).all()
+            ):
+                raise ModelError(
+                    f"node {node!r}: binning of parent {j} must be a list of finite, "
+                    "non-decreasing cut points"
+                )
         split = [(k, k.split("|") if n_parents else []) for k in keys]
         split = [(k, parts) for k, parts in split if len(parts) == n_parents]
         # per discrete parent: the values its key parts name, sorted, with
         # a NaN sentinel at the end that no value compares equal to, and
-        # the code of each value's canonical rendering
-        self._values, self._code_of, self._radices = [], [], []
+        # the code of each value's canonical rendering. Per parent, a
+        # search and the codes below its points: a discrete parent's
+        # search runs over its finite values, so its -inf values sit below.
+        self._values, self._code_of, self._radices, self._search = [], [], [], []
         for j, b in enumerate(self.binning):
             if b is None:
                 parsed = (_float_or_none(parts[j]) for _, parts in split)
@@ -227,10 +300,13 @@ class CellIndex:
                 self._values.append(np.append(named, np.nan))
                 self._code_of.append({canon_value(v): i for i, v in enumerate(named)})
                 self._radices.append(len(named) + 1)
+                below = int(np.sum(named == -np.inf))
+                self._search.append((GuideTable(named[np.isfinite(named)], "left"), below))
             else:
                 self._values.append(None)
                 self._code_of.append(None)
                 self._radices.append(len(b) + 1)
+                self._search.append((GuideTable(b, "right"), 0))
         matchable, key_codes = [], []
         for key, parts in split:
             row = [
@@ -244,15 +320,25 @@ class CellIndex:
         order = np.argsort(ids)
         self.keys = [matchable[i] for i in order]
         self._ids = np.append(ids[order], -1)  # -1: a sentinel no cell id equals
+        # a small id space gets a dense id -> position table; a missing
+        # cell's position is that of the -1 sentinel
+        self._pos_of_id = None
+        n_ids = math.prod(self._radices)
+        if n_ids <= DENSE_CELL_IDS:
+            self._pos_of_id = np.full(n_ids, len(self.keys), dtype=np.intp)
+            self._pos_of_id[self._ids[:-1]] = np.arange(len(self.keys))
 
     def _parent_codes(self, parents):
         codes = []
         for j, (b, col) in enumerate(zip(self.binning, parents)):
+            search, below = self._search[j]
+            code = search(col)
+            if below:
+                code += below
             if b is not None:
-                codes.append(bin_index(b, col))
+                codes.append(code)
                 continue
             values = self._values[j]
-            code = np.searchsorted(values, col)
             exact = values[code] == col
             if not exact.all():
                 # render only the distinct values that are not exact key values
@@ -273,7 +359,12 @@ class CellIndex:
         """
         codes = self._parent_codes(parents)
         ids = cell_ids(self.node, codes, self._radices, n_rows)
-        pos = np.searchsorted(self._ids[:-1], ids)
+        if self._pos_of_id is not None:
+            pos = self._pos_of_id[ids]
+            if not n_rows or pos.max() < len(self.keys):
+                return pos
+        else:
+            pos = np.searchsorted(self._ids[:-1], ids)
         found = self._ids[pos] == ids
         if not found.all():
             miss = ~found
@@ -473,9 +564,13 @@ class RootCategorical(Mechanism):
             raise ModelError(f"node {node!r}: labels length must match values")
         self._cum = np.cumsum(self.probs)
         self._cum[-1] = 1.0
+        # the last entry dips below the one before when the sum overshot
+        # 1; the running maximum is sorted and, for every e <= 1 or NaN,
+        # gives the index searchsorted gives on _cum
+        self._search = GuideTable(np.maximum.accumulate(self._cum), "left")
 
     def sample(self, e, parents):
-        idx = np.searchsorted(self._cum, e, side="left")
+        idx = self._search(e)
         return self.values[np.clip(idx, 0, len(self.values) - 1)]
 
     def discrete_law(self):
@@ -519,6 +614,11 @@ class QuantileTable(Mechanism):
 
     Between grid levels the value is linearly interpolated; outside the
     grid it is clamped flat at the end values.
+
+    Cost per sampled row: the cell lookup of CellIndex.rows, one
+    GuideTable search of the levels (one pass for the default 50
+    levels) and a handful of gathers and arithmetic, whatever the number
+    of levels or cells.
     """
 
     kind = "quantile_table"
@@ -556,13 +656,16 @@ class QuantileTable(Mechanism):
             slope = np.diff(grid, axis=1) / np.diff(self.levels)
         self._grid = grid.ravel()
         self._slope = np.pad(slope, ((0, 0), (0, 1))).ravel()
+        self._search = GuideTable(self.levels, "right")
 
     def sample(self, e, parents):
         # np.interp's arithmetic, so the bits match it: the grid value at
         # or below the first level, on a level and from the last level on;
         # slope*(e - x0) + g0 from the segment's left end (x0, g0) between
         levels = self.levels
-        j = np.maximum(np.searchsorted(levels, e, side="right") - 1, 0)
+        j = self._search(e)
+        j -= 1
+        np.maximum(j, 0, out=j)
         at = self.index.rows(parents, len(e)) * len(levels) + j
         g0 = self._grid[at]
         d = e - levels[j]

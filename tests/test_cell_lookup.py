@@ -7,11 +7,21 @@ ParentFn) must give the same output bytes and, for an unseen cell, the
 same ModelError message.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from xfvar.cli import main
 from xfvar.errors import ModelError
-from xfvar.scm import ParentFn, QuantileTable, canon_value
+from xfvar.scm import (
+    DENSE_CELL_IDS,
+    GuideTable,
+    ParentFn,
+    QuantileTable,
+    RootCategorical,
+    canon_value,
+)
 
 
 class ReferenceKeyer:
@@ -200,3 +210,194 @@ def test_cell_id_overflow_rejected_at_load():
         QuantileTable("Q", names, (0.5,), cells)
     with pytest.raises(ModelError, match="'Q'.*overflow int64"):
         ParentFn("Q", names, cells={k: g[0] for k, g in cells.items()})
+
+
+# ---------------------------------------------------------------------------
+# Guide tables against np.searchsorted, the search they replace
+
+
+def _edge_keys(points, extra=()):
+    """Every point, its float neighbours on both sides, and extra keys."""
+    pts = np.asarray(points, dtype=float)
+    return np.concatenate(
+        [pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf), np.asarray(extra, dtype=float)]
+    )
+
+
+SPECIAL = (0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, -1e300, 1e300, -np.inf, np.inf, np.nan)
+
+TABLES = {
+    "levels": [round(0.01 + 0.02 * i, 2) for i in range(50)],
+    "crowded": [0.5 + i * 1e-12 for i in range(40)] + [0.75],
+    "unit_ends": [5e-324, 0.25, 1.0 - 2**-53],
+    "tied_cum": [0.0, 0.0, 0.3, 0.3, 0.3, 0.7, 1.0, 1.0],
+    "cut_points": [-1.0, 0.0, 2.5],
+    "far_outside_unit": [-1e300, -5.0, 1e6, 1e300],
+    "range_overflows": [-1.7e308, 0.0, 1.7e308],
+    "subnormal_range": [0.0, 5e-324, 1e-323],
+    "huge_offset": [1e15, 1e15 + 1, 1e15 + 2, 1e15 + 64],
+    "all_equal": [3.0, 3.0, 3.0],
+    "one": [-7.25],
+    "one_level": [0.5],
+    "empty": [],
+    "crowded_and_wide": [0.0] + [1.0 + i * 1e-9 for i in range(30)] + [1e9],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_guide_table_matches_searchsorted(name, side):
+    points = np.array(TABLES[name], dtype=float)
+    table = GuideTable(points, side)
+    # key x*scale - offset = k lands on the lower edge of bucket k
+    k = np.arange(len(table._start), dtype=float)
+    with np.errstate(over="ignore"):
+        edges = (k + table._offset) / table._scale
+    rs = np.random.default_rng(11)
+    lo, hi = (points[0], points[-1]) if len(points) else (-1.0, 1.0)
+    spread = rs.uniform(-1.0, 1.0, 5000) * (hi / 2 - lo / 2) + (hi / 2 + lo / 2)
+    keys = _edge_keys(
+        points,
+        np.concatenate([SPECIAL, _edge_keys(edges), spread, rs.random(5000), rs.standard_normal(2000) * 1e3]),
+    )
+    want = np.searchsorted(points, keys, side=side)
+    got = table(keys)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _searchsorted_sample(qt, e, parents):
+    """QuantileTable.sample with the level search done by np.searchsorted."""
+    levels = qt.levels
+    j = np.maximum(np.searchsorted(levels, e, side="right") - 1, 0)
+    at = qt.index.rows(parents, len(e)) * len(levels) + j
+    g0 = qt._grid[at]
+    d = e - levels[j]
+    out = qt._slope[at] * d + g0
+    np.copyto(out, g0, where=(d <= 0) | (e >= levels[-1]))
+    return out
+
+
+def test_noise_on_bucket_edges_and_special_values_keeps_the_bytes():
+    qt, fn = _both_tables(FULL)
+    search = qt._search
+    edges = (np.arange(len(search._start)) + search._offset) / search._scale
+    e = _edge_keys(LEVELS, np.concatenate([_edge_keys(edges), [0.0, -0.0, 1.0]]))
+    e = e[(e >= 0) & (e <= 1)]
+    rs = np.random.default_rng(13)
+    p = _parents(rs.choice([-2.0, 0.0, 1.0, 3.5], size=len(e)), rs.uniform(-3.0, 4.0, size=len(e)))
+    _check(qt, fn, e, p)
+    assert qt.sample(e, p).tobytes() == _searchsorted_sample(qt, e, p).tobytes()
+
+
+@pytest.mark.parametrize("levels", [(0.5,), LEVELS])
+def test_nan_noise_gives_the_searchsorted_bytes(levels):
+    cells = {"0": [7.0] * len(levels), "1": [-1.0 + 0.5 * i for i in range(len(levels))]}
+    qt = QuantileTable("S", ("D",), levels, cells)
+    e = np.array([np.nan, 0.5, np.nan, 0.0, 1.0, -np.nan])
+    p = (np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]),)
+    got = qt.sample(e, p)
+    assert got.tobytes() == _searchsorted_sample(qt, e, p).tobytes()
+    assert np.isnan(got[[0, 2, 5]]).all()
+
+
+def test_root_categorical_with_tied_cum_values():
+    # zero-probability categories repeat a cum value; none may be drawn
+    cat = RootCategorical("C", [10.0, 11.0, 12.0, 13.0, 14.0], [0.25, 0.0, 0.5, 0.0, 0.25])
+    cum = cat._cum
+    e = _edge_keys(cum, np.concatenate([SPECIAL, np.arange(17) / 16]))
+    e = np.concatenate([e[(e >= 0) & (e <= 1)], [np.nan]])
+    e = np.concatenate([e, np.random.default_rng(14).random(10000)])
+    want = cat.values[np.clip(np.searchsorted(cum, e, side="left"), 0, len(cum) - 1)]
+    got = cat.sample(e, ())
+    assert got.tobytes() == want.tobytes()
+    assert not np.isin(got[np.isfinite(e)], [11.0, 13.0]).any()
+
+
+def test_root_categorical_whose_probs_sum_past_one():
+    # the cumulative sum overshoots 1 before the last entry is set to 1
+    cat = RootCategorical("C", [0.0, 1.0, 2.0], [0.6, 0.4 + 5e-10, 0.0])
+    e = np.concatenate([_edge_keys(cat._cum, [0.0, 1.0, 0.6, 0.99]), [np.nan]])
+    e = e[~(e > 1)]
+    want = cat.values[np.clip(np.searchsorted(cat._cum, e, side="left"), 0, 2)]
+    assert cat.sample(e, ()).tobytes() == want.tobytes()
+
+
+def test_discrete_parent_named_infinite_and_nan_values():
+    cells = {"-inf": 1.0, "-1": 2.0, "0": 3.0, "2.5": 4.0, "inf": 5.0, "nan": 6.0}
+    fn = ParentFn("T", ("D",), cells=cells)
+    d = np.array([-np.inf, -1.0, -0.0, 0.0, 2.5, np.inf, np.nan, 2.5 + 1e-14, -1.0 - 1e-14])
+    assert fn((d,), len(d)).tolist() == [1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 4.0, 2.0]
+    assert_same(lambda: fn((d,), len(d)), lambda: reference_parent_fn(fn, (d,), len(d)))
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, np.nan], [np.inf], [[0.0, 1.0]]])
+def test_cut_points_must_be_finite_and_non_decreasing(bad):
+    with pytest.raises(ModelError, match="'T': binning of parent 1"):
+        ParentFn("T", ("D", "B"), cells={"0|b0": 1.0}, binning=(None, bad))
+
+
+def _wide_tables(n_cuts):
+    """Two-parent tables whose id space is 4 * (n_cuts + 1) cells."""
+    cuts = np.arange(n_cuts, dtype=float)
+    cells = {f"{d}|b{b}": float(10 * d + b) for d in (0, 1, 2) for b in (0, 1, 7, n_cuts)}
+    fn = ParentFn("W", ("D", "B"), cells=cells, binning=(None, cuts))
+    qt = QuantileTable("W", ("D", "B"), (0.5,), {k: [v] for k, v in cells.items()}, binning=(None, cuts))
+    return fn, qt
+
+
+@pytest.mark.parametrize("n_cuts, dense", [((1 << 14) - 1, True), (1 << 14, False)])
+def test_dense_and_sorted_id_paths_agree(n_cuts, dense):
+    fn, qt = _wide_tables(n_cuts)
+    size = 4 * (n_cuts + 1)
+    assert (size <= DENSE_CELL_IDS) == dense
+    assert (fn.index._pos_of_id is not None) == dense
+    d = np.array([0.0, 1.0, 2.0, 2.0, 0.0, 1.0])
+    b = np.array([-5.0, 0.5, 6.0, 6.99, n_cuts + 3.0, 1e9])
+    p = _parents(d, b)
+    _check(qt, fn, np.full(len(d), 0.5), p)
+    assert fn(p, len(d)).tolist() == [0.0, 11.0, 27.0, 27.0, float(n_cuts), 10.0 + n_cuts]
+    # an unseen bin, and an unseen discrete value: the same message either way
+    for bad in (_parents([0.0, 1.0], [3.0, 2.0]), _parents([5.0, 0.0], [0.0, 0.0])):
+        _check(qt, fn, np.full(2, 0.5), bad)
+        with pytest.raises(ModelError, match="no cell for parent values"):
+            fn(bad, 2)
+
+
+def test_counterfactual_on_cell_tables_calls_no_searchsorted(tmp_path, monkeypatch):
+    model = {
+        "outcome": "Y",
+        "nodes": [
+            {"name": "S", "parents": [], "mechanism": {
+                "kind": "root_categorical", "values": [0.0, 1.0, 2.0], "probs": [0.2, 0.0, 0.8]}},
+            {"name": "X", "parents": ["S"], "mechanism": {
+                "kind": "quantile_table", "levels": [0.25, 0.5, 0.75],
+                "cells": {"0": [0.0, 1.0, 2.0], "1": [5.0, 5.0, 5.0], "2": [1.0, 3.0, 4.0]}}},
+            {"name": "Y", "parents": ["S", "X"], "mechanism": {
+                "kind": "hetero_gaussian",
+                "mean": {"cells": {f"{s}|b{b}": float(s + b) for s in (0, 1, 2) for b in (0, 1, 2)},
+                         "binning": [None, [1.0, 2.5]]},
+                "std": {"expr": "0.5"}}},
+        ],
+    }
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(model))
+    calls = []
+    real = np.searchsorted
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    # the patch sees the sorted-id search of a wide table
+    wide, _ = _wide_tables(1 << 14)
+    wide(_parents([0.0], [0.5]), 1)
+    assert len(calls) == 1
+    calls.clear()
+    out = tmp_path / "r.json"
+    assert main(["counterfactual", "--model", str(path), "--samples", "20000", "--out", str(out)]) == 0
+    assert main(["counterfactual", "--model", str(path), "--subset", "X", "--samples", "9000",
+                 "--out", str(tmp_path / "x.txt")]) == 0
+    assert calls == []
+    assert json.loads(out.read_text())["variables"] == ["S", "X", "Y"]

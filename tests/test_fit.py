@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,121 @@ def test_read_csv_drops_non_finite_rows(tmp_path):
     assert list(data.column("b")) == [2.0, 6.0, 8.0]
     assert list(data.column("sex")) == ["F", "nan", "M"]
     assert warnings == ["dropped 3 of 6 rows with missing, unparseable or non-finite cells"]
+
+
+def reference_read_csv(path, categorical=(), used=None):
+    """The row-by-row reader that read_csv's column-wise parse replaced."""
+    categorical = frozenset(categorical)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    header = [h.strip() for h in header]
+    use = list(header) if used is None else [str(c) for c in used]
+    pos = {c: header.index(c) for c in use}
+    kept = {c: [] for c in use}
+    dropped = 0
+    for row in rows:
+        if len(row) != len(header):
+            dropped += 1
+            continue
+        vals = {}
+        ok = True
+        for c in use:
+            cell = row[pos[c]].strip()
+            if cell == "":
+                ok = False
+                break
+            if c in categorical:
+                vals[c] = cell
+            else:
+                try:
+                    vals[c] = float(cell)
+                except ValueError:
+                    ok = False
+                    break
+        if not ok:
+            dropped += 1
+            continue
+        for c in use:
+            kept[c].append(vals[c])
+    n = len(next(iter(kept.values()))) if use else 0
+    columns = {
+        c: (np.array(kept[c], dtype=object) if c in categorical else np.array(kept[c], dtype=float))
+        for c in use
+    }
+    numeric = [columns[c] for c in use if c not in categorical]
+    if numeric:
+        finite = np.logical_and.reduce([np.isfinite(v) for v in numeric])
+        if not finite.all():
+            columns = {c: v[finite] for c, v in columns.items()}
+            n_finite = int(finite.sum())
+            dropped += n - n_finite
+            n = n_finite
+    warnings = []
+    if dropped:
+        warnings.append(
+            f"dropped {dropped} of {len(rows)} rows with missing, unparseable or non-finite cells"
+        )
+    return Dataset(columns, n, categorical & frozenset(use)), warnings
+
+
+def reference_numeric_codes(col):
+    labels = sorted(set(col.tolist()))
+    code = {lab: float(i) for i, lab in enumerate(labels)}
+    return np.array([code[v] for v in col.tolist()])
+
+
+DIRTY_CSV = (
+    " sex , a ,b,junk\n"
+    "F,1,2,x\n"
+    "M,3\n"  # short row
+    "F,4,5,x,extra\n"  # long row
+    "M,,6,x\n"  # empty cell
+    "F,   ,6,x\n"  # blank cell
+    " ,7,8,x\n"  # blank label
+    "F,abc,9,x\n"
+    "M,nan,10,x\n"
+    "F,11,inf,x\n"
+    "M,-Infinity,12,x\n"
+    "F,1e999,13,x\n"
+    " M ,  3.5 ,\t14\t,junk with, commas\n"
+    "F,1_0,15,x\n"
+    "M,\u00a016,17\u2003,x\n"
+    "F,-0,4.9e-325,x\n"
+    "nan,0x10,18,x\n"
+    "nan,19,0.1000000000000000055511151231257827,x\n"
+    "Z,20,21,\n"
+)
+
+
+@pytest.mark.parametrize(
+    "categorical, used",
+    [(("sex",), ("sex", "a", "b")), ((), ("a", "b")), (("sex", "junk"), None), (("sex",), ("b",))],
+)
+def test_read_csv_matches_the_row_loop_on_a_dirty_file(tmp_path, categorical, used):
+    p = tmp_path / "dirty.csv"
+    p.write_text(DIRTY_CSV, encoding="utf-8")
+    got, got_warn = read_csv(p, categorical=categorical, used=used)
+    want, want_warn = reference_read_csv(p, categorical=categorical, used=used)
+    assert got_warn == want_warn and len(got_warn) == 1
+    assert (got.n, got.categorical, list(got.columns)) == (want.n, want.categorical, list(want.columns))
+    for name, col in want.columns.items():
+        assert got.columns[name].dtype == col.dtype
+        if col.dtype == object:
+            assert got.columns[name].tolist() == col.tolist()
+            assert got.numeric(name).tobytes() == reference_numeric_codes(col).tobytes()
+        else:
+            assert got.columns[name].tobytes() == col.tobytes()
+
+
+def test_read_csv_matches_the_row_loop_when_every_row_drops(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("a,b\n1\nx,2\n,3\n", encoding="utf-8")
+    with pytest.raises(FitError, match="empty after filtering"):
+        reference_read_csv(p)
+    with pytest.raises(FitError, match="empty after filtering"):
+        read_csv(p)
 
 
 def test_read_csv_ignores_unused_junk_column(tmp_path):
