@@ -527,7 +527,7 @@ def measure_interaction(m: ExplanationMeasure, mask: int) -> float:
     n = 1 << m.var_count
     if not 0 <= mask < n:
         raise ValueError("subset mask out of range")
-    return math.fsum(m.atom_mass[s] for s in range(n) if s & mask == mask)
+    return math.fsum(m.atom_mass[(np.arange(n) & mask) == mask])
 
 
 def totals_from_measure(m: ExplanationMeasure) -> TotalsTable:

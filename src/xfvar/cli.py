@@ -160,15 +160,12 @@ def cmd_counterfactual(args) -> int:
 def cmd_fit(args) -> int:
     dag, outcome, categorical = read_dag(args.dag)
     data, warnings = read_csv(args.data, categorical=categorical, used=dag.names)
-    levels = None
+    cfg_kwargs = {"method": args.method, "min_cell": args.min_cell, "seed": args.seed}
     if args.levels:
         try:
-            levels = tuple(float(x) for x in args.levels.split(","))
+            cfg_kwargs["levels"] = tuple(float(x) for x in args.levels.split(","))
         except ValueError:
             raise DomainError(f"--levels must be comma-separated numbers, got {args.levels!r}") from None
-    cfg_kwargs = {"method": args.method, "min_cell": args.min_cell, "seed": args.seed}
-    if levels is not None:
-        cfg_kwargs["levels"] = levels
     cfg = FitConfig(**cfg_kwargs)
     model = fit_model(data, dag, cfg, outcome)
     write_model(model, args.out)

@@ -3,13 +3,13 @@
 Three per-node estimation routes, all built on cell estimators over the
 (binned) parent grid: additive location shift with empirical residuals,
 heteroskedastic gaussian noise, and a full per-cell quantile grid. The
-first two cross-fit their residuals with a 2-fold split by default;
+first two always cross-fit their residuals with a 2-fold split;
 quantile grids are order statistics rather than residuals of a fitted
 regression, so they are estimated in-sample.
 
 Parent handling: categorical parents and numeric parents with at most
-cfg.bins distinct values form exact cells; other numeric parents are
-equal-frequency binned into cfg.bins bins, and unseen values at sampling
+BINS distinct values form exact cells; other numeric parents are
+equal-frequency binned into BINS bins, and unseen values at sampling
 time fall into the nearest outer bin.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -42,14 +42,15 @@ DEFAULT_LEVELS = tuple(round(0.01 + 0.02 * i, 2) for i in range(50))  # 0.01 .. 
 
 VARIANCE_FLOOR = 1e-12
 
+# Equal-frequency bins per dense numeric parent.
+BINS = 10
+
 
 @dataclass
 class FitConfig:
     method: str = "quantile_grid"
     levels: tuple = DEFAULT_LEVELS
     min_cell: int = 20
-    folds: int = 2
-    bins: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -61,12 +62,8 @@ class FitConfig:
         if np.any(lv <= 0) or np.any(lv >= 1) or np.any(np.diff(lv) <= 0):
             raise FitError("levels must be strictly increasing inside (0, 1)")
         self.levels = tuple(float(x) for x in lv)
-        if self.folds not in (1, 2):
-            raise FitError("folds must be 1 or 2")
         if self.min_cell < 2:
             raise FitError("min_cell must be >= 2")
-        if self.bins < 2:
-            raise FitError("bins must be >= 2")
 
 
 @dataclass
@@ -76,6 +73,7 @@ class Dataset:
     columns: dict
     n: int
     categorical: frozenset = frozenset()
+    _coded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -89,14 +87,21 @@ class Dataset:
             raise FitError(f"dataset has no column {name!r}")
         return self.columns[name]
 
+    def coded(self, name):
+        """(sorted labels, float row codes) of a categorical column, built once."""
+        if name not in self._coded:
+            cells = self.column(name).tolist()
+            labels = sorted(set(cells))
+            code = {lab: i for i, lab in enumerate(labels)}
+            codes = np.fromiter(map(code.__getitem__, cells), dtype=float, count=len(cells))
+            self._coded[name] = labels, codes
+        return self._coded[name]
+
     def numeric(self, name):
         """Numeric view: categorical columns map to their sorted-label codes."""
-        col = self.column(name)
         if name in self.categorical:
-            labels = sorted(set(col.tolist()))
-            code = {lab: i for i, lab in enumerate(labels)}
-            return np.fromiter(map(code.__getitem__, col.tolist()), dtype=float, count=len(col))
-        return col
+            return self.coded(name)[1]
+        return self.column(name)
 
 
 def read_csv(path, categorical=(), used=None):
@@ -169,12 +174,12 @@ def _parse_floats(cells):
 # Cell plumbing
 
 
-def parent_binning(data: Dataset, parents, cfg: FitConfig):
+def parent_binning(data: Dataset, parents):
     """Interior cut points per parent; None only for categorical parents.
 
     Numeric parents always get bin keys so that lookup stays total at
     sampling time (fitted parents can emit values between the observed
-    ones). With at most cfg.bins distinct values each value gets its own
+    ones). With at most BINS distinct values each value gets its own
     bin, cut at midpoints, which reproduces exact discrete cells; denser
     columns are equal-frequency binned.
     """
@@ -185,10 +190,10 @@ def parent_binning(data: Dataset, parents, cfg: FitConfig):
             continue
         col = data.numeric(p)
         distinct = np.unique(col)
-        if len(distinct) <= cfg.bins:
+        if len(distinct) <= BINS:
             binning.append((distinct[:-1] + distinct[1:]) / 2.0)
         else:
-            qs = np.quantile(col, [i / cfg.bins for i in range(1, cfg.bins)])
+            qs = np.quantile(col, [i / BINS for i in range(1, BINS)])
             binning.append(np.unique(qs))
     return tuple(binning)
 
@@ -202,7 +207,7 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
     if node in data.categorical:
         raise FitError(f"node {node!r} is categorical; only roots may be categorical")
     y = data.numeric(node)
-    binning = parent_binning(data, parents, cfg)
+    binning = parent_binning(data, parents)
     cols = [data.numeric(p) for p in parents]
     codes, radices = [], []
     for col, b in zip(cols, binning):
@@ -228,33 +233,19 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
     return y, binning, keys, rows
 
 
-def _fold_split(rows, n, seed):
-    """Per-cell alternating 2-fold split on a seeded permutation.
+def _residuals(y, rows, seed):
+    """Cross-fitted residuals: each row against the mean of the other fold
+    of its cell. Folds alternate within each cell along a seeded
+    permutation, so both are nonempty in any cell of >= 2 rows.
 
-    Stratifying within cells keeps both folds nonempty in every cell (any
-    cell with >= 2 rows), so out-of-fold predictions always exist.
+    rows holds each cell's row indices in increasing order.
     """
-    rank = np.empty(n, dtype=np.intp)
-    rank[aux_generator(seed, "folds").permutation(n)] = np.arange(n)
-    fold = np.zeros(n, dtype=np.intp)
+    rank = np.empty(len(y), dtype=np.intp)
+    rank[aux_generator(seed, "folds").permutation(len(y))] = np.arange(len(y))
+    resid = np.empty_like(y)
     for r in rows:
         r = r[np.argsort(rank[r], kind="stable")]
-        fold[r[1::2]] = 1
-    return fold
-
-
-def _residuals(y, rows, means, cfg: FitConfig):
-    """Residuals against the cell means: in-sample with one fold, else
-    against the mean of the opposite fold, per cell."""
-    resid = np.empty_like(y)
-    if cfg.folds == 1:
-        for r, m in zip(rows, means):
-            resid[r] = y[r] - m
-        return resid
-    fold = _fold_split(rows, len(y), cfg.seed)
-    for r in rows:
-        in0 = r[fold[r] == 0]
-        in1 = r[fold[r] == 1]
+        in0, in1 = np.sort(r[0::2]), np.sort(r[1::2])  # back to data order
         resid[in0] = y[in0] - y[in1].mean()
         resid[in1] = y[in1] - y[in0].mean()
     return resid
@@ -292,24 +283,15 @@ def isotonic_rearrange(values):
 # Per-node fits
 
 
-def fit_root(column, node="root", categorical=False):
-    """Root mechanism from one column: label frequencies or the empirical
-    quantile of the sorted sample."""
-    if len(column) == 0:
-        raise FitError(f"node {node!r}: empty column")
-    if categorical:
-        labels = sorted(set(np.asarray(column, dtype=object).tolist()))
-        counts = {lab: 0 for lab in labels}
-        for v in np.asarray(column, dtype=object).tolist():
-            counts[v] += 1
-        n = len(column)
-        return RootCategorical(
-            node,
-            values=[float(i) for i in range(len(labels))],
-            probs=[counts[lab] / n for lab in labels],
-            labels=labels,
-        )
-    return RootEmpirical(node, np.asarray(column, dtype=float))
+def fit_root(data: Dataset, node):
+    """Root mechanism from its column: label frequencies of a categorical
+    column, else the empirical quantile of the sorted sample."""
+    if node not in data.categorical:
+        return RootEmpirical(node, np.asarray(data.column(node), dtype=float))
+    labels, codes = data.coded(node)
+    probs = np.bincount(codes.astype(np.intp), minlength=len(labels)) / data.n
+    values = [float(i) for i in range(len(labels))]
+    return RootCategorical(node, values=values, probs=probs.tolist(), labels=labels)
 
 
 def _mean_cells(y, keys, rows):
@@ -321,7 +303,7 @@ def fit_additive(data: Dataset, node, parents, cfg: FitConfig):
     parents = tuple(parents)
     y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
     cells = _mean_cells(y, keys, rows)
-    resid = _residuals(y, rows, cells.values(), cfg)
+    resid = _residuals(y, rows, cfg.seed)
     return AdditiveNoise(
         node, parents, ParentFn(node, parents, cells=cells, binning=binning), resid
     )
@@ -332,7 +314,7 @@ def fit_hetero_gaussian(data: Dataset, node, parents, cfg: FitConfig):
     parents = tuple(parents)
     y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
     cells = _mean_cells(y, keys, rows)
-    sq = _residuals(y, rows, cells.values(), cfg) ** 2
+    sq = _residuals(y, rows, cfg.seed) ** 2
     std_cells = {
         key: float(np.sqrt(max(sq[r].mean(), VARIANCE_FLOOR))) for key, r in zip(keys, rows)
     }
@@ -373,12 +355,12 @@ def fit_model(data: Dataset, dag: Dag, cfg: FitConfig, outcome: str) -> ScmModel
     mechs = []
     for n, ps in zip(dag.names, dag.parents):
         if not ps:
-            mechs.append(fit_root(data.column(n), node=n, categorical=n in data.categorical))
+            mechs.append(fit_root(data, n))
         else:
             mechs.append(_METHODS[cfg.method](data, n, ps, cfg))
     flags = ("fitted:" + cfg.method,)
     if cfg.method != "quantile_grid":
-        flags += ("cross-fitted",) if cfg.folds == 2 else ("in-sample",)
+        flags += ("cross-fitted",)
     return ScmModel(dag, tuple(mechs), outcome=outcome, fitted=flags)
 
 

@@ -32,31 +32,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import MAX_VARS, TotalsTable
+from .algebra import TotalsTable
 from .errors import DomainError, ModelError, ZeroVarianceError
+
+
+# Nonoverlapping batches behind every batch-means standard error.
+BATCHES = 20
+
+# Query variables of a full measure: 2**K hybrids per pair and a 4**K
+# report interaction table keep this below the algebra's MAX_VARS.
+MAX_QUERY_VARS = 12
+
+# Outcome evaluations per estimate: 7-11 single-core minutes at the 40-65 ns
+# one took on a 2-CPU x86 host, 12x the largest default run (K = 12, 200 000).
+MC_BUDGET = 10**10
 
 
 @dataclass
 class EstimatorConfig:
     """Settings for pick-freeze estimation.
 
-    samples is the number M of (E, E') pairs; batches is the number of
-    nonoverlapping batches used for standard errors; max_vars caps the
-    variable count for full-measure estimation (2**K hybrid evaluations
-    per pair). threads: worker count for block processing, 0 = auto.
+    samples is the number M of (E, E') pairs, split into BATCHES batches
+    for standard errors. threads: worker count for block processing,
+    0 = auto.
     """
 
     samples: int
     seed: int = 0
-    batches: int = 20
-    max_vars: int = 12
     threads: int = 1
 
     def __post_init__(self):
-        if self.batches < 2:
-            raise DomainError("need at least 2 stderr batches")
-        if self.samples < self.batches:
-            raise DomainError(f"samples ({self.samples}) must be >= batches ({self.batches})")
+        if self.samples < BATCHES:
+            raise DomainError(f"samples ({self.samples}) must be >= batches ({BATCHES})")
         if self.threads < 0:
             raise DomainError("threads must be >= 0 (0 = auto)")
 
@@ -85,11 +92,11 @@ def per_batch_sums(n_noise, cfg: EstimatorConfig, fill_block, n_stats):
 
     fill_block(E, Ep, add_row) must compute statistic rows for one block
     of replicates and hand each to add_row(row_index, values) with values
-    of shape (block length,). Returns an (n_stats, batches) array of sums.
+    of shape (block length,). Returns an (n_stats, BATCHES) array of sums.
     """
     m = cfg.samples
-    starts = _batch_starts(m, cfg.batches)
-    acc = np.zeros((n_stats, cfg.batches))
+    starts = _batch_starts(m, BATCHES)
+    acc = np.zeros((n_stats, BATCHES))
 
     def work(block_index):
         g0 = block_index * rng.BLOCK_LEN
@@ -144,13 +151,17 @@ def _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, n_stats, cfg: Estim
     outcome of the hybrid that takes cols from E'. y0 = y(E) and
     y1 = y(E'); stat(y0, y1, hybrids) must yield n_stats rows, where
     hybrids iterates y over hybrid_cols[0], hybrid_cols[1], ... in that
-    order. Returns a (4 + n_stats, batches) array whose first four rows
+    order. Returns a (4 + n_stats, BATCHES) array whose first four rows
     are the moments.
 
-    Raises ModelError when twice a row's total is not finite: finite
-    outcomes whose squares overflow float64. The ratio steps that follow
-    add at most two totals, so they stay finite.
+    Raises DomainError before the first block past MC_BUDGET outcome
+    evaluations, and ModelError when twice a row's total is not finite:
+    finite outcomes whose squares overflow float64. The ratio steps that
+    follow add at most two totals, so they stay finite.
     """
+    evals = (len(hybrid_cols) + 2) * cfg.samples
+    if evals > MC_BUDGET:
+        raise DomainError(f"{evals} outcome evaluations exceed the Monte Carlo budget {MC_BUDGET}")
     none = np.zeros(0, dtype=np.intp)
     every = np.arange(n_noise, dtype=np.intp)
 
@@ -185,8 +196,7 @@ def _ratio_stderr(num, den):
     """Batch-means stderr of a ratio of per-batch statistics."""
     if np.any(den <= 0):
         raise ZeroVarianceError(
-            "a standard-error batch has non-positive variance; "
-            "increase samples or reduce batches"
+            "a standard-error batch has non-positive variance; increase samples"
         )
     ratios = num / den
     return float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
@@ -204,7 +214,7 @@ def _pooled_ratio(acc, num, cfg: EstimatorConfig) -> Estimate:
     vpool = _pooled_variance(totals, np.array(m))
     if vpool <= 0.0:
         raise ZeroVarianceError("outcome variance estimate is zero")
-    counts = np.diff(_batch_starts(cfg.samples, cfg.batches)).astype(float)
+    counts = np.diff(_batch_starts(cfg.samples, BATCHES)).astype(float)
     stderr = _ratio_stderr(num(acc, counts), _pooled_variance(acc, counts))
     return Estimate(float(num(totals, m) / vpool), stderr, cfg.samples)
 
@@ -219,15 +229,12 @@ def pickfreeze_totals(open_block, n_noise, var_cols, cfg: EstimatorConfig) -> To
     exactly 1 whenever it resamples every noise coordinate.
 
     Each block asks for 2**K + 1 outcomes: the two baselines plus one
-    hybrid per nonempty subset, so K is capped by cfg.max_vars. What one
-    outcome costs is up to the provider behind open_block.
+    hybrid per nonempty subset, so K is capped by MAX_QUERY_VARS. What
+    one outcome costs is up to the provider behind open_block.
     """
     k = len(var_cols)
-    if k > min(cfg.max_vars, MAX_VARS):
-        raise DomainError(
-            f"{k} query variables need 2**{k} evaluations per pair; "
-            f"raise max_vars (now {cfg.max_vars}) to allow this"
-        )
+    if k > MAX_QUERY_VARS:
+        raise DomainError(f"{k} query variables; at most {MAX_QUERY_VARS} are supported")
     n_masks = 1 << k
 
     def stat(y0, y1, hybrids):

@@ -125,8 +125,8 @@ def estimate_measure(f, sampler: IndependentSampler, cfg: EstimatorConfig, names
     """Full explanation measure over all variables of the sampler.
 
     Costs two input transforms and (2**K + 1) function calls per block
-    of sample pairs, so K is capped by cfg.max_vars. The full-set total
-    is exactly 1 by construction; the remaining totals feed the
+    of sample pairs, so K is capped by mc.MAX_QUERY_VARS. The full-set
+    total is exactly 1 by construction; the remaining totals feed the
     inclusion-exclusion inversion.
     """
     names = tuple(names)

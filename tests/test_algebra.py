@@ -162,6 +162,18 @@ def test_measure_interaction_is_superset_mass():
     assert measure_interaction(m, 0b11) == pytest.approx(0.4, abs=1e-15)
 
 
+def test_measure_interaction_matches_the_atom_scan_bits():
+    # reference: the scan over every atom in increasing bitmask order
+    k = 12
+    n = 1 << k
+    rng = np.random.default_rng(4)
+    atoms = rng.normal(size=n) * 10.0 ** rng.integers(-12, 3, size=n)
+    m = _measure(atoms / atoms.sum(), tuple(f"W{j}" for j in range(k)))
+    for mask in [*range(0, n, 7), n - 1]:
+        want = math.fsum(m.atom_mass[s] for s in range(n) if s & mask == mask)
+        assert measure_interaction(m, mask).hex() == want.hex()
+
+
 def test_marginalize_folds_bit():
     m = _measure([0.1, 0.2, 0.3, 0.4], ("A", "B"))
     out = measure_marginalize(m, "B")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from xfvar import mc, rng
 from xfvar.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,3 +193,54 @@ def test_non_finite_atom_exits_2(tmp_path, capsys):
     p.write_text(text.replace(json.dumps(rep["atoms"]["W1"]), "NaN", 1))
     code = run_cli(["venn", "--report", str(p), "--ascii"])
     assert_one_error(capsys, code, 2, "'atoms' entry 'W1' must be a finite number, got nan")
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo work budget
+
+HUGE = "100000000000000"
+MODEL1 = str(DATA / "model1.json")
+BUDGET = "exceed the Monte Carlo budget 10000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gsa", "--func", "linear3"],
+        ["gsa", "--model", MODEL1],
+        ["counterfactual", "--model", MODEL1],
+        ["counterfactual", "--model", MODEL1, "--subset", "W1"],
+    ],
+    ids=["gsa_func", "gsa_model", "counterfactual", "counterfactual_subset"],
+)
+def test_monte_carlo_budget_exits_2_before_the_first_block(capsys, monkeypatch, argv):
+    def no_blocks(*args):
+        raise AssertionError("a noise block was drawn")
+
+    monkeypatch.setattr(rng, "uniform_block", no_blocks)
+    code = run_cli(argv + ["--samples", HUGE])
+    assert_one_error(capsys, code, 2, BUDGET)
+
+
+def test_monte_carlo_budget_edge(capsys, monkeypatch):
+    # linear3 asks for 2**3 + 1 outcomes per pair
+    argv = ["gsa", "--func", "linear3", "--samples", "1000"]
+    monkeypatch.setattr(mc, "MC_BUDGET", 9000)
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mc, "MC_BUDGET", 8999)
+    code = run_cli(argv)
+    assert_one_error(capsys, code, 2, "9000 outcome evaluations exceed the Monte Carlo budget 8999")
+
+
+def test_monte_carlo_budget_prints_one_line_outside_pytest():
+    proc = subprocess.run(
+        [sys.executable, "-m", "xfvar", "gsa", "--func", "linear3", "--samples", HUGE],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error[E02]: 900000000000000 outcome evaluations {BUDGET}\n"
+    assert proc.stdout == ""

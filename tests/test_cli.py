@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from xfvar import rng, scm
+from xfvar import cli, rng, scm
 from xfvar.cli import main
 from xfvar.errors import ModelError, NotReducibleError
-from xfvar.mc import hybrid
+from xfvar.fit import FitConfig
+from xfvar.mc import EstimatorConfig, hybrid
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -471,6 +473,27 @@ def test_fit_bad_levels(tmp_path, capsys):
         ["fit", "--data", str(csv), "--dag", str(dag), "--out", str(tmp_path / "m.json"), "--levels", "a,b"]
     )
     assert code == 2
+
+
+def test_cli_sets_every_config_field(monkeypatch, tmp_path):
+    # a config field that no command sets is a setting nobody can reach
+    seen = {}
+
+    def recording(cls):
+        def make(**kwargs):
+            seen.setdefault(cls.__name__, set()).update(kwargs)
+            return cls(**kwargs)
+
+        return make
+
+    monkeypatch.setattr(cli, "EstimatorConfig", recording(EstimatorConfig))
+    monkeypatch.setattr(cli, "FitConfig", recording(FitConfig))
+    assert run_cli(["gsa", "--func", "linear3", "--samples", "1000", "--out", str(tmp_path / "r.json")]) == 0
+    csv, dag = _write_fit_inputs(tmp_path)
+    argv = ["fit", "--data", str(csv), "--dag", str(dag), "--out", str(tmp_path / "m.json")]
+    assert run_cli(argv + ["--levels", "0.25,0.5,0.75"]) == 0
+    for cls in (EstimatorConfig, FitConfig):
+        assert seen[cls.__name__] == {f.name for f in dataclasses.fields(cls)}
 
 
 def test_threads_env(monkeypatch, tmp_path, in_repo_root):

@@ -5,6 +5,7 @@ import pytest
 
 from xfvar.errors import FitError, ModelError, ParseError
 from xfvar.fit import (
+    BINS,
     DEFAULT_LEVELS,
     Dataset,
     FitConfig,
@@ -42,15 +43,13 @@ def test_fit_config_defaults_and_validation():
     assert cfg.levels == DEFAULT_LEVELS
     assert len(DEFAULT_LEVELS) == 50
     assert DEFAULT_LEVELS[0] == 0.01 and DEFAULT_LEVELS[-1] == 0.99
-    assert cfg.min_cell == 20 and cfg.folds == 2 and cfg.bins == 10
+    assert cfg.min_cell == 20 and BINS == 10
     with pytest.raises(FitError):
         FitConfig(levels=(0.5, 0.5))
     with pytest.raises(FitError):
         FitConfig(levels=(0.0, 0.5))
     with pytest.raises(FitError):
         FitConfig(method="nope")
-    with pytest.raises(FitError):
-        FitConfig(folds=3)
     with pytest.raises(FitError):
         FitConfig(min_cell=0)
 
@@ -217,6 +216,8 @@ def test_read_csv_categorical_column(tmp_path):
     data, _ = read_csv(p, categorical=("sex",), used=("sex", "y"))
     codes = data.numeric("sex")
     assert sorted(set(codes)) == [0.0, 1.0]
+    assert data.numeric("sex") is codes  # coded once per column
+    assert data.coded("sex")[0] == ["F", "M"]
 
 
 def test_read_csv_missing_column(tmp_path):
@@ -236,8 +237,7 @@ def test_read_csv_duplicate_header(tmp_path):
 
 def test_parent_binning_exact_for_few_values():
     data = Dataset({"p": np.array([1.0, 2.0, 1.0, 2.0, 5.0]), "y": np.zeros(5)}, 5)
-    cfg = FitConfig(bins=10)
-    binning = parent_binning(data, ("p",), cfg)
+    binning = parent_binning(data, ("p",))
     # midpoint cuts between the 3 distinct values
     assert np.allclose(binning[0], [1.5, 3.5])
 
@@ -245,9 +245,8 @@ def test_parent_binning_exact_for_few_values():
 def test_parent_binning_quantile_for_many_values():
     rng = np.random.default_rng(0)
     data = Dataset({"p": rng.normal(size=500), "y": np.zeros(500)}, 500)
-    cfg = FitConfig(bins=4)
-    binning = parent_binning(data, ("p",), cfg)
-    assert len(binning[0]) == 3  # bins - 1 interior cuts
+    binning = parent_binning(data, ("p",))
+    assert len(binning[0]) == BINS - 1  # interior cuts
 
 
 def test_empirical_levels_left_continuous():
@@ -264,13 +263,13 @@ def test_isotonic_rearrange_pava():
 
 
 def test_fit_root_empirical_and_categorical():
-    col = np.array([3.0, 1.0, 2.0, 1.0])
-    mech = fit_root(col, node="X")
+    mech = fit_root(Dataset({"X": np.array([3.0, 1.0, 2.0, 1.0])}, 4), "X")
     assert mech.kind == "root_empirical"
     assert list(mech.values) == [1.0, 1.0, 2.0, 3.0]
-    cat = fit_root(np.array([0.0, 1.0, 0.0]), node="S", categorical=True)
+    data = Dataset({"S": np.array(["b", "a", "b"], dtype=object)}, 3, frozenset({"S"}))
+    cat = fit_root(data, "S")
     assert cat.kind == "root_categorical"
-    assert cat.probs[0] == pytest.approx(2 / 3)
+    assert cat.labels == ("a", "b") and list(cat.probs) == [1 / 3, 2 / 3]
 
 
 def test_fit_model_quantile_recovers_half(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xfvar import mc
 from xfvar.errors import DomainError, ZeroVarianceError
 from xfvar.mc import Estimate, EstimatorConfig, pickfreeze_totals, upper_estimate
 from xfvar.sensitivity import IndependentSampler, independent_outcomes
@@ -23,13 +24,12 @@ def test_config_validation():
     with pytest.raises(DomainError):
         EstimatorConfig(samples=0)
     with pytest.raises(DomainError):
-        EstimatorConfig(samples=100, batches=1)
-    with pytest.raises(DomainError):
-        EstimatorConfig(samples=10, batches=20)
+        EstimatorConfig(samples=19)  # fewer pairs than stderr batches
     with pytest.raises(DomainError):
         EstimatorConfig(samples=100, threads=-1)
     cfg = EstimatorConfig(samples=100)
-    assert cfg.batches == 20 and cfg.seed == 0
+    assert mc.BATCHES == 20 and cfg.seed == 0
+    EstimatorConfig(samples=mc.BATCHES)
 
 
 def test_estimate_fields():
@@ -90,16 +90,10 @@ def test_pickfreeze_totals_full_set_is_one():
 
 
 def test_pickfreeze_totals_caps_query_variables():
-    with pytest.raises(DomainError):
-        pickfreeze_totals(_product_y(3), 3, [[0], [1], [2]], EstimatorConfig(samples=1000, max_vars=2))
-
-
-def test_batch_count_affects_stderr_only():
-    yfn = _product_y(2)
-    a = upper_estimate(yfn, 2, (0,), EstimatorConfig(samples=40_000, seed=5, batches=20))
-    b = upper_estimate(yfn, 2, (0,), EstimatorConfig(samples=40_000, seed=5, batches=10))
-    assert a.value == b.value
-    assert a.stderr != b.stderr
+    k = mc.MAX_QUERY_VARS + 1
+    assert k == 13
+    with pytest.raises(DomainError, match="13 query variables; at most 12 are supported"):
+        pickfreeze_totals(_product_y(k), k, [[j] for j in range(k)], EstimatorConfig(samples=1000))
 
 
 def test_samples_not_divisible_by_batches():

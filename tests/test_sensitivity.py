@@ -107,10 +107,10 @@ def test_subset_validation():
 
 
 def test_max_vars_guard():
-    s = standard_normal_sampler(3)
-    cfg = EstimatorConfig(samples=1000, max_vars=2)
-    with pytest.raises(DomainError):
-        estimate_measure(_linear, s, cfg, ("A", "B", "C"))
+    s = standard_normal_sampler(13)
+    cfg = EstimatorConfig(samples=1000)
+    with pytest.raises(DomainError, match="13 query variables"):
+        estimate_measure(_linear, s, cfg, tuple(f"W{j}" for j in range(13)))
 
 
 def test_interaction_contrast_values():
