@@ -28,16 +28,41 @@ def _check_var_count(var_count: int) -> None:
         raise ValueError(f"var_count must be in 1..{MAX_VARS}, got {var_count}")
 
 
+def subset_key(names, mask: int, sep: str = "+") -> str:
+    """Report key for a variable subset: declaration-ordered names joined
+    by sep, empty string for the empty set."""
+    return sep.join(n for j, n in enumerate(names) if mask >> j & 1)
+
+
 def subset_label(mask: int, names) -> str:
-    """Pretty-print a subset bitmask: names joined by '+', '(none)' if empty."""
-    if mask == 0:
-        return "(none)"
-    return "+".join(names[k] for k in range(len(names)) if mask >> k & 1)
+    """Pretty-print a subset bitmask: its report key, '(none)' if empty."""
+    return subset_key(names, mask) or "(none)"
 
 
 def iter_subsets(var_count: int, nonempty: bool = False):
     """All subset bitmasks of [var_count] in increasing order."""
     return range(1 if nonempty else 0, 1 << var_count)
+
+
+def members(mask: int) -> list:
+    """Indices of the set bits of mask, in increasing order."""
+    return [j for j in range(int(mask).bit_length()) if mask >> j & 1]
+
+
+def submasks(s: int):
+    """Every submask of the bitmask s, from s itself down to 0."""
+    t = s
+    while True:
+        yield t
+        if t == 0:
+            return
+        t = (t - 1) & s
+
+
+def mobius_sign(s: int, t: int) -> float:
+    """(-1)**(|s| - |t|) for a submask t of s: the sign t carries in a
+    Moebius sum over the submasks of s."""
+    return -1.0 if int(s ^ t).bit_count() & 1 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +97,7 @@ def clause_var(var_count: int, index: int) -> Clause:
     _check_var_count(var_count)
     if not 0 <= index < var_count:
         raise ValueError(f"variable index {index} out of range for {var_count} variables")
-    bit = 1 << index
-    return Clause(var_count, frozenset(m for m in iter_subsets(var_count) if m & bit))
+    return clause_subset(var_count, 1 << index)
 
 
 def clause_false(var_count: int) -> Clause:
@@ -104,8 +128,6 @@ def clause_combine(op: str, a: Clause, b: Clause | None = None) -> Clause:
 
 def clause_subset(var_count: int, mask: int) -> Clause:
     """The clause 'some variable in mask matters': union of the generator events."""
-    if mask == 0:
-        return clause_false(var_count)
     return Clause(var_count, frozenset(m for m in iter_subsets(var_count) if m & mask))
 
 
@@ -238,46 +260,49 @@ def clause_to_str(clause: Clause, names) -> str:
 # Subset-lattice transforms (dense arrays indexed by bitmask)
 
 
+def _bit_pairs(n: int, superset: bool):
+    """Per bit, in increasing bit order, the (dst, src) bitmask arrays of
+    one lattice pass over a dense array of length n: dst runs over the
+    masks that have the bit (subset direction) or lack it (superset
+    direction), and src = dst ^ bit."""
+    idx = np.arange(n)
+    bit = 1
+    while bit < n:
+        lacks = (idx & bit) == 0
+        dst = idx[lacks if superset else ~lacks]
+        yield dst, dst ^ bit
+        bit <<= 1
+
+
+def _zeta(values, superset: bool, sign: float) -> np.ndarray:
+    """out[dst] += sign * out[src] over every bit's pairs."""
+    out = np.array(values, dtype=float, copy=True)
+    for dst, src in _bit_pairs(out.shape[0], superset):
+        out[dst] += sign * out[src]
+    return out
+
+
 def subset_zeta(values: np.ndarray) -> np.ndarray:
     """out[S] = sum over subsets T of S of values[T]."""
-    out = np.array(values, dtype=float, copy=True)
-    n = out.shape[0]
-    idx = np.arange(n)
-    k = 0
-    while (1 << k) < n:
-        bit = 1 << k
-        has = (idx & bit) != 0
-        out[has] += out[idx[has] ^ bit]
-        k += 1
-    return out
+    return _zeta(values, False, 1.0)
 
 
 def superset_zeta(values: np.ndarray) -> np.ndarray:
     """out[S] = sum over supersets T of S of values[T]."""
-    out = np.array(values, dtype=float, copy=True)
-    n = out.shape[0]
-    idx = np.arange(n)
-    k = 0
-    while (1 << k) < n:
-        bit = 1 << k
-        lacks = (idx & bit) == 0
-        out[lacks] += out[idx[lacks] | bit]
-        k += 1
-    return out
+    return _zeta(values, True, 1.0)
 
 
 def superset_mobius(values: np.ndarray) -> np.ndarray:
     """Inverse of superset_zeta: out[S] = sum_{T >= S} (-1)^{|T|-|S|} values[T]."""
-    out = np.array(values, dtype=float, copy=True)
-    n = out.shape[0]
-    idx = np.arange(n)
-    k = 0
-    while (1 << k) < n:
-        bit = 1 << k
-        lacks = (idx & bit) == 0
-        out[lacks] -= out[idx[lacks] | bit]
-        k += 1
-    return out
+    return _zeta(values, True, -1.0)
+
+
+def mass_meeting(within: np.ndarray) -> np.ndarray:
+    """out[S] = mass of the atoms meeting S, from within = subset_zeta of
+    the atom masses: the mass inside the full set less that inside S's
+    complement."""
+    full = within.shape[0] - 1
+    return within[full] - within[full ^ np.arange(full + 1)]
 
 
 def popcount(masks) -> np.ndarray:
@@ -532,11 +557,7 @@ def measure_interaction(m: ExplanationMeasure, mask: int) -> float:
 
 def totals_from_measure(m: ExplanationMeasure) -> TotalsTable:
     """Reconstruct the totals table: total[S] = mass of atoms meeting S."""
-    n = 1 << m.var_count
-    full = n - 1
-    mass_within = subset_zeta(m.atom_mass)  # mass of atoms contained in S
-    comp = full ^ np.arange(n)
-    total = mass_within[full] - mass_within[comp]
+    total = mass_meeting(subset_zeta(m.atom_mass))
     total[0] = 0.0
     return TotalsTable(m.var_count, total)
 
@@ -635,11 +656,7 @@ def measure_validate(m: ExplanationMeasure, tol: float) -> ValidationReport:
     # best[S] = max of total over subsets of S, with an argmax witness
     best = total.copy()
     witness = np.arange(n)
-    idx = np.arange(n)
-    for k in range(m.var_count):
-        bit = 1 << k
-        has = idx[(idx & bit) != 0]
-        src = has ^ bit
+    for has, src in _bit_pairs(n, False):
         better = best[src] > best[has]
         best[has[better]] = best[src[better]]
         witness[has[better]] = witness[src[better]]

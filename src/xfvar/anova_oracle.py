@@ -20,7 +20,10 @@ from .algebra import (
     EXACT,
     ExplanationMeasure,
     iter_subsets,
-    popcount,
+    mass_meeting,
+    members,
+    mobius_sign,
+    submasks,
     subset_zeta,
     superset_zeta,
 )
@@ -68,11 +71,7 @@ class DiscreteDomain:
 
     def weights(self) -> np.ndarray:
         """Product probabilities aligned with grid() rows."""
-        mesh = np.meshgrid(*self.probs, indexing="ij")
-        w = np.ones(self.size)
-        for m in mesh:
-            w = w * m.ravel()
-        return w
+        return _subset_weights(self, (1 << self.k) - 1).ravel()
 
     def shape(self):
         return tuple(v.size for v in self.values)
@@ -134,9 +133,7 @@ def hoeffding_decompose(f, domain: DiscreteDomain) -> AnovaDecomposition:
     cond = {}
     for s in iter_subsets(k):
         out = vals
-        for axis_var in reversed(range(k)):
-            if s >> axis_var & 1:
-                continue
+        for axis_var in reversed(members((n_sub - 1) ^ s)):
             out = np.tensordot(out, domain.probs[axis_var], axes=([axis_var], [0]))
         cond[s] = out
     mean = float(cond[0])
@@ -144,39 +141,27 @@ def hoeffding_decompose(f, domain: DiscreteDomain) -> AnovaDecomposition:
     components = {}
     sigma2 = np.zeros(n_sub)
     for s in iter_subsets(k):
-        comp = np.zeros(tuple(shape[j] for j in range(k) if s >> j & 1))
-        t = s
-        while True:
-            sign = -1.0 if (popcount([s ^ t])[0] % 2) else 1.0
-            comp = comp + sign * _embed(cond[t], t, s, shape)
-            if t == 0:
-                break
-            t = (t - 1) & s
+        comp = np.zeros(tuple(shape[j] for j in members(s)))
+        for t in submasks(s):
+            comp = comp + mobius_sign(s, t) * _embed(cond[t], t, s)
         components[s] = comp
-        if s == 0:
-            sigma2[s] = 0.0
-        else:
-            w = _subset_weights(domain, s)
-            sigma2[s] = float(np.sum(w * comp**2))
+        if s:
+            sigma2[s] = float(np.sum(_subset_weights(domain, s) * comp**2))
 
     total_variance = float(np.sum(domain.weights() * (vals.ravel() - mean) ** 2))
     return AnovaDecomposition(domain, mean, sigma2, total_variance, components)
 
 
-def _embed(table: np.ndarray, t: int, s: int, shape) -> np.ndarray:
+def _embed(table: np.ndarray, t: int, s: int) -> np.ndarray:
     """Broadcast a T-marginal table to the S axes (T <= S)."""
-    s_vars = [j for j in range(len(shape)) if s >> j & 1]
-    idx = []
-    for j in s_vars:
-        idx.append(slice(None) if t >> j & 1 else None)
-    return np.asarray(table)[tuple(idx)] if s_vars else np.asarray(table)
+    return np.asarray(table)[tuple(slice(None) if t >> j & 1 else None for j in members(s))]
 
 
 def _subset_weights(domain: DiscreteDomain, s: int) -> np.ndarray:
+    """Product probabilities over the S-marginal grid."""
     w = np.ones(())
-    for j in range(domain.k):
-        if s >> j & 1:
-            w = np.multiply.outer(w, domain.probs[j])
+    for j in members(s):
+        w = np.multiply.outer(w, domain.probs[j])
     return w
 
 
@@ -211,11 +196,8 @@ def indices_from_decomposition(dec: AnovaDecomposition) -> SensitivityIndices:
     lower[S] sums components inside S, upper[S] sums components meeting
     S, superset[S] sums components containing S.
     """
-    n = 1 << dec.domain.k
-    full = n - 1
     lower = subset_zeta(dec.sigma2)
-    comp = full ^ np.arange(n)
-    upper = lower[full] - lower[comp]
+    upper = mass_meeting(lower)
     superset = superset_zeta(dec.sigma2)
     return SensitivityIndices(dec.total_variance, lower, upper, superset)
 
@@ -236,41 +218,23 @@ def _pair_hybrid_values(f, domain: DiscreteDomain, needed_masks) -> dict:
     n = grid.shape[0]
     if n * n > ENUMERATION_BUDGET:
         raise DomainError(f"pair enumeration {n}x{n} exceeds budget {ENUMERATION_BUDGET}")
-    k = domain.k
     base = np.repeat(grid, n, axis=0)  # w_i blocks
     other = np.tile(grid, (n, 1))  # w_j within each block
     out = {}
     for m in needed_masks:
         hyb = base.copy()
-        for j in range(k):
-            if m >> j & 1:
-                hyb[:, j] = other[:, j]
+        cols = members(m)
+        hyb[:, cols] = other[:, cols]
         out[m] = _eval_on_grid(f, hyb).reshape(n, n)
     return out
 
 
 def _contrast_matrix(f_tables: dict, s: int) -> np.ndarray:
     """I_S(w_i, w'_j) from hybrid value tables (anchor w_i, donor w'_j)."""
-    first = next(iter(f_tables.values()))
-    out = np.zeros_like(first)
-    t = s
-    while True:
-        sign = -1.0 if (popcount([s ^ t])[0] % 2) else 1.0
-        out += sign * f_tables[t]
-        if t == 0:
-            break
-        t = (t - 1) & s
+    out = np.zeros_like(f_tables[s])
+    for t in submasks(s):
+        out += mobius_sign(s, t) * f_tables[t]
     return out
-
-
-def _submasks(s: int):
-    out = []
-    t = s
-    while True:
-        out.append(t)
-        if t == 0:
-            return out
-        t = (t - 1) & s
 
 
 def exact_contrast_cov(f, domain: DiscreteDomain, s: int, s2: int) -> float:
@@ -280,10 +244,10 @@ def exact_contrast_cov(f, domain: DiscreteDomain, s: int, s2: int) -> float:
     """
     if s & s2:
         raise ValueError("subsets must be disjoint")
-    needed = sorted(set(_submasks(s)) | set(_submasks(s2)))
+    needed = sorted(set(submasks(s)) | set(submasks(s2)))
     tables = _pair_hybrid_values(f, domain, needed)
-    a = _contrast_matrix({m: tables[m] for m in _submasks(s)}, s)
-    b = _contrast_matrix({m: tables[m] for m in _submasks(s2)}, s2)
+    a = _contrast_matrix(tables, s)
+    b = _contrast_matrix(tables, s2)
     w = domain.weights()
     ww = np.multiply.outer(w, w)
     mean_a = float(np.sum(ww * a))
@@ -293,7 +257,7 @@ def exact_contrast_cov(f, domain: DiscreteDomain, s: int, s2: int) -> float:
 
 def exact_contrast_var(f, domain: DiscreteDomain, s: int) -> float:
     """Var(I_S(W, W')) by pair enumeration (S may be any subset)."""
-    tables = _pair_hybrid_values(f, domain, _submasks(s))
+    tables = _pair_hybrid_values(f, domain, submasks(s))
     a = _contrast_matrix(tables, s)
     w = domain.weights()
     ww = np.multiply.outer(w, w)
@@ -308,7 +272,6 @@ def exact_pickfreeze(f, domain: DiscreteDomain, s: int):
         lower = Cov(f(W), f(W_S, W'_{-S}))
         upper = E[(f(W) - f(W'_S, W_{-S}))^2] / 2.
     """
-    n = domain.size
     full = (1 << domain.k) - 1
     tables = _pair_hybrid_values(f, domain, [0, s, full ^ s])
     w = domain.weights()

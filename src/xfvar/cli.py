@@ -51,8 +51,7 @@ from .report import (
     dumps_report,
     format_table,
     read_report,
-    subset_key,
-    write_report,
+    subset_table,
 )
 from .scm import counterfactual_total, estimate_counterfactual_measure, read_model, write_model
 from .sensitivity import estimate_measure, named_function
@@ -229,16 +228,11 @@ def cmd_oracle(args) -> int:
         )
     dec = hoeffding_decompose(f, domain)
     idx = indices_from_decomposition(dec)
-    measure = exact_measure(dec, names)
-    n = 1 << len(names)
-    lower_table = {
-        subset_key(names, s): float(idx.lower[s] / dec.total_variance) for s in range(1, n)
-    }
     rep = RunReport(
-        measure,
+        exact_measure(dec, names),
         config={"command": "oracle", "model": args.model},
         outcome=model.outcome,
-        extra_tables={"lower": lower_table},
+        extra_tables={"lower": subset_table(names, idx.lower_normalized, 1)},
     )
     _emit(dumps_report(rep), args.out)
     return 0

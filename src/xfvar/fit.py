@@ -36,6 +36,8 @@ from .scm import (
     ScmModel,
     cell_ids,
     cell_key,
+    graph_from_json,
+    json_list,
 )
 
 DEFAULT_LEVELS = tuple(round(0.01 + 0.02 * i, 2) for i in range(50))  # 0.01 .. 0.99
@@ -59,7 +61,8 @@ class FitConfig:
         lv = np.asarray(self.levels, dtype=float)
         if lv.ndim != 1 or len(lv) == 0:
             raise FitError("levels must be a nonempty list")
-        if np.any(lv <= 0) or np.any(lv >= 1) or np.any(np.diff(lv) <= 0):
+        # written so that NaN fails it
+        if not (np.all(lv > 0) and np.all(lv < 1) and np.all(np.diff(lv) > 0)):
             raise FitError("levels must be strictly increasing inside (0, 1)")
         self.levels = tuple(float(x) for x in lv)
         if self.min_cell < 2:
@@ -370,25 +373,10 @@ def fit_model(data: Dataset, dag: Dag, cfg: FitConfig, outcome: str) -> ScmModel
 
 def dag_from_json(obj):
     """Parse a DAG config: nodes, parents, outcome, categorical columns."""
-    if not isinstance(obj, dict):
-        raise ModelError("DAG file must hold a JSON object")
-    for key in ("outcome", "nodes"):
-        if key not in obj:
-            raise ModelError(f"DAG file is missing {key!r}")
-    names, parents = [], []
-    for nd in obj["nodes"]:
-        if not isinstance(nd, dict) or "name" not in nd:
-            raise ModelError("each DAG node needs a 'name'")
-        names.append(str(nd["name"]))
-        parents.append(tuple(str(p) for p in nd.get("parents", [])))
-    if "variables" in obj and [str(v) for v in obj["variables"]] != names:
-        raise ModelError("'variables' must list the node names in declaration order")
-    dag = Dag(tuple(names), tuple(parents))
-    outcome = str(obj["outcome"])
-    if outcome not in dag.names:
-        raise ModelError(f"outcome {outcome!r} is not a node")
-    categorical = frozenset(str(c) for c in obj.get("categorical", ()))
-    unknown = categorical - set(names)
+    dag, outcome, _ = graph_from_json(obj, "DAG", ("name",))
+    categorical = json_list(obj.get("categorical", []), "DAG 'categorical'")
+    categorical = frozenset(str(c) for c in categorical)
+    unknown = categorical - set(dag.names)
     if unknown:
         raise ModelError(f"categorical lists unknown columns: {', '.join(sorted(unknown))}")
     if outcome in categorical:

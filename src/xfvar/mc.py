@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import TotalsTable
+from .algebra import TotalsTable, members, mobius_sign
 from .errors import DomainError, ModelError, ZeroVarianceError
 
 
@@ -135,9 +135,7 @@ def hybrid(e, ep, cols):
 
 def _union_cols(var_cols, mask):
     """Noise columns of the variables whose bits are set in mask."""
-    return np.array(
-        [c for j, cols in enumerate(var_cols) if mask >> j & 1 for c in cols], dtype=np.intp
-    )
+    return np.array([c for j in members(mask) for c in var_cols[j]], dtype=np.intp)
 
 
 # Rows 0-3 of every kernel result: sums of y0, y0**2, y1 and y1**2.
@@ -298,7 +296,7 @@ def superset_estimate(open_block, n_noise, var_cols, cfg: EstimatorConfig) -> Es
     over 2**|S| times the pooled variance.
     """
     size = len(var_cols)
-    signs = [(-1.0) ** (size - bin(i).count("1")) for i in range(1 << size)]
+    signs = [mobius_sign((1 << size) - 1, i) for i in range(1 << size)]
 
     def stat(y0, y1, hybrids):
         contrast = signs[0] * y0

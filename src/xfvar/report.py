@@ -20,15 +20,11 @@ from .algebra import (
     Provenance,
     measure_interaction,
     shapley_from_measure,
+    subset_key,
+    subset_label,
     totals_from_measure,
 )
 from .errors import ParseError
-
-
-def subset_key(names, mask: int) -> str:
-    """Report key for a variable subset: declaration-ordered names joined
-    by '+', empty string for the empty set."""
-    return "+".join(n for j, n in enumerate(names) if mask & (1 << j))
 
 
 @dataclass
@@ -40,12 +36,9 @@ class RunReport:
     extra_tables: dict = field(default_factory=dict)
 
 
-def _mask_table(names, values) -> dict:
-    return {subset_key(names, s): float(values[s]) for s in range(len(values))}
-
-
-def _nonempty_table(names, values) -> dict:
-    return {subset_key(names, s): float(values[s]) for s in range(1, len(values))}
+def subset_table(names, values, start: int = 0) -> dict:
+    """A report table: subset key -> value for the masks from start on."""
+    return {subset_key(names, s): float(values[s]) for s in range(start, len(values))}
 
 
 def report_to_json(rep: RunReport) -> dict:
@@ -58,12 +51,12 @@ def report_to_json(rep: RunReport) -> dict:
     out = {
         "variables": list(names),
         "outcome": rep.outcome,
-        "atoms": _mask_table(names, m.atom_mass),
+        "atoms": subset_table(names, m.atom_mass),
     }
     if m.atom_stderr is not None:
-        out["atom_stderr"] = _mask_table(names, m.atom_stderr)
-    out["totals"] = _nonempty_table(names, totals.total)
-    out["interactions"] = _nonempty_table(names, inter)
+        out["atom_stderr"] = subset_table(names, m.atom_stderr)
+    out["totals"] = subset_table(names, totals.total, 1)
+    out["interactions"] = subset_table(names, inter, 1)
     for key, table in rep.extra_tables.items():
         out[key] = table
     out["shapley"] = {n: float(v) for n, v in zip(names, sh.values)}
@@ -184,9 +177,8 @@ def format_table(rep: RunReport) -> str:
     lines.append("")
     lines.append(f"{'atom':<{width}}  {'mass':>9}")
     for s in range(1 << m.var_count):
-        label = subset_key(names, s) or "(none)"
         se = None if m.atom_stderr is None else m.atom_stderr[s]
-        lines.append(f"{label:<{width}}  {_fmt_pm(m.atom_mass[s], se)}")
+        lines.append(f"{subset_label(s, names):<{width}}  {_fmt_pm(m.atom_mass[s], se)}")
     lines.append("")
     lines.append(f"{'subset':<{width}}  {'total':>9}")
     for s in range(1, 1 << m.var_count):

@@ -140,8 +140,14 @@ _CLIP_LO = 1e-300
 _CLIP_HI = 1.0 - 1e-16
 
 
-def _gauss_quantile(e):
+def gauss_quantile(e):
+    """Standard normal quantile of uniform noise, clipped off 0 and 1."""
     return ndtri(np.clip(e, _CLIP_LO, _CLIP_HI))
+
+
+def rademacher_sign(e):
+    """+1 where e > 0.5, else -1: a tie at exactly 0.5 goes to -1."""
+    return np.where(e > 0.5, 1.0, -1.0)
 
 
 def canon_value(v) -> str:
@@ -271,16 +277,15 @@ class CellIndex:
     def __init__(self, node, n_parents, binning, keys):
         if binning is None:
             binning = (None,) * n_parents
-        if len(binning) != n_parents:
-            raise ModelError("binning length must match parent count")
+        if not isinstance(binning, (list, tuple)) or len(binning) != n_parents:
+            raise ModelError(f"node {node!r}: binning must hold one entry per parent")
         self.node = node
         self.binning = tuple(
-            None if b is None else np.asarray(b, dtype=float) for b in binning
+            None if b is None else _floats(node, f"binning of parent {j}", b)
+            for j, b in enumerate(binning)
         )
         for j, b in enumerate(self.binning):
-            if b is not None and not (
-                b.ndim == 1 and np.isfinite(b).all() and (np.diff(b) >= 0).all()
-            ):
+            if b is not None and not (np.isfinite(b).all() and (np.diff(b) >= 0).all()):
                 raise ModelError(
                     f"node {node!r}: binning of parent {j} must be a list of finite, "
                     "non-decreasing cut points"
@@ -412,7 +417,9 @@ class ParentFn:
         self.formula = formula
         self.cells = None
         if cells is not None:
-            self.cells = {str(k): float(v) for k, v in cells.items()}
+            if not isinstance(cells, dict):
+                raise ModelError(f"node {node!r}: cells must be an object")
+            self.cells = {str(k): _float(node, f"cell {k!r}", v) for k, v in cells.items()}
             self.index = CellIndex(node, len(self.parent_names), binning, self.cells)
             self._values = np.array([self.cells[k] for k in self.index.keys], dtype=float)
 
@@ -465,6 +472,23 @@ def _check_finite(node, what, values):
         raise ModelError(f"node {node!r}: {what} must be finite")
 
 
+def _float(node, what, v):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ModelError(f"node {node!r}: {what} must be a number") from None
+
+
+def _floats(node, what, v):
+    """v as a 1-D float array."""
+    try:
+        out = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != 1:
+        raise ModelError(f"node {node!r}: {what} must be a list of numbers")
+    return out
+
 class Mechanism:
     """One node's conditional-quantile transform V = Q(e | parents).
 
@@ -495,14 +519,14 @@ class RootGaussian(Mechanism):
 
     def __init__(self, node, mean=0.0, std=1.0):
         self.node = node
-        self.mean = float(mean)
-        self.std = float(std)
+        self.mean = _float(node, "mean", mean)
+        self.std = _float(node, "std", std)
         _check_finite(node, "mean and std", [self.mean, self.std])
         if not (self.std >= 0.0):
             raise ModelError(f"node {node!r}: std must be >= 0")
 
     def sample(self, e, parents):
-        return self.mean + self.std * _gauss_quantile(e)
+        return self.mean + self.std * gauss_quantile(e)
 
     def to_json(self):
         return {"kind": self.kind, "mean": self.mean, "std": self.std}
@@ -514,8 +538,8 @@ class RootUniform(Mechanism):
 
     def __init__(self, node, low=0.0, high=1.0):
         self.node = node
-        self.low = float(low)
-        self.high = float(high)
+        self.low = _float(node, "low", low)
+        self.high = _float(node, "high", high)
         _check_finite(node, "low and high", [self.low, self.high])
         if not (self.high >= self.low):
             raise ModelError(f"node {node!r}: need high >= low")
@@ -535,7 +559,7 @@ class RootRademacher(Mechanism):
         self.node = node
 
     def sample(self, e, parents):
-        return np.where(e > 0.5, 1.0, -1.0)
+        return rademacher_sign(e)
 
     def discrete_law(self):
         return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
@@ -550,10 +574,12 @@ class RootCategorical(Mechanism):
 
     def __init__(self, node, values, probs, labels=None):
         self.node = node
-        self.values = np.asarray(values, dtype=float)
-        self.probs = np.asarray(probs, dtype=float)
+        self.values = _floats(node, "values", values)
+        self.probs = _floats(node, "probs", probs)
+        if labels is not None and not isinstance(labels, (list, tuple)):
+            raise ModelError(f"node {node!r}: labels must be a list")
         self.labels = None if labels is None else tuple(str(x) for x in labels)
-        if self.values.ndim != 1 or self.values.shape != self.probs.shape:
+        if self.values.shape != self.probs.shape:
             raise ModelError(f"node {node!r}: values and probs must be equal-length lists")
         if len(self.values) == 0:
             raise ModelError(f"node {node!r}: empty categorical")
@@ -593,8 +619,8 @@ class RootEmpirical(Mechanism):
 
     def __init__(self, node, values):
         self.node = node
-        self.values = np.sort(np.asarray(values, dtype=float))
-        if self.values.ndim != 1 or len(self.values) == 0:
+        self.values = np.sort(_floats(node, "values", values))
+        if len(self.values) == 0:
             raise ModelError(f"node {node!r}: need a nonempty sample list")
         _check_finite(node, "sample values", self.values)
 
@@ -626,8 +652,8 @@ class QuantileTable(Mechanism):
     def __init__(self, node, parent_names, levels, cells, binning=None):
         self.node = node
         self.parent_names = tuple(parent_names)
-        self.levels = np.asarray(levels, dtype=float)
-        if self.levels.ndim != 1 or len(self.levels) < 1:
+        self.levels = _floats(node, "levels", levels)
+        if len(self.levels) < 1:
             raise ModelError(f"node {node!r}: need at least one quantile level")
         _check_finite(node, "levels", self.levels)
         if np.any(self.levels <= 0) or np.any(self.levels >= 1):
@@ -636,9 +662,11 @@ class QuantileTable(Mechanism):
             raise ModelError(f"node {node!r}: levels must be strictly increasing")
         if not self.parent_names:
             raise ModelError(f"node {node!r}: quantile_table needs parents; use a root")
+        if not isinstance(cells, dict):
+            raise ModelError(f"node {node!r}: cells must be an object")
         self.cells = {}
         for key, grid in cells.items():
-            g = np.asarray(grid, dtype=float)
+            g = _floats(node, f"cell {key!r} grid", grid)
             if g.shape != self.levels.shape:
                 raise ModelError(
                     f"node {node!r}: cell {key!r} grid length {g.size} != "
@@ -694,7 +722,7 @@ class AdditiveNoise(Mechanism):
         self.node = node
         self.parent_names = tuple(parent_names)
         self.mean = mean
-        self.residuals = np.sort(np.asarray(residuals, dtype=float))
+        self.residuals = np.sort(_floats(node, "residuals", residuals))
         if len(self.residuals) == 0:
             raise ModelError(f"node {node!r}: residual pool is empty")
 
@@ -724,7 +752,7 @@ class HeteroGaussian(Mechanism):
         s = np.asarray(self.std(parents, len(e)), dtype=float)
         if np.any(s < 0):
             raise ModelError(f"node {self.node!r}: stddev went negative")
-        return self.mean(parents, len(e)) + s * _gauss_quantile(e)
+        return self.mean(parents, len(e)) + s * gauss_quantile(e)
 
     def to_json(self):
         return {"kind": self.kind, "mean": self.mean.to_json(), "std": self.std.to_json()}
@@ -750,9 +778,17 @@ class Deterministic(Mechanism):
 
 
 def mechanism_from_json(node, parent_names, obj):
+    """A node's mechanism from its model-file object; ModelError names
+    the node and the field that is missing or of the wrong type."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ModelError(f"node {node!r}: mechanism must be an object with a 'kind'")
     kind = obj["kind"]
+
+    def need(key):
+        if key not in obj:
+            raise ModelError(f"node {node!r}: {kind} mechanism is missing {key!r}")
+        return obj[key]
+
     if kind == "root_gaussian":
         return RootGaussian(node, obj.get("mean", 0.0), obj.get("std", 1.0))
     if kind == "root_uniform":
@@ -760,20 +796,21 @@ def mechanism_from_json(node, parent_names, obj):
     if kind == "root_rademacher":
         return RootRademacher(node)
     if kind == "root_categorical":
-        return RootCategorical(node, obj["values"], obj["probs"], obj.get("labels"))
+        return RootCategorical(node, need("values"), need("probs"), obj.get("labels"))
     if kind == "root_empirical":
-        return RootEmpirical(node, obj["values"])
+        return RootEmpirical(node, need("values"))
     if kind == "quantile_table":
-        return QuantileTable(node, parent_names, obj["levels"], obj["cells"], obj.get("binning"))
+        levels, cells = need("levels"), need("cells")
+        return QuantileTable(node, parent_names, levels, cells, obj.get("binning"))
     if kind == "additive_noise":
-        mean = ParentFn.from_json(node, parent_names, obj["mean"])
-        return AdditiveNoise(node, parent_names, mean, obj["residuals"])
+        mean = ParentFn.from_json(node, parent_names, need("mean"))
+        return AdditiveNoise(node, parent_names, mean, need("residuals"))
     if kind == "hetero_gaussian":
-        mean = ParentFn.from_json(node, parent_names, obj["mean"])
-        std = ParentFn.from_json(node, parent_names, obj["std"])
+        mean = ParentFn.from_json(node, parent_names, need("mean"))
+        std = ParentFn.from_json(node, parent_names, need("std"))
         return HeteroGaussian(node, parent_names, mean, std)
     if kind == "deterministic":
-        f = parse_formula(str(obj["expr"]), parent_names)
+        f = parse_formula(str(need("expr")), parent_names)
         return Deterministic(node, parent_names, f)
     raise ModelError(f"node {node!r}: unknown mechanism kind {kind!r}")
 
@@ -1039,33 +1076,49 @@ def model_to_json(model: ScmModel) -> dict:
     return out
 
 
-def model_from_json(obj) -> ScmModel:
+def json_list(v, what):
+    """v when it is a list; ModelError naming the field what otherwise."""
+    if not isinstance(v, list):
+        raise ModelError(f"{what} must be a list")
+    return v
+
+
+def graph_from_json(obj, what, node_keys):
+    """The Dag, outcome and node objects of a model or DAG file.
+
+    what ("model" or "DAG") names the file in messages, and every node
+    object needs node_keys. Raises ModelError naming the first field
+    that is missing or of the wrong type.
+    """
     if not isinstance(obj, dict):
-        raise ModelError("model file must hold a JSON object")
+        raise ModelError(f"{what} file must hold a JSON object")
     for key in ("outcome", "nodes"):
         if key not in obj:
-            raise ModelError(f"model file is missing {key!r}")
-    raw_nodes = obj["nodes"]
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ModelError("model 'nodes' must be a nonempty list")
-    names, parents, mechs = [], [], []
-    for nd in raw_nodes:
-        if not isinstance(nd, dict) or "name" not in nd or "mechanism" not in nd:
-            raise ModelError("each node needs 'name', 'parents' and 'mechanism'")
+            raise ModelError(f"{what} file is missing {key!r}")
+    nodes = json_list(obj["nodes"], f"{what} 'nodes'")
+    names, parents = [], []
+    for nd in nodes:
+        if not isinstance(nd, dict) or any(k not in nd for k in node_keys):
+            raise ModelError(f"each {what} node needs {' and '.join(map(repr, node_keys))}")
         names.append(str(nd["name"]))
-        parents.append([str(p) for p in nd.get("parents", [])])
-    if "variables" in obj and [str(v) for v in obj["variables"]] != names:
+        parents.append(tuple(json_list(nd.get("parents", []), f"node {names[-1]!r}: parents")))
+    if [str(v) for v in json_list(obj.get("variables", names), "'variables'")] != names:
         raise ModelError("'variables' must list the node names in declaration order")
-    for nd, n, ps in zip(raw_nodes, names, parents):
-        mechs.append(mechanism_from_json(n, tuple(ps), nd["mechanism"]))
-    dag = Dag(tuple(names), tuple(tuple(p) for p in parents))
-    return ScmModel(
-        dag,
-        tuple(mechs),
-        outcome=str(obj["outcome"]),
-        name=obj.get("name"),
-        fitted=tuple(obj.get("fitted", ())),
-    )
+    dag = Dag(tuple(names), tuple(parents))
+    outcome = str(obj["outcome"])
+    if outcome not in dag.names:
+        raise ModelError(f"outcome {outcome!r} is not a node")
+    return dag, outcome, nodes
+
+
+def model_from_json(obj) -> ScmModel:
+    dag, outcome, nodes = graph_from_json(obj, "model", ("name", "mechanism"))
+    mechs = [
+        mechanism_from_json(n, ps, nd["mechanism"])
+        for n, ps, nd in zip(dag.names, dag.parents, nodes)
+    ]
+    fitted = json_list(obj.get("fitted", []), "model 'fitted'")
+    return ScmModel(dag, tuple(mechs), outcome, name=obj.get("name"), fitted=tuple(fitted))
 
 
 def read_model(path) -> ScmModel:

@@ -9,13 +9,13 @@ alone and two estimators with the same config share their sample pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import expit, ndtri
+from scipy.special import expit
 
 from . import mc
-from .algebra import MAX_VARS, ExplanationMeasure, Provenance, measure_from_totals
+from .algebra import MAX_VARS, ExplanationMeasure, Provenance, measure_from_totals, members, mobius_sign
 from .errors import DomainError
 from .mc import (
     Estimate,
@@ -26,12 +26,13 @@ from .mc import (
     superset_estimate,
     upper_estimate,
 )
+from .scm import gauss_quantile, rademacher_sign
 
 Quantile = Callable[[np.ndarray], np.ndarray]
 
 
 def normal_quantile(mean=0.0, std=1.0) -> Quantile:
-    return lambda u: mean + std * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    return lambda u: mean + std * gauss_quantile(u)
 
 
 def uniform_quantile(low=0.0, high=1.0) -> Quantile:
@@ -39,8 +40,7 @@ def uniform_quantile(low=0.0, high=1.0) -> Quantile:
 
 
 def rademacher_quantile() -> Quantile:
-    # u > 0.5 -> +1, else -1; ties at exactly 0.5 go to -1
-    return lambda u: np.where(u > 0.5, 1.0, -1.0)
+    return rademacher_sign
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,9 @@ def interaction_contrast(f, w, w2, subset) -> float:
     rows = np.tile(w, (1 << len(s), 1))
     signs = np.empty(1 << len(s))
     for i in range(1 << len(s)):
-        chosen = [s[b] for b in range(len(s)) if i & (1 << b)]
+        chosen = [s[b] for b in members(i)]
         rows[i, chosen] = w2[chosen]
-        signs[i] = (-1.0) ** (len(s) - len(chosen))
+        signs[i] = mobius_sign((1 << len(s)) - 1, i)
     vals = np.asarray(f(rows), dtype=float).ravel()
     return float(np.dot(signs, vals))
 

@@ -9,7 +9,7 @@ atom mass merges into the matching region of the remaining variables.
 
 from __future__ import annotations
 
-from .algebra import ExplanationMeasure, measure_marginalize
+from .algebra import ExplanationMeasure, measure_marginalize, subset_key
 from .errors import DomainError
 
 _WEDGE = "∧"
@@ -30,16 +30,10 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def region_label(names, mask: int) -> str:
-    if mask == 0:
-        return "{}"
-    return "{" + _WEDGE.join(n for j, n in enumerate(names) if mask & (1 << j)) + "}"
-
-
 def venn_ascii(m: ExplanationMeasure, outcome=None) -> str:
     """Labeled region table; the {} row is the unexplained mass."""
     m = _display_measure(m, outcome)
-    labels = [region_label(m.names, s) for s in range(1 << m.var_count)]
+    labels = ["{" + subset_key(m.names, s, _WEDGE) + "}" for s in range(1 << m.var_count)]
     width = max(len(x) for x in labels)
     lines = ["venn regions (atom masses)"]
     for s, label in enumerate(labels):

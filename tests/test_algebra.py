@@ -23,9 +23,12 @@ from xfvar.algebra import (
     measure_query,
     measure_query_str,
     measure_validate,
+    members,
+    mobius_sign,
     parse_clause,
     popcount,
     shapley_from_measure,
+    submasks,
     subset_label,
     subset_zeta,
     superset_mobius,
@@ -69,6 +72,77 @@ def test_zeta_transforms_match_bruteforce():
         for s in range(n):
             assert sub[s] == pytest.approx(sum(v[t] for t in range(n) if t & s == t), rel=1e-12)
             assert sup[s] == pytest.approx(sum(v[t] for t in range(n) if t & s == s), rel=1e-12)
+
+
+# The per-bit loops the lattice transforms had before they shared one pass,
+# kept as bit-level references.
+
+
+def _ref_subset_zeta(values):
+    out = np.array(values, dtype=float, copy=True)
+    idx = np.arange(len(out))
+    k = 0
+    while (1 << k) < len(out):
+        has = (idx & (1 << k)) != 0
+        out[has] += out[idx[has] ^ (1 << k)]
+        k += 1
+    return out
+
+
+def _ref_superset_pass(values, sign):
+    out = np.array(values, dtype=float, copy=True)
+    idx = np.arange(len(out))
+    k = 0
+    while (1 << k) < len(out):
+        lacks = (idx & (1 << k)) == 0
+        if sign > 0:
+            out[lacks] += out[idx[lacks] | (1 << k)]
+        else:
+            out[lacks] -= out[idx[lacks] | (1 << k)]
+        k += 1
+    return out
+
+
+def _hex(a):
+    return [float(x).hex() for x in a]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_lattice_transforms_match_the_per_bit_loops_bit_for_bit(k):
+    n = 1 << k
+    full = n - 1
+    rng = np.random.default_rng(100 + k)
+    v = rng.normal(size=n)
+    assert _hex(subset_zeta(v)) == _hex(_ref_subset_zeta(v))
+    assert _hex(superset_zeta(v)) == _hex(_ref_superset_pass(v, 1))
+    assert _hex(superset_mobius(v)) == _hex(_ref_superset_pass(v, -1))
+
+    total = rng.uniform(size=n)
+    total[0] = 0.0
+    stderr = rng.uniform(0.0, 0.01, size=n)
+    names = tuple(f"V{i}" for i in range(k))
+    m = measure_from_totals(TotalsTable(k, total, stderr), names, tol=None)
+    inter = _ref_subset_zeta(np.where(popcount(np.arange(n)) % 2 == 1, total, -total))
+    inter[0] = 1.0
+    atoms = _ref_superset_pass(inter, -1)
+    atoms[0] = 1.0 - total[full]
+    assert _hex(m.atom_mass) == _hex(atoms)
+    want_se = np.sqrt(_ref_superset_pass(stderr**2, 1)[full ^ np.arange(n)])
+    assert _hex(m.atom_stderr) == _hex(want_se)
+
+    within = _ref_subset_zeta(m.atom_mass)
+    want = within[full] - within[full ^ np.arange(n)]
+    want[0] = 0.0
+    assert _hex(totals_from_measure(m).total) == _hex(want)
+
+
+def test_submask_walk_parity_and_members_match_brute_force():
+    for s in list(range(256)) + [0b1010_0110_0101, (1 << 12) - 1]:
+        want = [t for t in range(s, -1, -1) if t & ~s == 0]
+        assert list(submasks(s)) == want
+        assert members(s) == [j for j in range(s.bit_length()) if s >> j & 1]
+        for t in want:
+            assert mobius_sign(s, t) == (-1.0) ** (bin(s).count("1") - bin(t).count("1"))
 
 
 def test_superset_mobius_inverts_zeta():

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xfvar import algebra, anova_oracle
 from xfvar.anova_oracle import (
     DiscreteDomain,
     exact_contrast_cov,
@@ -113,6 +114,28 @@ def test_variances_are_orthogonal_sum():
     dec = check_decomposition(hoeffding_decompose(f, dom))
     assert dec.sigma2.sum() == pytest.approx(dec.total_variance, rel=1e-12)
     assert dec.sigma2[0] == 0.0
+
+
+def test_ring_decomposition_takes_no_array_popcount(monkeypatch):
+    # Moebius signs of single masks come from int.bit_count, not from a
+    # numpy round trip per sign
+    def no_popcount(masks):
+        raise AssertionError("algebra.popcount called")
+
+    monkeypatch.setattr(algebra, "popcount", no_popcount)
+    assert not hasattr(anova_oracle, "popcount")
+    a = np.linspace(0.2, 0.8, 7)
+    b = np.linspace(-0.9, -0.3, 7)
+
+    def ring(w):
+        return w @ a + sum(b[i] * w[:, i] * w[:, (i + 1) % 7] for i in range(7))
+
+    dec = check_decomposition(hoeffding_decompose(ring, rademacher_domain(7)))
+    want = np.zeros(1 << 7)
+    for i in range(7):
+        want[1 << i] = a[i] ** 2
+        want[(1 << i) | (1 << (i + 1) % 7)] = b[i] ** 2
+    assert np.allclose(dec.sigma2, want, atol=1e-12)
 
 
 def test_pickfreeze_identities_match_decomposition():

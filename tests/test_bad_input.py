@@ -8,6 +8,7 @@ here also shows that no warning was raised.
 
 import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,3 +245,122 @@ def test_monte_carlo_budget_prints_one_line_outside_pytest():
     assert proc.returncode == 2
     assert proc.stderr == f"error[E02]: 900000000000000 outcome evaluations {BUDGET}\n"
     assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# Malformed model and DAG files
+
+
+def _node(name, parents, mechanism):
+    return {"name": name, "parents": parents, "mechanism": mechanism}
+
+
+# one node per mechanism family that reads lists, numbers or cell tables
+GOOD_MODEL = {
+    "variables": ["A", "B", "C", "D", "E", "Y"],
+    "outcome": "Y",
+    "fitted": ["fitted:quantile_grid"],
+    "nodes": [
+        _node("A", [], {"kind": "root_categorical", "values": [0.0, 1.0], "probs": [0.5, 0.5],
+                        "labels": ["a", "b"]}),
+        _node("B", [], {"kind": "root_empirical", "values": [1.0, 2.0, 3.0]}),
+        _node("C", [], {"kind": "root_gaussian", "mean": 0.0, "std": 1.0}),
+        _node("D", ["A"], {"kind": "quantile_table", "levels": [0.25, 0.75],
+                           "cells": {"0": [0.0, 1.0], "1": [1.0, 2.0]}}),
+        _node("E", ["C"], {"kind": "additive_noise", "residuals": [-1.0, 1.0],
+                           "mean": {"cells": {"b0": 0.0, "b1": 1.0}, "binning": [[0.0]]}}),
+        _node("Y", ["A", "B", "D", "E"], {"kind": "deterministic", "expr": "A + B + D + E"}),
+    ],
+}
+
+
+def _mech(i, key, value):
+    """Edit that sets field key of node i's mechanism."""
+    return _put(["nodes", i, "mechanism", key], value)
+
+
+MODEL_CASES = {
+    "probs_not_a_list": (_mech(0, "probs", "ab"), "node 'A': probs must be a list of numbers"),
+    "empirical_values_object": (_mech(1, "values", {"a": 1}), "node 'B': values must be a list"),
+    "mean_not_a_number": (_mech(2, "mean", "x"), "node 'C': mean must be a number"),
+    "categorical_without_values": (_drop("nodes", 0, "mechanism", "values"),
+                                   "node 'A': root_categorical mechanism is missing 'values'"),
+    "parents_not_a_list": (_put(["nodes", 3, "parents"], 5), "node 'D': parents must be a list"),
+    "parents_a_string": (_put(["nodes", 5, "parents"], "ABDE"), "node 'Y': parents must be a list"),
+    "cells_a_list": (_mech(3, "cells", [1, 2]), "node 'D': cells must be an object"),
+    "cell_grid_a_string": (_put(["nodes", 3, "mechanism", "cells", "0"], "x"),
+                           "node 'D': cell '0' grid must be a list of numbers"),
+    "residuals_a_string": (_mech(4, "residuals", "ab"), "node 'E': residuals must be a list"),
+    "cell_value_a_string": (_put(["nodes", 4, "mechanism", "mean", "cells", "b0"], "x"),
+                            "node 'E': cell 'b0' must be a number"),
+    "binning_of_strings": (_put(["nodes", 4, "mechanism", "mean", "binning"], ["x"]),
+                           "node 'E': binning of parent 0 must be a list of numbers"),
+    "labels_a_number": (_mech(0, "labels", 5), "node 'A': labels must be a list"),
+    "fitted_a_number": (_put(["fitted"], 5), "model 'fitted' must be a list"),
+    "variables_a_number": (_put(["variables"], 5), "'variables' must be a list"),
+}
+
+EXCEPTION_NAME = re.compile(r"\b[A-Z]\w*(Error|Exception)\b")
+
+
+def test_good_model_runs(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(GOOD_MODEL))
+    assert run_cli(["counterfactual", "--model", str(p), "--samples", "200"]) == 0
+
+
+def assert_one_file_error(capsys, code, fragment):
+    """One error[E02] line holding fragment and no Python exception name."""
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error[E02]:") and err.count("\n") == 1, err
+    assert fragment in err and not EXCEPTION_NAME.search(err), err
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+def test_malformed_model_exits_2(tmp_path, capsys, case):
+    edit, fragment = MODEL_CASES[case]
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(edit(copy.deepcopy(GOOD_MODEL))))
+    code = run_cli(["counterfactual", "--model", str(p), "--samples", "200"])
+    assert_one_file_error(capsys, code, fragment)
+
+
+GOOD_DAG = {"outcome": "Y", "nodes": [{"name": "A"}, {"name": "Y", "parents": ["A"]}],
+            "categorical": ["A"]}
+
+DAG_CASES = {
+    "nodes_a_number": (_put(["nodes"], 5), "DAG 'nodes' must be a list"),
+    "categorical_a_number": (_put(["categorical"], 5), "DAG 'categorical' must be a list"),
+    "parents_a_string": (_put(["nodes", 1, "parents"], "A"), "node 'Y': parents must be a list"),
+}
+
+
+def _fit_argv(tmp_path, dag, extra=()):
+    csv = tmp_path / "d.csv"
+    csv.write_text("A,Y\n" + "".join(f"{'ab'[i % 2]},{i % 7}\n" for i in range(60)))
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps(dag))
+    return ["fit", "--data", str(csv), "--dag", str(p), "--out", str(tmp_path / "m.json"), *extra]
+
+
+def test_good_dag_fits(tmp_path, capsys):
+    assert run_cli(_fit_argv(tmp_path, GOOD_DAG)) == 0
+
+
+@pytest.mark.parametrize("case", sorted(DAG_CASES))
+def test_malformed_dag_exits_2(tmp_path, capsys, case):
+    edit, fragment = DAG_CASES[case]
+    code = run_cli(_fit_argv(tmp_path, edit(copy.deepcopy(GOOD_DAG))))
+    assert_one_file_error(capsys, code, fragment)
+
+
+# ---------------------------------------------------------------------------
+# Quantile levels that are not finite
+
+
+@pytest.mark.parametrize("method", ["quantile_grid", "additive_empirical"])
+@pytest.mark.parametrize("levels", ["0.1,nan,0.9", "nan", "0.1,inf"])
+def test_non_finite_levels_exit_5(tmp_path, capsys, method, levels):
+    code = run_cli(_fit_argv(tmp_path, GOOD_DAG, ["--method", method, "--levels", levels]))
+    assert_one_error(capsys, code, 5, "levels must be strictly increasing inside (0, 1)")
