@@ -22,6 +22,10 @@ from .errors import ParseError
 
 MAX_VARS = 16
 
+# How far a discrete law's probabilities may sum from 1: the one check of a
+# root_categorical node and of the oracle's discrete domain.
+PROB_SUM_TOL = 1e-9
+
 
 def _check_var_count(var_count: int) -> None:
     if not 1 <= var_count <= MAX_VARS:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .algebra import (
     EXACT,
+    PROB_SUM_TOL,
     ExplanationMeasure,
     iter_subsets,
     mass_meeting,
@@ -53,7 +54,7 @@ class DiscreteDomain:
                 raise DomainError(f"variable {k}: support and probabilities must match and be non-empty")
             if len(np.unique(v)) != v.size:
                 raise DomainError(f"variable {k}: support values must be unique")
-            if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+            if np.any(p < 0) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
                 raise DomainError(f"variable {k}: probabilities must be >= 0 and sum to 1")
             size *= v.size
         if size > ENUMERATION_BUDGET:
@@ -169,7 +170,7 @@ def _subset_weights(domain: DiscreteDomain, s: int) -> np.ndarray:
 class SensitivityIndices:
     """Lower, upper, and superset variance indices for every subset.
 
-    Arrays are bitmask-indexed; *_normalized divide by total_variance.
+    Arrays are bitmask-indexed; lower_normalized divides by total_variance.
     """
 
     total_variance: float
@@ -180,14 +181,6 @@ class SensitivityIndices:
     @property
     def lower_normalized(self):
         return self.lower / self.total_variance
-
-    @property
-    def upper_normalized(self):
-        return self.upper / self.total_variance
-
-    @property
-    def superset_normalized(self):
-        return self.superset / self.total_variance
 
 
 def indices_from_decomposition(dec: AnovaDecomposition) -> SensitivityIndices:

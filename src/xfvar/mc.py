@@ -1,21 +1,25 @@
 """Pick-freeze Monte Carlo engine shared by `sensitivity` and `scm`.
 
-Every estimator is one call of a single streaming kernel. Per block of
-replicate pairs (E, E') of uniform noise, shape (m, n_noise) each, the
-kernel opens one hybrid evaluator, open_block(E, E'), which returns
-y(cols): the outcome of the hybrid that takes the noise columns cols from
-E' and the rest from E. y(()) is y(E) and y(every column) is y(E'). The
+Every estimator is one call of a single streaming kernel,
+per_batch_sums. Hybrids are named by int bitmasks over the noise
+columns: bit c set means column c is resampled. Per block of replicate
+pairs (E, E') of uniform noise, shape (m, n_noise) each, the kernel
+opens one hybrid evaluator, open_block(E, E'), which returns y(mask):
+the outcome of the hybrid that takes the columns set in mask from E' and
+the rest from E. y(0) is y(E) and y(every column) is y(E'). The
 providers decide how much of each hybrid they recompute: `sensitivity`
 transforms E and E' once and builds hybrids in value space, `scm`
 memoizes node values on the resampled ancestors. Per block the kernel
-asks for y(E), y(E') and a list of hybrids, with one hybrid output alive
-at a time. It sums, per stderr batch, the baseline moments of y(E) and
-y(E') and the rows of a small per-estimator statistic; the ratio
-estimators share one pooled-variance and batch-stderr step.
+asks for y(E), y(E') and a list of hybrid masks, with one hybrid output
+alive at a time, and sums the rows of a small per-estimator statistic
+per stderr batch.
 
-`pickfreeze_totals` and `superset_estimate` take one noise-column list per
-query variable: the hybrid of a variable set resamples the union of its
-variables' columns, and hybrids are enumerated by increasing bitmask.
+upper_estimate, lower_estimate and superset_estimate take the noise mask
+S they estimate and yield the baseline moments of y(E) and y(E') as
+their first four rows, for the pooled-variance and batch-stderr step
+they share. pickfreeze_totals takes one noise column per query variable
+and enumerates the hybrids of every variable set by increasing bitmask;
+it squares only differences of outcomes.
 
 Noise follows the counter-based stream contract of `rng`. Replicate
 blocks are independent work items whose partial sums are combined in
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import TotalsTable, members, mobius_sign
+from .algebra import TotalsTable, mobius_sign, submasks
 from .errors import DomainError, ModelError, ZeroVarianceError
 
 
@@ -87,16 +91,28 @@ def _batch_starts(m: int, nb: int) -> np.ndarray:
     return np.array([(b * m) // nb for b in range(nb)] + [m], dtype=np.int64)
 
 
-def per_batch_sums(n_noise, cfg: EstimatorConfig, fill_block, n_stats):
-    """Accumulate per-replicate statistics into per-batch sums.
+def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorConfig):
+    """The kernel: per-batch sums of the rows of a per-replicate statistic.
 
-    fill_block(E, Ep, add_row) must compute statistic rows for one block
-    of replicates and hand each to add_row(row_index, values) with values
-    of shape (block length,). Returns an (n_stats, BATCHES) array of sums.
+    open_block(E, E') is called once per block and returns y(mask), the
+    outcome of the hybrid that takes the noise columns set in mask from
+    E'. stat(y0, y1, outs) must yield n_stats rows, where y0 = y(0) is
+    y(E), y1 = y(every column) is y(E'), and outs iterates y over the
+    masks hybrids[0], hybrids[1], ... in that order, each evaluated when
+    stat asks for it. Returns an (n_stats, BATCHES) array of sums.
+
+    Raises DomainError before the first block past MC_BUDGET outcome
+    evaluations, and ModelError when twice a row's total is not finite:
+    finite outcomes whose squares (or whose differences' squares) overflow
+    float64. The ratio steps that follow add at most two totals, so they
+    stay finite.
     """
     m = cfg.samples
+    evals = (len(hybrids) + 2) * m
+    if evals > MC_BUDGET:
+        raise DomainError(f"{evals} outcome evaluations exceed the Monte Carlo budget {MC_BUDGET}")
+    every = (1 << n_noise) - 1
     starts = _batch_starts(m, BATCHES)
-    acc = np.zeros((n_stats, BATCHES))
 
     def work(block_index):
         g0 = block_index * rng.BLOCK_LEN
@@ -106,23 +122,24 @@ def per_batch_sums(n_noise, cfg: EstimatorConfig, fill_block, n_stats):
         b1 = bisect_right(starts, g1 - 1) - 1
         bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
         part = np.zeros((n_stats, b1 - b0 + 1))
-
-        def add_row(r, vals):
-            part[r] += np.add.reduceat(vals, bounds)
-
-        fill_block(u[:, :, 0], u[:, :, 1], add_row)
+        # set here as well: pool threads do not inherit the caller's errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = open_block(u[:, :, 0], u[:, :, 1])
+            rows = stat(y(0), y(every), (y(s) for s in hybrids))
+            for r, vals in enumerate(rows):
+                part[r] += np.add.reduceat(vals, bounds)
         return b0, part
 
+    acc = np.zeros((n_stats, BATCHES))
     blocks = range(rng.n_blocks(m))
     workers = _n_workers(cfg.threads)
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for b0, part in pool.map(work, blocks):
-                acc[:, b0 : b0 + part.shape[1]] += part
-    else:
-        for bi in blocks:
-            b0, part = work(bi)
+    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(workers) as pool:
+        parts = pool.map(work, blocks) if workers > 1 and len(blocks) > 1 else map(work, blocks)
+        for b0, part in parts:
             acc[:, b0 : b0 + part.shape[1]] += part
+        finite = np.isfinite(2.0 * acc.sum(axis=1)).all()
+    if not finite:
+        raise ModelError("outcome values are too large to square in float64")
     return acc
 
 
@@ -133,54 +150,10 @@ def hybrid(e, ep, cols):
     return h
 
 
-def _union_cols(var_cols, mask):
-    """Noise columns of the variables whose bits are set in mask."""
-    return np.array([c for j in members(mask) for c in var_cols[j]], dtype=np.intp)
-
-
-# Rows 0-3 of every kernel result: sums of y0, y0**2, y1 and y1**2.
-_MOMENTS = 4
-
-
-def _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, n_stats, cfg: EstimatorConfig):
-    """The kernel: per-batch sums of the baseline moments and of stat's rows.
-
-    open_block(E, E') is called once per block and returns y(cols), the
-    outcome of the hybrid that takes cols from E'. y0 = y(E) and
-    y1 = y(E'); stat(y0, y1, hybrids) must yield n_stats rows, where
-    hybrids iterates y over hybrid_cols[0], hybrid_cols[1], ... in that
-    order. Returns a (4 + n_stats, BATCHES) array whose first four rows
-    are the moments.
-
-    Raises DomainError before the first block past MC_BUDGET outcome
-    evaluations, and ModelError when twice a row's total is not finite:
-    finite outcomes whose squares overflow float64. The ratio steps that
-    follow add at most two totals, so they stay finite.
-    """
-    evals = (len(hybrid_cols) + 2) * cfg.samples
-    if evals > MC_BUDGET:
-        raise DomainError(f"{evals} outcome evaluations exceed the Monte Carlo budget {MC_BUDGET}")
-    none = np.zeros(0, dtype=np.intp)
-    every = np.arange(n_noise, dtype=np.intp)
-
-    def fill_block(e, ep, add_row):
-        y = open_block(e, ep)
-        # set here as well: pool threads do not inherit the caller's errstate
-        with np.errstate(over="ignore", invalid="ignore"):
-            y0 = y(none)
-            y1 = y(every)
-            for r, vals in enumerate((y0, y0**2, y1, y1**2)):
-                add_row(r, vals)
-            hybrids = (y(cols) for cols in hybrid_cols)
-            for r, vals in enumerate(stat(y0, y1, hybrids), _MOMENTS):
-                add_row(r, vals)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = per_batch_sums(n_noise, cfg, fill_block, _MOMENTS + n_stats)
-        finite = np.isfinite(2.0 * acc.sum(axis=1)).all()
-    if not finite:
-        raise ModelError("outcome values are too large to square in float64")
-    return acc
+def _moments(y0, y1):
+    """Rows 0-3 of a ratio estimator's statistic: y0, y0**2, y1 and y1**2,
+    the baseline moments _pooled_variance reads."""
+    return y0, y0**2, y1, y1**2
 
 
 def _pooled_variance(sums, counts):
@@ -217,31 +190,34 @@ def _pooled_ratio(acc, num, cfg: EstimatorConfig) -> Estimate:
     return Estimate(float(num(totals, m) / vpool), stderr, cfg.samples)
 
 
-def pickfreeze_totals(open_block, n_noise, var_cols, cfg: EstimatorConfig) -> TotalsTable:
+def pickfreeze_totals(open_block, n_noise, cols, cfg: EstimatorConfig) -> TotalsTable:
     """Totals for every nonempty set of query variables from common random pairs.
 
-    var_cols[j] lists the noise columns owned by query variable j. The
-    denominator is the all-coordinates pick-freeze numerator
-    sum((y(E) - y(E'))^2) / (2M), an unbiased variance estimate built
-    from the same pooled outputs, so the total of the full query set is
-    exactly 1 whenever it resamples every noise coordinate.
+    cols[j] is the noise column query variable j owns; the hybrid of a
+    variable set resamples its variables' columns. The denominator is
+    the all-coordinates pick-freeze numerator sum((y(E) - y(E'))^2) / (2M),
+    an unbiased variance estimate built from the same pooled outputs, so
+    the total of the full query set is exactly 1 whenever it resamples
+    every noise coordinate. Only differences of outcomes are squared.
 
     Each block asks for 2**K + 1 outcomes: the two baselines plus one
     hybrid per nonempty subset, so K is capped by MAX_QUERY_VARS. What
     one outcome costs is up to the provider behind open_block.
     """
-    k = len(var_cols)
+    k = len(cols)
     if k > MAX_QUERY_VARS:
         raise DomainError(f"{k} query variables; at most {MAX_QUERY_VARS} are supported")
     n_masks = 1 << k
+    masks = [0]  # masks[s]: the noise mask of the variable set s
+    for c in cols:
+        masks += [mask | 1 << c for mask in masks]
 
-    def stat(y0, y1, hybrids):
+    def stat(y0, y1, outs):
         yield (y0 - y1) ** 2
-        for ys in hybrids:
+        for ys in outs:
             yield (y0 - ys) ** 2
 
-    hybrid_cols = [_union_cols(var_cols, s) for s in range(1, n_masks)]
-    acc = _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, n_masks, cfg)[_MOMENTS:]
+    acc = per_batch_sums(open_block, n_noise, masks[1:], stat, n_masks, cfg)
     base = acc[0]
     denom = float(base.sum())
     if denom <= 0.0:
@@ -260,52 +236,53 @@ def range_tolerance(table: TotalsTable) -> float:
     return 0.05 + 10.0 * float(table.stderr.max(initial=0.0))
 
 
-def upper_estimate(open_block, n_noise, cols, cfg: EstimatorConfig) -> Estimate:
-    """Total (upper) index of one subset: half mean squared pick-freeze
-    difference over the pooled empirical variance of the 2M baselines."""
+def upper_estimate(open_block, n_noise, s, cfg: EstimatorConfig) -> Estimate:
+    """Total (upper) index of the noise mask s: half mean squared
+    pick-freeze difference after resampling s, over the pooled empirical
+    variance of the 2M baselines."""
 
-    def stat(y0, y1, hybrids):
-        yield (y0 - next(hybrids)) ** 2
+    def stat(y0, y1, outs):
+        yield from _moments(y0, y1)
+        yield (y0 - next(outs)) ** 2
 
-    acc = _pickfreeze_sums(open_block, n_noise, [cols], stat, 1, cfg)
-    return _pooled_ratio(acc, lambda s, c: s[4] / (2.0 * c), cfg)
+    acc = per_batch_sums(open_block, n_noise, [s], stat, 5, cfg)
+    return _pooled_ratio(acc, lambda t, c: t[4] / (2.0 * c), cfg)
 
 
-def lower_estimate(open_block, n_noise, keep_complement_cols, cfg: EstimatorConfig) -> Estimate:
-    """Lower index of one subset: covariance of f(W) with the hybrid that
-    keeps the subset and resamples everything else, over the pooled variance.
+def lower_estimate(open_block, n_noise, s, cfg: EstimatorConfig) -> Estimate:
+    """Lower index of the noise mask s: covariance of f(W) with the hybrid
+    that keeps s and resamples every other column, over the pooled
+    variance."""
 
-    keep_complement_cols lists the resampled (complement) noise columns.
-    """
-
-    def stat(y0, y1, hybrids):
-        g = next(hybrids)
+    def stat(y0, y1, outs):
+        yield from _moments(y0, y1)
+        g = next(outs)
         yield y0 * g
         yield g
 
-    acc = _pickfreeze_sums(open_block, n_noise, [keep_complement_cols], stat, 2, cfg)
-    return _pooled_ratio(acc, lambda s, c: s[4] / c - (s[0] / c) * (s[5] / c), cfg)
+    rest = ((1 << n_noise) - 1) & ~s
+    acc = per_batch_sums(open_block, n_noise, [rest], stat, 6, cfg)
+    return _pooled_ratio(acc, lambda t, c: t[4] / c - (t[0] / c) * (t[5] / c), cfg)
 
 
-def superset_estimate(open_block, n_noise, var_cols, cfg: EstimatorConfig) -> Estimate:
-    """Superset importance of one variable set from its interaction contrast.
+def superset_estimate(open_block, n_noise, s, cfg: EstimatorConfig) -> Estimate:
+    """Superset importance of the noise mask s from its interaction contrast.
 
-    var_cols[j] lists the noise columns owned by variable j of the set.
-    The contrast is the signed sum of the hybrids of every submask (the
-    empty submask is y(E) itself), and the estimate is Var(contrast)
-    over 2**|S| times the pooled variance.
+    The contrast is the signed sum of the hybrids of every submask of s,
+    enumerated by increasing mask (the empty submask is y(E) itself), and
+    the estimate is Var(contrast) over 2**|s| times the pooled variance.
     """
-    size = len(var_cols)
-    signs = [mobius_sign((1 << size) - 1, i) for i in range(1 << size)]
+    subs = sorted(submasks(s))
+    signs = [mobius_sign(s, t) for t in subs]
 
-    def stat(y0, y1, hybrids):
+    def stat(y0, y1, outs):
+        yield from _moments(y0, y1)
         contrast = signs[0] * y0
-        for sign, ys in zip(signs[1:], hybrids):
+        for sign, ys in zip(signs[1:], outs):
             contrast = contrast + sign * ys
         yield contrast
         yield contrast**2
 
-    hybrid_cols = [_union_cols(var_cols, i) for i in range(1, 1 << size)]
-    acc = _pickfreeze_sums(open_block, n_noise, hybrid_cols, stat, 2, cfg)
-    scale = 2.0**size
-    return _pooled_ratio(acc, lambda s, c: (s[5] / c - (s[4] / c) ** 2) / scale, cfg)
+    acc = per_batch_sums(open_block, n_noise, subs[1:], stat, 6, cfg)
+    scale = 2.0 ** s.bit_count()
+    return _pooled_ratio(acc, lambda t, c: (t[5] / c - (t[4] / c) ** 2) / scale, cfg)

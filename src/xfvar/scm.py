@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from . import rng
-from .algebra import Provenance, measure_from_totals
+from .algebra import PROB_SUM_TOL, Provenance, measure_from_totals, members
 from .errors import CycleError, DomainError, ModelError, ParseError
 from .formula import Formula, parse_formula
 from .mc import Estimate, EstimatorConfig, pickfreeze_totals, range_tolerance, upper_estimate
@@ -38,7 +37,6 @@ __all__ = [
     "ScmModel",
     "HybridOutcomes",
     "forward_sample",
-    "sample_noise",
     "counterfactual_outcome",
     "counterfactual_total",
     "estimate_counterfactual_measure",
@@ -472,22 +470,32 @@ def _check_finite(node, what, values):
         raise ModelError(f"node {node!r}: {what} must be finite")
 
 
+def _is_number(v) -> bool:
+    """A JSON number or a numpy integer or float scalar; not a string or a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _float(node, what, v):
+    if not _is_number(v):
+        raise ModelError(f"node {node!r}: {what} must be a number")
     try:
         return float(v)
-    except (TypeError, ValueError):
-        raise ModelError(f"node {node!r}: {what} must be a number") from None
+    except OverflowError:  # an int past float64
+        raise ModelError(f"node {node!r}: {what} must be finite") from None
 
 
 def _floats(node, what, v):
-    """v as a 1-D float array."""
-    try:
-        out = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.ndim != 1:
+    """v as a 1-D float array: a list of numbers or a 1-D numeric numpy array."""
+    if isinstance(v, np.ndarray):
+        ok = v.ndim == 1 and v.dtype.kind in "iuf"
+    else:
+        ok = isinstance(v, (list, tuple)) and all(map(_is_number, v))
+    if not ok:
         raise ModelError(f"node {node!r}: {what} must be a list of numbers")
-    return out
+    try:
+        return np.asarray(v, dtype=float)
+    except OverflowError:  # an int past float64
+        raise ModelError(f"node {node!r}: {what} must be finite") from None
 
 class Mechanism:
     """One node's conditional-quantile transform V = Q(e | parents).
@@ -584,7 +592,7 @@ class RootCategorical(Mechanism):
         if len(self.values) == 0:
             raise ModelError(f"node {node!r}: empty categorical")
         _check_finite(node, "values and probs", [self.values, self.probs])
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
+        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > PROB_SUM_TOL:
             raise ModelError(f"node {node!r}: probs must be nonnegative and sum to 1")
         if self.labels is not None and len(self.labels) != len(self.values):
             raise ModelError(f"node {node!r}: labels length must match values")
@@ -854,9 +862,6 @@ class ScmModel:
     def n_nodes(self) -> int:
         return len(self.dag.names)
 
-    def node_index(self, name: str) -> int:
-        return self.dag.index(name)
-
     def _node_values(self, i, e, values):
         """Values of node i from its noise column e and values, a node
         index -> array map holding its parents. Callers silence numpy's
@@ -897,9 +902,9 @@ class ScmModel:
         values = self._evaluate(np.asarray(noise, dtype=float), self._outcome_order)
         return values[self._outcome_index]
 
-    def noise_columns(self, nodes):
-        """Noise coordinates owned by the given node names."""
-        return np.array(sorted(self.dag.index(str(n)) for n in nodes), dtype=np.intp)
+    def noise_mask(self, nodes) -> int:
+        """Bitmask of the noise coordinates owned by the given node names."""
+        return sum(1 << i for i in {self.dag.index(str(n)) for n in nodes})
 
 
 # Most values one node may memoize per block: 32 arrays of rng.BLOCK_LEN
@@ -907,23 +912,15 @@ class ScmModel:
 MEMO_ENTRIES = 32
 
 
-def _col_mask(cols):
-    """Bitmask of a list of noise columns."""
-    mask = 0
-    for c in cols:
-        mask |= 1 << int(c)
-    return mask
-
-
 class HybridOutcomes:
     """The outcome under hybrid noise, one replicate block at a time.
 
-    open_block(E, E') returns y(cols), the outcome of the hybrid that
-    takes the noise columns cols from E' (the mc kernel's evaluator).
-    Under any hybrid, a node's values depend only on which columns of
-    An*(v), the node and its ancestors, the hybrid resamples, so y
-    memoizes node values per block keyed on that bitmask. With Q the
-    mask of query_cols, the columns the estimator's hybrids resample, a
+    open_block(E, E') returns y(mask), the outcome of the hybrid that
+    takes the noise columns set in mask from E' (the mc kernel's
+    evaluator). Under any hybrid, a node's values depend only on which
+    columns of An*(v), the node and its ancestors, the hybrid resamples,
+    so y memoizes node values per block keyed on that bitmask. With Q the
+    query mask, the columns the estimator's hybrids resample, a
     memoized node v costs 2**|An*(v) & Q| evaluations per block, plus one
     for y(E') when An*(v) has columns outside Q; nodes outside the
     outcome's ancestry cost nothing.
@@ -936,9 +933,9 @@ class HybridOutcomes:
     contains An*(parent), so the memoized nodes form an ancestral set.
     """
 
-    def __init__(self, model: ScmModel, query_cols):
+    def __init__(self, model: ScmModel, query: int):
         self.model = model
-        self.query = _col_mask(query_cols)
+        self.query = query
         anc = {}
         steps = []
         for i in model._outcome_order:
@@ -956,7 +953,7 @@ class HybridOutcomes:
         self.steps = tuple(steps)
 
     def open_block(self, e, ep):
-        """y(cols) for one block; its memo lives as long as y does.
+        """y(mask) for one block; its memo lives as long as y does.
 
         y closes over the memo but the memo holds only arrays, so a
         block's values are freed as soon as the kernel drops y.
@@ -964,8 +961,7 @@ class HybridOutcomes:
         model, steps, query = self.model, self.steps, self.query
         memo = {}
 
-        def y(cols):
-            mask = _col_mask(cols)
+        def y(mask):
             values = {}
             with np.errstate(all="ignore"):
                 for i, anc, memoized in steps:
@@ -992,15 +988,6 @@ def forward_sample(model: ScmModel, noise):
     return {n: float(v[0]) for n, v in vals.items()}
 
 
-def sample_noise(model: ScmModel, seed: int, replicate_index: int):
-    """The noise vector the estimators would use for this base replicate."""
-    if replicate_index < 0:
-        raise ModelError("replicate_index must be >= 0")
-    block, row = divmod(int(replicate_index), rng.BLOCK_LEN)
-    u = rng.uniform_block(seed, block, model.n_nodes)
-    return u[row, :, 0].copy()
-
-
 def counterfactual_outcome(model: ScmModel, e, e2, nodes) -> float:
     """Outcome after resampling the noise of the given nodes.
 
@@ -1012,7 +999,7 @@ def counterfactual_outcome(model: ScmModel, e, e2, nodes) -> float:
     if e.size != model.n_nodes or e2.size != model.n_nodes:
         raise ModelError(f"noise vectors must have length {model.n_nodes}")
     h = e.copy()
-    cols = model.noise_columns(nodes) if nodes else np.array([], dtype=np.intp)
+    cols = members(model.noise_mask(nodes))
     h[cols] = e2[cols]
     return float(model.outcome_values(h.reshape(1, -1))[0])
 
@@ -1022,8 +1009,8 @@ def counterfactual_total(model: ScmModel, nodes, cfg: EstimatorConfig) -> Estima
     names = [str(n) for n in nodes]
     if not names:
         raise DomainError("node set must be nonempty")
-    cols = model.noise_columns(names)
-    return upper_estimate(HybridOutcomes(model, cols).open_block, model.n_nodes, cols, cfg)
+    s = model.noise_mask(names)
+    return upper_estimate(HybridOutcomes(model, s).open_block, model.n_nodes, s, cfg)
 
 
 def estimate_counterfactual_measure(
@@ -1044,9 +1031,9 @@ def estimate_counterfactual_measure(
     ]
     if not query_names:
         raise DomainError("no query variables: lone-outcome model without include_outcome")
-    var_cols = [[model.dag.index(n)] for n in query_names]
-    outcomes = HybridOutcomes(model, [c for (c,) in var_cols])
-    table = pickfreeze_totals(outcomes.open_block, model.n_nodes, var_cols, cfg)
+    cols = [model.dag.index(n) for n in query_names]
+    outcomes = HybridOutcomes(model, model.noise_mask(query_names))
+    table = pickfreeze_totals(outcomes.open_block, model.n_nodes, cols, cfg)
     flags = tuple(model.fitted)
     if not include_outcome:
         flags = flags + ("outcome-excluded",)

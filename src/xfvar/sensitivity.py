@@ -72,16 +72,17 @@ def standard_normal_sampler(k: int) -> IndependentSampler:
 def independent_outcomes(f, sampler: IndependentSampler):
     """Hybrid evaluator of f over the sampler's inputs, for the mc kernel.
 
-    open_block(E, E') transforms both noise blocks once; y(cols) builds
-    the hybrid in value space, which equals the transform of the noise
-    hybrid because every quantile acts on its own column, and calls f.
+    Variable j owns noise column j. open_block(E, E') transforms both
+    noise blocks once; y(mask) builds the hybrid in value space, which
+    equals the transform of the noise hybrid because every quantile acts
+    on its own column, and calls f.
     """
 
     def open_block(e, ep):
         x, xp = sampler.transform(e), sampler.transform(ep)
 
-        def y(cols):
-            out = np.asarray(f(mc.hybrid(x, xp, cols)), dtype=float)
+        def y(mask):
+            out = np.asarray(f(mc.hybrid(x, xp, members(mask))), dtype=float)
             if out.shape != (x.shape[0],):
                 raise DomainError(
                     f"function must map (m, {sampler.k}) inputs to (m,) outputs, got {out.shape}"
@@ -93,32 +94,31 @@ def independent_outcomes(f, sampler: IndependentSampler):
     return open_block
 
 
-def _check_subset(subset, k) -> tuple:
-    s = tuple(sorted(set(int(j) for j in subset)))
+def _subset_mask(subset, k) -> int:
+    s = set(int(j) for j in subset)
     if not s:
         raise DomainError("subset must be nonempty")
-    if s[0] < 0 or s[-1] >= k:
+    if min(s) < 0 or max(s) >= k:
         raise DomainError(f"subset indices must lie in [0, {k})")
-    return s
+    return sum(1 << j for j in s)
 
 
 def estimate_upper(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig) -> Estimate:
     """Upper sensitivity (total Sobol index) of a variable subset."""
-    cols = np.array(_check_subset(subset, sampler.k), dtype=np.intp)
-    return upper_estimate(independent_outcomes(f, sampler), sampler.k, cols, cfg)
+    s = _subset_mask(subset, sampler.k)
+    return upper_estimate(independent_outcomes(f, sampler), sampler.k, s, cfg)
 
 
 def estimate_lower(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig) -> Estimate:
     """Lower sensitivity (closed Sobol index) of a variable subset."""
-    s = _check_subset(subset, sampler.k)
-    comp = np.array([j for j in range(sampler.k) if j not in s], dtype=np.intp)
-    return lower_estimate(independent_outcomes(f, sampler), sampler.k, comp, cfg)
+    s = _subset_mask(subset, sampler.k)
+    return lower_estimate(independent_outcomes(f, sampler), sampler.k, s, cfg)
 
 
 def estimate_superset(f, sampler: IndependentSampler, subset, cfg: EstimatorConfig) -> Estimate:
     """Superset importance of a variable subset via its interaction contrast."""
-    var_cols = [[j] for j in _check_subset(subset, sampler.k)]
-    return superset_estimate(independent_outcomes(f, sampler), sampler.k, var_cols, cfg)
+    s = _subset_mask(subset, sampler.k)
+    return superset_estimate(independent_outcomes(f, sampler), sampler.k, s, cfg)
 
 
 def estimate_measure(f, sampler: IndependentSampler, cfg: EstimatorConfig, names) -> ExplanationMeasure:
@@ -132,8 +132,7 @@ def estimate_measure(f, sampler: IndependentSampler, cfg: EstimatorConfig, names
     names = tuple(names)
     if len(names) != sampler.k:
         raise DomainError(f"got {len(names)} names for {sampler.k} variables")
-    var_cols = [[j] for j in range(sampler.k)]
-    table = pickfreeze_totals(independent_outcomes(f, sampler), sampler.k, var_cols, cfg)
+    table = pickfreeze_totals(independent_outcomes(f, sampler), sampler.k, range(sampler.k), cfg)
     prov = Provenance("monte_carlo", samples=cfg.samples, seed=cfg.seed)
     return measure_from_totals(table, names, provenance=prov, tol=range_tolerance(table))
 

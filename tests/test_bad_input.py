@@ -8,6 +8,7 @@ here also shows that no warning was raised.
 
 import copy
 import json
+import math
 import re
 import subprocess
 import sys
@@ -87,6 +88,36 @@ def test_outcome_overflow_prints_no_warning_outside_pytest(big_model):
     )
     assert proc.returncode == 2
     assert proc.stderr == f"error[E02]: {OVERFLOW}\n"
+
+
+# Y = 1e155 + 1e150*(A + A*B): finite outcomes whose squares overflow but
+# whose differences' squares do not
+SQUARE_MODEL = {
+    "outcome": "Y",
+    "nodes": [
+        {"name": "A", "parents": [], "mechanism": {"kind": "root_gaussian"}},
+        {"name": "B", "parents": [], "mechanism": {"kind": "root_uniform"}},
+        {"name": "Y", "parents": ["A", "B"],
+         "mechanism": {"kind": "deterministic", "expr": "1e155 + 1e150*(A + A*B)"}},
+    ],
+}
+
+
+@pytest.mark.parametrize("cmd", ["counterfactual", "gsa"])
+def test_full_measure_squares_only_differences(tmp_path, capsys, cmd):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(SQUARE_MODEL))
+    assert run_cli([cmd, "--model", str(p), "--samples", "1000"]) == 0, capsys.readouterr().err
+    atoms = json.loads(capsys.readouterr().out)["atoms"]
+    assert all(math.isfinite(a) for a in atoms.values()) and atoms["A"] > 0.5
+
+
+def test_subset_total_still_squares_outcomes(tmp_path, capsys):
+    # the pooled variance behind --subset squares the raw outcomes
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(SQUARE_MODEL))
+    code = run_cli(["counterfactual", "--model", str(p), "--samples", "1000", "--subset", "A"])
+    assert_one_error(capsys, code, 2, OVERFLOW)
 
 
 def test_large_finite_outcome_still_runs(tmp_path, capsys):
@@ -295,6 +326,17 @@ MODEL_CASES = {
                             "node 'E': cell 'b0' must be a number"),
     "binning_of_strings": (_put(["nodes", 4, "mechanism", "mean", "binning"], ["x"]),
                            "node 'E': binning of parent 0 must be a list of numbers"),
+    "mean_a_numeric_string": (_mech(2, "mean", "1.5"), "node 'C': mean must be a number"),
+    "std_a_boolean": (_mech(2, "std", True), "node 'C': std must be a number"),
+    "values_numeric_strings": (_mech(1, "values", ["1", "2"]),
+                               "node 'B': values must be a list of numbers"),
+    "probs_of_booleans": (_mech(0, "probs", [True, False]),
+                          "node 'A': probs must be a list of numbers"),
+    "cell_value_a_boolean": (_put(["nodes", 4, "mechanism", "mean", "cells", "b0"], False),
+                             "node 'E': cell 'b0' must be a number"),
+    "mean_an_int_past_float64": (_mech(2, "mean", 10**400), "node 'C': mean must be finite"),
+    "values_an_int_past_float64": (_mech(1, "values", [1, 10**400]),
+                                   "node 'B': values must be finite"),
     "labels_a_number": (_mech(0, "labels", 5), "node 'A': labels must be a list"),
     "fitted_a_number": (_put(["fitted"], 5), "model 'fitted' must be a list"),
     "variables_a_number": (_put(["variables"], 5), "'variables' must be a list"),

@@ -226,6 +226,22 @@ _OFFSET_LAWS = (
 )
 
 
+def test_oracle_accepts_every_categorical_law_that_loads(tmp_path, capsys):
+    # probs summing to 1 + 1e-10 load as a root_categorical, so oracle must take them too
+    law = {"kind": "root_categorical", "values": [0.0, 1.0], "probs": [0.5, 0.5000000001]}
+    model = {"outcome": "Y", "nodes": [
+        {"name": "A", "parents": [], "mechanism": law},
+        {"name": "B", "parents": [], "mechanism": {"kind": "root_rademacher"}},
+        {"name": "Y", "parents": ["A", "B"], "mechanism": {"kind": "deterministic", "expr": "A*B + A"}},
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    assert run_cli(["counterfactual", "--model", str(p), "--samples", "200"]) == 0
+    capsys.readouterr()
+    assert run_cli(["oracle", "--model", str(p)]) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["atoms"]["A+B"] == pytest.approx(1 / 3)
+
+
 def test_oracle_constant_offset_leaves_atoms(tmp_path, capsys):
     atoms = {}
     for offset in ("", "1000 + ", "100000000 + "):

@@ -1,8 +1,8 @@
 """Hybrid evaluators of the pick-freeze kernel against the noise-space reference.
 
 The reference evaluator builds every hybrid in noise space and recomputes
-the whole input transform or the whole DAG: y(cols) = yfn(hybrid(E, E',
-cols)). The program's evaluators (sensitivity.independent_outcomes,
+the whole input transform or the whole DAG: y(mask) = yfn(hybrid(E, E',
+members(mask))). The program's evaluators (sensitivity.independent_outcomes,
 which builds hybrids in value space, and scm.HybridOutcomes, which
 memoizes node values per block) must give the same float bits for every
 estimator, and HybridOutcomes must evaluate each node exactly as often as
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from xfvar import scm
-from xfvar.algebra import Provenance, measure_from_totals
+from xfvar.algebra import Provenance, measure_from_totals, members
 from xfvar.mc import (
     EstimatorConfig,
     hybrid,
@@ -49,7 +49,7 @@ def noise_space(yfn):
     """The reference evaluator: yfn of each noise hybrid."""
 
     def open_block(e, ep):
-        return lambda cols: yfn(hybrid(e, ep, cols))
+        return lambda mask: yfn(hybrid(e, ep, members(mask)))
 
     return open_block
 
@@ -102,26 +102,23 @@ def _hex_measure(m):
 
 def _reference_measure(model, cfg, include_outcome):
     names = [n for n in model.dag.names if include_outcome or n != model.outcome]
-    var_cols = [[model.dag.index(n)] for n in names]
-    table = pickfreeze_totals(noise_space(model.outcome_values), model.n_nodes, var_cols, cfg)
+    cols = [model.dag.index(n) for n in names]
+    table = pickfreeze_totals(noise_space(model.outcome_values), model.n_nodes, cols, cfg)
     flags = () if include_outcome else ("outcome-excluded",)
     prov = Provenance("monte_carlo", samples=cfg.samples, seed=cfg.seed, flags=flags)
     return measure_from_totals(table, tuple(names), provenance=prov, tol=range_tolerance(table))
 
 
 def _scm_estimates(model, cfg, outcomes):
-    """upper, lower and superset of fixed node sets through outcomes(query_cols)."""
+    """upper, lower and superset of fixed node sets through outcomes(query_mask)."""
     n = model.n_nodes
-    upper_cols = model.noise_columns(["R", "C"])
-    keep = set(model.noise_columns(["A", "T"]))
-    lower_cols = np.array([c for c in range(n) if c not in keep], dtype=np.intp)
-    var_cols = [[model.dag.index(v)] for v in ("A", "B", "T")]
+    upper = model.noise_mask(["R", "C"])
+    lower = model.noise_mask(["A", "T"])
+    superset = model.noise_mask(["A", "B", "T"])
     return {
-        "upper": _hex_est(upper_estimate(outcomes(upper_cols), n, upper_cols, cfg)),
-        "lower": _hex_est(lower_estimate(outcomes(lower_cols), n, lower_cols, cfg)),
-        "superset": _hex_est(
-            superset_estimate(outcomes([c for (c,) in var_cols]), n, var_cols, cfg)
-        ),
+        "upper": _hex_est(upper_estimate(outcomes(upper), n, upper, cfg)),
+        "lower": _hex_est(lower_estimate(outcomes(((1 << n) - 1) ^ lower), n, lower, cfg)),
+        "superset": _hex_est(superset_estimate(outcomes(superset), n, superset, cfg)),
     }
 
 
@@ -136,6 +133,17 @@ def test_scm_memo_matches_noise_space_bits(seed, samples):
     for include_outcome in (True, False):
         m = estimate_counterfactual_measure(model, cfg, include_outcome)
         assert _hex_measure(m) == _hex_measure(_reference_measure(model, cfg, include_outcome))
+
+
+@pytest.mark.parametrize("seed, samples", CASES)
+def test_outcome_declared_first_matches_noise_space_bits(seed, samples):
+    # with Y first and include_outcome=False, query variable j owns noise column j + 1
+    first = dict(DAG, nodes=[DAG["nodes"][-1]] + DAG["nodes"][:-1])
+    model = model_from_json(first)
+    assert model.dag.names[0] == "Y"
+    cfg = EstimatorConfig(samples=samples, seed=seed)
+    m = estimate_counterfactual_measure(model, cfg, include_outcome=False)
+    assert _hex_measure(m) == _hex_measure(_reference_measure(model, cfg, False))
 
 
 def _mixed_inputs(w):
@@ -153,16 +161,16 @@ def test_value_space_hybrids_match_noise_space_bits(seed, samples):
     cfg = EstimatorConfig(samples=samples, seed=seed)
     ref = noise_space(lambda u: np.asarray(f(sampler.transform(u)), dtype=float))
     assert _hex_est(estimate_upper(f, sampler, (1, 3), cfg)) == _hex_est(
-        upper_estimate(ref, k, np.array([1, 3]), cfg)
+        upper_estimate(ref, k, 0b1010, cfg)
     )
     assert _hex_est(estimate_lower(f, sampler, (0, 2), cfg)) == _hex_est(
-        lower_estimate(ref, k, np.array([1, 3]), cfg)
+        lower_estimate(ref, k, 0b0101, cfg)
     )
     assert _hex_est(estimate_superset(f, sampler, (0, 1, 3), cfg)) == _hex_est(
-        superset_estimate(ref, k, [[0], [1], [3]], cfg)
+        superset_estimate(ref, k, 0b1011, cfg)
     )
     names = ("W1", "W2", "W3", "W4")
-    table = pickfreeze_totals(ref, k, [[j] for j in range(k)], cfg)
+    table = pickfreeze_totals(ref, k, range(k), cfg)
     prov = Provenance("monte_carlo", samples=cfg.samples, seed=cfg.seed)
     want = measure_from_totals(table, names, provenance=prov, tol=range_tolerance(table))
     assert _hex_measure(estimate_measure(f, sampler, cfg, names)) == _hex_measure(want)
@@ -241,10 +249,10 @@ def test_memo_key_covers_the_resampled_ancestors():
     model = model_from_json(DAG)
     rs = np.random.default_rng(0)
     e, ep = rs.random((50, model.n_nodes)), rs.random((50, model.n_nodes))
-    y = HybridOutcomes(model, range(model.n_nodes)).open_block(e, ep)
+    y = HybridOutcomes(model, (1 << model.n_nodes) - 1).open_block(e, ep)
     for cols in ([], [1], [0, 6], [3, 4, 5], [7], list(range(model.n_nodes)), [2, 8]):
-        cols = np.array(cols, dtype=np.intp)
-        assert y(cols).tobytes() == model.outcome_values(hybrid(e, ep, cols)).tobytes()
+        mask = sum(1 << c for c in cols)
+        assert y(mask).tobytes() == model.outcome_values(hybrid(e, ep, cols)).tobytes()
 
 
 def test_block_evaluator_is_freed_without_the_cycle_collector():
@@ -254,8 +262,8 @@ def test_block_evaluator_is_freed_without_the_cycle_collector():
     e, ep = rs.random((50, model.n_nodes)), rs.random((50, model.n_nodes))
     gc.disable()
     try:
-        y = HybridOutcomes(model, range(model.n_nodes)).open_block(e, ep)
-        y(np.array([0, 1], dtype=np.intp))
+        y = HybridOutcomes(model, (1 << model.n_nodes) - 1).open_block(e, ep)
+        y(0b11)
         ref = weakref.ref(y)
         del y
         assert ref() is None

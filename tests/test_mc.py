@@ -43,7 +43,7 @@ def test_upper_estimate_additive():
         return e[:, 0] + e[:, 1]
 
     cfg = EstimatorConfig(samples=200_000, seed=1)
-    est = upper_estimate(_of_noise(yfn, 2), 2, (0,), cfg)
+    est = upper_estimate(_of_noise(yfn, 2), 2, 0b1, cfg)
     assert est.value == pytest.approx(0.5, abs=0.01)
     assert 0 < est.stderr < 0.02
     assert est.samples == 200_000
@@ -54,7 +54,7 @@ def test_zero_variance_raises():
         return np.ones(e.shape[0])
 
     with pytest.raises(ZeroVarianceError):
-        upper_estimate(_of_noise(yfn, 2), 2, (0,), EstimatorConfig(samples=1000))
+        upper_estimate(_of_noise(yfn, 2), 2, 0b1, EstimatorConfig(samples=1000))
 
 
 def test_thread_count_does_not_change_bits():
@@ -62,7 +62,7 @@ def test_thread_count_does_not_change_bits():
     base = None
     for threads in (1, 2, 5):
         cfg = EstimatorConfig(samples=50_000, seed=3, threads=threads)
-        est = upper_estimate(yfn, 3, (0, 2), cfg)
+        est = upper_estimate(yfn, 3, 0b101, cfg)
         if base is None:
             base = est
         else:
@@ -72,15 +72,15 @@ def test_thread_count_does_not_change_bits():
 
 def test_seed_changes_draws():
     yfn = _product_y(2)
-    a = upper_estimate(yfn, 2, (0,), EstimatorConfig(samples=20_000, seed=0))
-    b = upper_estimate(yfn, 2, (0,), EstimatorConfig(samples=20_000, seed=1))
+    a = upper_estimate(yfn, 2, 0b1, EstimatorConfig(samples=20_000, seed=0))
+    b = upper_estimate(yfn, 2, 0b1, EstimatorConfig(samples=20_000, seed=1))
     assert a.value != b.value
 
 
 def test_pickfreeze_totals_full_set_is_one():
     yfn = _product_y(3)
     cfg = EstimatorConfig(samples=30_000, seed=2)
-    table = pickfreeze_totals(yfn, 3, [[0], [1], [2]], cfg)
+    table = pickfreeze_totals(yfn, 3, [0, 1, 2], cfg)
     totals, stderrs = table.total, table.stderr
     # resampling every input gives an independent copy: exactly 1 by construction
     assert totals[7] == 1.0
@@ -93,11 +93,11 @@ def test_pickfreeze_totals_caps_query_variables():
     k = mc.MAX_QUERY_VARS + 1
     assert k == 13
     with pytest.raises(DomainError, match="13 query variables; at most 12 are supported"):
-        pickfreeze_totals(_product_y(k), k, [[j] for j in range(k)], EstimatorConfig(samples=1000))
+        pickfreeze_totals(_product_y(k), k, range(k), EstimatorConfig(samples=1000))
 
 
 def test_samples_not_divisible_by_batches():
     yfn = _product_y(2)
-    est = upper_estimate(yfn, 2, (0,), EstimatorConfig(samples=10_007, seed=4))
+    est = upper_estimate(yfn, 2, 0b1, EstimatorConfig(samples=10_007, seed=4))
     assert np.isfinite(est.value) and np.isfinite(est.stderr)
     assert est.samples == 10_007

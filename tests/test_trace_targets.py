@@ -69,3 +69,33 @@ def test_node_spans_count_memoized_mechanism_calls(tracing, tmp_path):
     # one block with every node queried: 2**|An*(v)| calls for A and B, one
     # per outcome (2**3 + 1) for Y
     assert evals == {"scm.root_gaussian": 2, "scm.hetero_gaussian": 4, "scm.deterministic": 9}
+
+
+def test_each_estimate_is_one_kernel_call(tracing):
+    # mc.per_batch_sums.self_s measures the kernel only while every
+    # estimator reaches it once, through its module attribute
+    from xfvar.mc import EstimatorConfig
+    from xfvar.sensitivity import (
+        estimate_lower,
+        estimate_measure,
+        estimate_superset,
+        estimate_upper,
+        named_function,
+    )
+
+    f, sampler, names = named_function("quadratic3")
+    cfg = EstimatorConfig(samples=1000)
+    runs = {
+        "pickfreeze_totals": lambda: estimate_measure(f, sampler, cfg, names),
+        "upper_estimate": lambda: estimate_upper(f, sampler, (0, 2), cfg),
+        "lower_estimate": lambda: estimate_lower(f, sampler, (1,), cfg),
+        "superset_estimate": lambda: estimate_superset(f, sampler, (0, 1), cfg),
+    }
+    for estimator, run in runs.items():
+        tracer = tracing.Tracer()
+        with tracing.patched(tracer):
+            run()
+        kernel = [i for i, sp in enumerate(tracer.spans) if sp[tracing.NAME] == "mc.per_batch_sums"]
+        assert len(kernel) == 1, estimator
+        hybrids = [sp for sp in tracer.spans if sp[tracing.NAME] == "mc.hybrid"]
+        assert hybrids and all(sp[tracing.PARENT] == kernel[0] for sp in hybrids), estimator
