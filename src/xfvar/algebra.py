@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
+from .formula import Tokens
 
 MAX_VARS = 16
 
@@ -86,14 +87,19 @@ class Clause:
         if any(not 0 <= a < full for a in self.atoms):
             raise ValueError("atom bitmask out of range for var_count")
 
+    def _atoms_of(self, other):
+        if self.var_count != other.var_count:
+            raise ValueError(f"var_count mismatch: {self.var_count} vs {other.var_count}")
+        return other.atoms
+
     def __and__(self, other):
-        return clause_combine("and", self, other)
+        return Clause(self.var_count, self.atoms & self._atoms_of(other))
 
     def __or__(self, other):
-        return clause_combine("or", self, other)
+        return Clause(self.var_count, self.atoms | self._atoms_of(other))
 
     def __invert__(self):
-        return clause_combine("not", self)
+        return Clause(self.var_count, frozenset(iter_subsets(self.var_count)) - self.atoms)
 
 
 def clause_var(var_count: int, index: int) -> Clause:
@@ -112,24 +118,6 @@ def clause_true(var_count: int) -> Clause:
     return Clause(var_count, frozenset(iter_subsets(var_count)))
 
 
-def clause_combine(op: str, a: Clause, b: Clause | None = None) -> Clause:
-    """Combine clauses: 'and' (atom intersection), 'or' (union), 'not' (complement)."""
-    if op == "not":
-        if b is not None:
-            raise ValueError("'not' takes a single operand")
-        full = frozenset(iter_subsets(a.var_count))
-        return Clause(a.var_count, full - a.atoms)
-    if b is None:
-        raise ValueError(f"'{op}' needs two operands")
-    if a.var_count != b.var_count:
-        raise ValueError(f"var_count mismatch: {a.var_count} vs {b.var_count}")
-    if op == "and":
-        return Clause(a.var_count, a.atoms & b.atoms)
-    if op == "or":
-        return Clause(a.var_count, a.atoms | b.atoms)
-    raise ValueError(f"unknown clause operator {op!r}")
-
-
 def clause_subset(var_count: int, mask: int) -> Clause:
     """The clause 'some variable in mask matters': union of the generator events."""
     return Clause(var_count, frozenset(m for m in iter_subsets(var_count) if m & mask))
@@ -146,52 +134,6 @@ def clause_atom(var_count: int, mask: int) -> Clause:
 #   factor := '~' factor | '(' expr ')' | NAME
 # Whitespace-insensitive; NAME must be a declared variable name.
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789")
-
-
-class _ClauseTokens:
-    """Tokenizer tracking byte offsets into the UTF-8 source."""
-
-    def __init__(self, text):
-        self.tokens = []  # (kind, value, byte_offset)
-        off = 0
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            blen = len(ch.encode("utf-8"))
-            if ch.isspace():
-                i += 1
-                off += blen
-                continue
-            if ch in "|&~()":
-                self.tokens.append((ch, ch, off))
-                i += 1
-                off += blen
-                continue
-            if ch in _NAME_START:
-                start_off = off
-                j = i
-                while j < len(text) and text[j] in _NAME_CONT:
-                    off += len(text[j].encode("utf-8"))
-                    j += 1
-                self.tokens.append(("name", text[i:j], start_off))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", off)
-        self.end_offset = off
-        self.pos = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("end", "", self.end_offset)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
 
 def parse_clause(text: str, names) -> Clause:
     """Parse a clause expression over the declared variable names.
@@ -202,62 +144,38 @@ def parse_clause(text: str, names) -> Clause:
     var_count = len(names)
     _check_var_count(var_count)
     index = {n: k for k, n in enumerate(names)}
-    toks = _ClauseTokens(text)
+    toks = Tokens(text, "|&~()")
     if toks.peek()[0] == "end":
         raise ParseError("empty clause expression", 0)
 
     def parse_expr():
         c = parse_term()
-        while toks.peek()[0] == "|":
-            toks.next()
-            c = clause_combine("or", c, parse_term())
+        while toks.accept("|"):
+            c = c | parse_term()
         return c
 
     def parse_term():
         c = parse_factor()
-        while toks.peek()[0] == "&":
-            toks.next()
-            c = clause_combine("and", c, parse_factor())
+        while toks.accept("&"):
+            c = c & parse_factor()
         return c
 
     def parse_factor():
-        kind, value, off = toks.next()
-        if kind == "~":
-            return clause_combine("not", parse_factor())
-        if kind == "(":
+        if toks.accept("~"):
+            return ~parse_factor()
+        if toks.accept("("):
             c = parse_expr()
-            kind2, _, off2 = toks.next()
-            if kind2 != ")":
-                raise ParseError("expected ')'", off2)
+            toks.expect(")")
             return c
-        if kind == "name":
-            if value not in index:
-                raise ParseError(f"unknown variable {value!r}", off)
-            return clause_var(var_count, index[value])
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", off)
+        tok = toks.next()
+        kind, value, off = tok
+        if kind != "name":
+            toks.fail(tok)
+        if value not in index:
+            raise ParseError(f"unknown variable {value!r}", off)
+        return clause_var(var_count, index[value])
 
-    clause = parse_expr()
-    kind, value, off = toks.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected token {value!r}", off)
-    return clause
-
-
-def clause_to_str(clause: Clause, names) -> str:
-    """Canonical text form: disjunction of fully specified atom terms.
-
-    The result reparses (via parse_clause) to an equal Clause. The empty
-    clause is rendered as a contradiction on the first variable.
-    """
-    if len(names) != clause.var_count:
-        raise ValueError("names length must match clause.var_count")
-    if not clause.atoms:
-        return f"{names[0]} & ~{names[0]}"
-    parts = []
-    for mask in sorted(clause.atoms):
-        lits = [names[k] if mask >> k & 1 else "~" + names[k] for k in range(clause.var_count)]
-        parts.append(" & ".join(lits))
-    return " | ".join(parts)
+    return toks.finish(parse_expr())
 
 
 # ---------------------------------------------------------------------------
@@ -611,22 +529,13 @@ def clip_negative_atoms(m: ExplanationMeasure) -> ExplanationMeasure:
     return ExplanationMeasure(m.names, clipped / total, m.atom_stderr, prov)
 
 
-def shapley_from_measure(
-    m: ExplanationMeasure,
-    include_outcome_atom: bool = True,
-    outcome: str | None = None,
-) -> ShapleyValues:
+def shapley_from_measure(m: ExplanationMeasure) -> ShapleyValues:
     """Shapley attribution: each atom's mass split equally among its variables.
 
     phi_k = sum over atoms S containing k of atom_mass[S] / |S|, which
     equals the permutation-average definition with the lower-index value
-    function v(S) = mass of atoms inside S. When include_outcome_atom is
-    False and `outcome` names a variable of the measure, the measure is
-    first marginalized onto the remaining variables so the outcome's own
-    noise mass is not attributed.
+    function v(S) = mass of atoms inside S.
     """
-    if not include_outcome_atom and outcome is not None and outcome in m.names:
-        m = measure_marginalize(m, outcome)
     v = m.var_count
     n = 1 << v
     sizes = popcount(np.arange(n))

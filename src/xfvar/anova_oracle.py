@@ -37,7 +37,9 @@ ENUMERATION_BUDGET = 10**7
 class DiscreteDomain:
     """K mutually independent discrete variables.
 
-    values[k] and probs[k] give the support and law of variable k.
+    values[k] and probs[k] give the support and law of variable k; each
+    probs[k] is divided by its sum, so a law that passes the tolerance
+    check still has total mass 1.
     """
 
     values: list
@@ -56,6 +58,7 @@ class DiscreteDomain:
                 raise DomainError(f"variable {k}: support values must be unique")
             if np.any(p < 0) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
                 raise DomainError(f"variable {k}: probabilities must be >= 0 and sum to 1")
+            self.probs[k] = p / p.sum()
             size *= v.size
         if size > ENUMERATION_BUDGET:
             raise DomainError(f"domain size {size} exceeds enumeration budget {ENUMERATION_BUDGET}")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON file reader
+that reports syntax errors as ParseError."""
+
+import json
 
 
 class XfvarError(Exception):
@@ -19,6 +22,22 @@ class ParseError(XfvarError):
     def __init__(self, message, offset=None):
         super().__init__(message if offset is None else f"{message} (at byte offset {offset})")
         self.offset = offset
+
+
+def read_json(path, what):
+    """Load a UTF-8 JSON file; bytes that are not UTF-8 and syntax errors
+    are a ParseError at their byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid {what} file: not UTF-8", e.start) from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        offset = len(text[: e.pos].encode("utf-8"))
+        raise ParseError(f"invalid {what} file: {e.msg}", offset) from None
 
 
 class CycleError(XfvarError):

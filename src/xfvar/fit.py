@@ -16,13 +16,12 @@ time fall into the nearest outer bin.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import FitError, ModelError, ParseError
+from .errors import FitError, ModelError, read_json
 from .rng import aux_generator
 from .scm import (
     AdditiveNoise,
@@ -36,6 +35,7 @@ from .scm import (
     ScmModel,
     cell_ids,
     cell_key,
+    empirical_quantile,
     graph_from_json,
     json_list,
 )
@@ -254,13 +254,6 @@ def _residuals(y, rows, seed):
     return resid
 
 
-def empirical_levels(values, levels):
-    """Left-continuous empirical quantiles at the given levels."""
-    v = np.sort(np.asarray(values, dtype=float))
-    idx = np.clip(np.ceil(np.asarray(levels) * len(v)).astype(np.intp) - 1, 0, len(v) - 1)
-    return v[idx]
-
-
 def isotonic_rearrange(values):
     """Nondecreasing L2 projection by pool-adjacent-violators."""
     v = np.asarray(values, dtype=float)
@@ -334,7 +327,8 @@ def fit_quantile_grid(data: Dataset, node, parents, cfg: FitConfig):
     parents = tuple(parents)
     y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
     cells = {
-        key: isotonic_rearrange(empirical_levels(y[r], cfg.levels)) for key, r in zip(keys, rows)
+        key: isotonic_rearrange(empirical_quantile(np.sort(y[r]), cfg.levels))
+        for key, r in zip(keys, rows)
     }
     return QuantileTable(node, parents, cfg.levels, cells, binning=binning)
 
@@ -385,10 +379,4 @@ def dag_from_json(obj):
 
 
 def read_dag(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid DAG file: {e.msg}", e.pos) from None
-    return dag_from_json(obj)
+    return dag_from_json(read_json(path, "DAG"))

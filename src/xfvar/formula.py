@@ -16,6 +16,7 @@ produce finite values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,64 +39,72 @@ _FUNCTIONS = {
     "max": (2, np.maximum),
 }
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789")
-_DIGITS = set("0123456789")
+# One token per match: a number, a name, a run of whitespace, or any other
+# single character (an operator if it is in the parser's ops, else an error).
+_TOKEN = re.compile(
+    r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<space>\s+)|(?P<char>.)",
+    re.DOTALL,
+)
 
 
-def _tokenize(text):
-    """Tokens as (kind, value, byte_offset); kinds: num, name, op, end."""
-    tokens = []
-    i = 0
-    off = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        blen = len(ch.encode("utf-8"))
-        if ch.isspace():
-            i += 1
-            off += blen
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(("op", ch, off))
-            i += 1
-            off += blen
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < n and text[j] in "eE":
-                j2 = j + 1
-                if j2 < n and text[j2] in "+-":
-                    j2 += 1
-                if j2 < n and text[j2] in _DIGITS:
-                    j = j2
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-            lit = text[i:j]
-            try:
-                value = float(lit)
-            except ValueError:
-                raise ParseError(f"bad number literal {lit!r}", off) from None
-            tokens.append(("num", value, off))
+class Tokens:
+    """Lexer and cursor shared by the formula and clause parsers.
+
+    A token is (kind, value, byte_offset) with kind num, name, op (one
+    character of `ops`) or end; offsets count bytes of the UTF-8 source.
+    """
+
+    def __init__(self, text, ops):
+        self.toks = []
+        off = 0
+        for m in _TOKEN.finditer(text):
+            kind, lit = m.lastgroup, m.group()
+            if kind == "num":
+                self.toks.append(("num", float(lit), off))
+            elif kind == "name":
+                self.toks.append(("name", lit, off))
+            elif kind == "char":
+                if lit not in ops:
+                    raise ParseError(f"unexpected character {lit!r}", off)
+                self.toks.append(("op", lit, off))
             off += len(lit.encode("utf-8"))
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            start = off
-            while j < n and text[j] in _NAME_CONT:
-                off += len(text[j].encode("utf-8"))
-                j += 1
-            tokens.append(("name", text[i:j], start))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", off)
-    tokens.append(("end", "", off))
-    return tokens
+        self.toks.append(("end", "", off))
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def accept(self, ops):
+        """Consume the next token and return its operator if it is one of
+        ops; otherwise leave it and return None."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return None
+
+    def expect(self, op):
+        kind, value, off = self.next()
+        if kind != "op" or value != op:
+            raise ParseError(f"expected {op!r}", off)
+
+    def fail(self, tok):
+        kind, value, off = tok
+        if kind == "end":
+            raise ParseError("unexpected end of input", off)
+        raise ParseError(f"unexpected token {value!r}", off)
+
+    def finish(self, result):
+        """Return result if every token was consumed, else fail on the next one."""
+        if self.peek()[0] != "end":
+            self.fail(self.peek())
+        return result
 
 
 @dataclass(frozen=True)
@@ -155,86 +164,62 @@ def parse_formula(text: str, allowed_names) -> Formula:
     errors, unknown identifiers, and wrong function arity.
     """
     allowed = set(allowed_names)
-    tokens = _tokenize(text)
-    pos = [0]
+    toks = Tokens(text, "+-*/^(),")
     used = set()
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def expect_op(ch):
-        kind, value, off = advance()
-        if kind != "op" or value != ch:
-            raise ParseError(f"expected {ch!r}", off)
 
     def parse_expr():
         node = parse_mul()
-        while peek()[0] == "op" and peek()[1] in "+-":
-            _, op, _ = advance()
+        while op := toks.accept("+-"):
             node = (op, node, parse_mul())
         return node
 
     def parse_mul():
         node = parse_unary()
-        while peek()[0] == "op" and peek()[1] in "*/":
-            _, op, _ = advance()
+        while op := toks.accept("*/"):
             node = (op, node, parse_unary())
         return node
 
     def parse_unary():
-        if peek()[0] == "op" and peek()[1] == "-":
-            advance()
+        if toks.accept("-"):
             return ("neg", parse_unary())
         return parse_power()
 
     def parse_power():
         node = parse_primary()
-        if peek()[0] == "op" and peek()[1] == "^":
-            advance()
+        if toks.accept("^"):
             node = ("^", node, parse_unary())
         return node
 
     def parse_primary():
-        kind, value, off = advance()
+        if toks.accept("("):
+            node = parse_expr()
+            toks.expect(")")
+            return node
+        tok = toks.next()
+        kind, value, off = tok
         if kind == "num":
             return ("num", value)
-        if kind == "op" and value == "(":
-            node = parse_expr()
-            expect_op(")")
-            return node
-        if kind == "name":
-            if peek()[0] == "op" and peek()[1] == "(":
-                if value not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", off)
-                arity, _ = _FUNCTIONS[value]
-                advance()
-                args = [parse_expr()]
-                while peek()[0] == "op" and peek()[1] == ",":
-                    advance()
-                    args.append(parse_expr())
-                expect_op(")")
-                if len(args) != arity:
-                    raise ParseError(
-                        f"{value} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
-                        off,
-                    )
-                return ("call", value, tuple(args))
-            if value not in allowed:
-                raise ParseError(f"unknown identifier {value!r}", off)
-            used.add(value)
-            return ("var", value)
-        raise ParseError(
-            f"unexpected token {value!r}" if value else "unexpected end of input", off
-        )
+        if kind != "name":
+            toks.fail(tok)
+        if toks.accept("("):
+            if value not in _FUNCTIONS:
+                raise ParseError(f"unknown function {value!r}", off)
+            arity, _ = _FUNCTIONS[value]
+            args = [parse_expr()]
+            while toks.accept(","):
+                args.append(parse_expr())
+            toks.expect(")")
+            if len(args) != arity:
+                raise ParseError(
+                    f"{value} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
+                    off,
+                )
+            return ("call", value, tuple(args))
+        if value not in allowed:
+            raise ParseError(f"unknown identifier {value!r}", off)
+        used.add(value)
+        return ("var", value)
 
-    root = parse_expr()
-    kind, value, off = peek()
-    if kind != "end":
-        raise ParseError(f"unexpected token {value!r}", off)
+    root = toks.finish(parse_expr())
     ordered = tuple(n for n in allowed_names if n in used)
     return Formula(text, root, ordered)

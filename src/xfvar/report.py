@@ -24,7 +24,7 @@ from .algebra import (
     subset_label,
     totals_from_measure,
 )
-from .errors import ParseError
+from .errors import ParseError, read_json
 
 
 @dataclass
@@ -143,13 +143,7 @@ def write_report(rep: RunReport, path):
 
 
 def read_report(path) -> RunReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid report file: {e.msg}", e.pos) from None
-    return report_from_json(obj)
+    return report_from_json(read_json(path, "report"))
 
 
 def _fmt_pm(v, se):

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .algebra import PROB_SUM_TOL, Provenance, measure_from_totals, members
-from .errors import CycleError, DomainError, ModelError, ParseError
+from .errors import CycleError, DomainError, ModelError, read_json
 from .formula import Formula, parse_formula
 from .mc import Estimate, EstimatorConfig, pickfreeze_totals, range_tolerance, upper_estimate
 
@@ -1109,13 +1109,7 @@ def model_from_json(obj) -> ScmModel:
 
 
 def read_model(path) -> ScmModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid model file: {e.msg}", e.pos) from None
-    return model_from_json(obj)
+    return model_from_json(read_json(path, "model"))
 
 
 def write_model(model: ScmModel, path):

@@ -35,6 +35,7 @@ from xfvar.algebra import (
     superset_zeta,
     totals_from_measure,
 )
+from xfvar.errors import ParseError
 
 # exact measure for Y = W1 + W1*W2 with Rademacher inputs:
 # totals xi(W1)=1, xi(W2)=1/2, xi(W1 or W2)=1
@@ -212,10 +213,24 @@ def test_parse_clause():
     got = parse_clause("~(W1 | W2) & W3", names).atoms
     want = (~(clause_var(3, 0) | clause_var(3, 1)) & clause_var(3, 2)).atoms
     assert got == want
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError):
         parse_clause("W1 |", names)
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError):
         parse_clause("nope", names)
+
+
+@pytest.mark.parametrize("text", ["W1 | 2", "W1.5", "3", "W1 & (2)"])
+def test_parse_clause_rejects_numbers(text):
+    with pytest.raises(ParseError):
+        parse_clause(text, ("W1", "W2", "W3"))
+
+
+def test_clause_operators_need_equal_var_counts():
+    a, b = clause_var(2, 0), clause_var(3, 0)
+    with pytest.raises(ValueError, match="var_count mismatch: 2 vs 3"):
+        a & b
+    with pytest.raises(ValueError, match="var_count mismatch: 3 vs 2"):
+        b | a
 
 
 def test_measure_query_additivity():

@@ -406,3 +406,33 @@ def test_malformed_dag_exits_2(tmp_path, capsys, case):
 def test_non_finite_levels_exit_5(tmp_path, capsys, method, levels):
     code = run_cli(_fit_argv(tmp_path, GOOD_DAG, ["--method", method, "--levels", levels]))
     assert_one_error(capsys, code, 5, "levels must be strictly increasing inside (0, 1)")
+
+
+# ---------------------------------------------------------------------------
+# JSON syntax errors report a UTF-8 byte offset
+
+# "é" is two bytes in UTF-8, so the stray comma is character 24 but byte 25
+BAD_JSON = '{"name": "é", "nodes": [,]}'
+
+
+def _json_argv(tmp_path, kind, data=BAD_JSON.encode("utf-8")):
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    if kind == "model":
+        return ["counterfactual", "--model", str(p), "--samples", "200"]
+    if kind == "report":
+        return ["venn", "--report", str(p), "--ascii"]
+    argv = _fit_argv(tmp_path, GOOD_DAG)
+    argv[argv.index("--dag") + 1] = str(p)
+    return argv
+
+
+@pytest.mark.parametrize("kind", ["model", "DAG", "report"])
+def test_json_syntax_error_at_byte_offset(tmp_path, capsys, kind):
+    code = run_cli(_json_argv(tmp_path, kind))
+    assert_one_file_error(capsys, code, f"invalid {kind} file: Expecting value (at byte offset 25)")
+
+
+def test_json_file_not_utf8_exits_2(tmp_path, capsys):
+    code = run_cli(_json_argv(tmp_path, "model", b'{"outcome": "\xff"}'))
+    assert_one_file_error(capsys, code, "invalid model file: not UTF-8 (at byte offset 13)")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,22 @@ def test_oracle_accepts_every_categorical_law_that_loads(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["oracle", "--model", str(p)]) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["atoms"]["A+B"] == pytest.approx(1 / 3)
+
+
+def test_oracle_renormalizes_categorical_law(tmp_path, capsys):
+    # probs summing to 1 + 1e-10 are divided by their sum, so the measure has mass 1
+    law = {"kind": "root_categorical", "values": [0.0, 1.0], "probs": [0.5, 0.5000000001]}
+    model = {"outcome": "Y", "nodes": [
+        {"name": "A", "parents": [], "mechanism": law},
+        {"name": "B", "parents": [], "mechanism": {"kind": "root_rademacher"}},
+        {"name": "Y", "parents": ["A", "B"], "mechanism": {"kind": "deterministic", "expr": "A + B + A*B"}},
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    assert run_cli(["oracle", "--model", str(p)]) == 0, capsys.readouterr().err
+    rep = json.loads(capsys.readouterr().out)
+    assert abs(math.fsum(rep["atoms"].values()) - 1.0) <= 1e-15
+    assert abs(rep["totals"]["A+B"] - 1.0) <= 1e-15
 
 
 def test_oracle_constant_offset_leaves_atoms(tmp_path, capsys):

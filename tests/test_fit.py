@@ -10,7 +10,6 @@ from xfvar.fit import (
     Dataset,
     FitConfig,
     dag_from_json,
-    empirical_levels,
     fit_model,
     fit_root,
     isotonic_rearrange,
@@ -18,7 +17,7 @@ from xfvar.fit import (
     read_csv,
 )
 from xfvar.mc import EstimatorConfig
-from xfvar.scm import Dag, counterfactual_total
+from xfvar.scm import Dag, counterfactual_total, empirical_quantile
 
 
 def _write_csv(path, header, rows):
@@ -251,7 +250,7 @@ def test_parent_binning_quantile_for_many_values():
 
 def test_empirical_levels_left_continuous():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
-    got = empirical_levels(vals, (0.25, 0.5, 0.75, 0.99))
+    got = empirical_quantile(np.sort(vals), (0.25, 0.5, 0.75, 0.99))
     assert list(got) == [1.0, 2.0, 3.0, 4.0]
 
 
