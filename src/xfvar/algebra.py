@@ -506,7 +506,8 @@ def measure_marginalize(m: ExplanationMeasure, drop: str) -> ExplanationMeasure:
     stderr = None
     if m.atom_stderr is not None:
         sq = np.zeros(n_new)
-        np.add.at(sq, folded, m.atom_stderr**2)
+        with np.errstate(over="ignore"):  # a stderr past 1e154 read from a file
+            np.add.at(sq, folded, m.atom_stderr**2)
         stderr = np.sqrt(sq)
     names = m.names[:k] + m.names[k + 1 :]
     return ExplanationMeasure(names, mass, stderr, m.provenance)

@@ -7,8 +7,9 @@ report). Every failure exits nonzero and prints a single line with an
 "error[EXX]:" prefix whose number is the exit code.
 
 Exit codes: 0 ok, 1 internal, 2 usage/file/parse/model value, 3 cycle,
-4 zero variance, 5 fit failure, 6 not oracle-reducible, 7 venn variable
-count.
+4 zero variance, 5 fit failure, 6 not oracle-reducible (a node that is
+neither a discrete root nor deterministic) or too large to decompose,
+7 venn variable count.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .algebra import clip_negative_atoms
 from .anova_oracle import (
     ENUMERATION_BUDGET,
-    DiscreteDomain,
     exact_measure,
     hoeffding_decompose,
     indices_from_decomposition,
@@ -117,8 +115,8 @@ def cmd_gsa(args) -> int:
         for n, mech in zip(model.dag.names, model.mechanisms):
             if n != model.outcome and not mech.is_root:
                 raise DomainError(
-                    f"gsa needs independent inputs, but node {n!r} has parents; "
-                    "use the counterfactual command for causal models"
+                    f"gsa needs independent inputs, but node {n!r} has a {mech.kind} "
+                    "mechanism, not a root; use the counterfactual command for causal models"
                 )
         measure = estimate_counterfactual_measure(model, cfg, include_outcome=False)
         config["model"] = args.model
@@ -182,42 +180,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _oracle_domain(model):
-    """Reduce a model with discrete roots and a deterministic outcome to
-    an independent discrete domain plus an outcome function."""
-    names = []
-    values, probs = [], []
-    for n, mech in zip(model.dag.names, model.mechanisms):
-        if n == model.outcome:
-            if mech.uses_noise:
-                raise NotReducibleError("oracle needs a deterministic outcome mechanism")
-            continue
-        law = mech.discrete_law()
-        if law is None:
-            raise NotReducibleError(
-                f"node {n!r} has a {mech.kind or type(mech).__name__} mechanism; "
-                "oracle needs discrete roots (rademacher, categorical or empirical)"
-            )
-        names.append(n)
-        values.append(law[0])
-        probs.append(law[1])
-    outcome_mech = model.mechanisms[model.dag.index(model.outcome)]
-    parent_pos = {p: j for j, p in enumerate(names)}
-    for p in outcome_mech.parent_names:
-        if p not in parent_pos:
-            raise NotReducibleError(f"outcome parent {p!r} is not a reducible root")
-    cols = [parent_pos[p] for p in outcome_mech.parent_names]
-
-    def f(w):
-        return outcome_mech.sample(np.zeros(w.shape[0]), tuple(w[:, c] for c in cols))
-
-    return DiscreteDomain(tuple(values), tuple(probs)), f, tuple(names)
-
-
 def cmd_oracle(args) -> int:
     model = read_model(args.model)
     try:
-        domain, f, names = _oracle_domain(model)
+        domain, f, names = model.oracle_domain()
     except DomainError as e:  # over-budget enumeration
         raise NotReducibleError(str(e)) from None
     # the Moebius inversion in hoeffding_decompose touches prod_j (1 + 2 d_j) elements
@@ -299,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_fit)
 
     sp = sub.add_parser("oracle", help="exact measure for small discrete models")
-    sp.add_argument("--model", required=True, help="model file (discrete roots, deterministic outcome)")
+    sp.add_argument("--model", required=True, help="model file (discrete roots, others deterministic)")
     sp.add_argument("--out", help="output file (default: stdout)")
     sp.set_defaults(fn=cmd_oracle)
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one JSON file reader
-that reports syntax errors as ParseError."""
+"""Exception types shared across the package, and the file readers that
+report bytes that are not UTF-8, and JSON syntax errors, as ParseError."""
 
 import json
 
@@ -24,15 +24,21 @@ class ParseError(XfvarError):
         self.offset = offset
 
 
-def read_json(path, what):
-    """Load a UTF-8 JSON file; bytes that are not UTF-8 and syntax errors
-    are a ParseError at their byte offset."""
+def read_text(path, what):
+    """The text of a UTF-8 file; bytes that are not UTF-8 are a ParseError
+    at the offset of the first bad byte. what names the file kind."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"invalid {what} file: not UTF-8", e.start) from None
+
+
+def read_json(path, what):
+    """Load a UTF-8 JSON file; bytes that are not UTF-8 and syntax errors
+    are a ParseError at their byte offset."""
+    text = read_text(path, what)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

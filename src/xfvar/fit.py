@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import FitError, ModelError, read_json
+from .errors import FitError, ModelError, ParseError, read_json, read_text
 from .rng import aux_generator
 from .scm import (
     AdditiveNoise,
@@ -108,20 +108,26 @@ class Dataset:
 
 
 def read_csv(path, categorical=(), used=None):
-    """Ingest a CSV with a header row.
+    """Ingest a UTF-8 CSV with a header row.
 
     Only the columns named in `used` (default: all) are checked; a row is
     dropped when any used numeric cell fails to parse as a finite real
-    number or any used cell is empty. Returns (Dataset, warnings).
+    number or any used cell is empty. Returns (Dataset, warnings). Bytes
+    that are not UTF-8 and fields past the csv size limit are a ParseError.
     """
     categorical = frozenset(categorical)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FitError("CSV file is empty") from None
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except UnicodeDecodeError:  # offsets count within a chunk; read_text raises at the file's
+        read_text(path, "CSV")
+        raise
+    except csv.Error as e:  # a field past csv.field_size_limit()
+        raise ParseError(f"invalid CSV file: {e} (line {reader.line_num})") from None
+    if header is None:
+        raise FitError("CSV file is empty")
     header = [h.strip() for h in header]
     if len(header) != len(set(header)):
         raise FitError("CSV header has duplicate column names")
@@ -350,11 +356,12 @@ def fit_model(data: Dataset, dag: Dag, cfg: FitConfig, outcome: str) -> ScmModel
     for n in dag.names:
         data.column(n)  # raises on missing columns
     mechs = []
-    for n, ps in zip(dag.names, dag.parents):
-        if not ps:
-            mechs.append(fit_root(data, n))
-        else:
-            mechs.append(_METHODS[cfg.method](data, n, ps, cfg))
+    with np.errstate(all="ignore"):  # a mechanism rejects an overflowed parameter
+        for n, ps in zip(dag.names, dag.parents):
+            if not ps:
+                mechs.append(fit_root(data, n))
+            else:
+                mechs.append(_METHODS[cfg.method](data, n, ps, cfg))
     flags = ("fitted:" + cfg.method,)
     if cfg.method != "quantile_grid":
         flags += ("cross-fitted",)

@@ -9,7 +9,7 @@ serialize is byte-identical; golden tests freeze the schema.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +108,8 @@ def _subset_table(obj, field, names):
         if key not in table:
             raise ParseError(f"report {field!r} is missing subset {key!r}")
         v = table[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        # NaN, the infinities and ints past float64 fail the bound
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
             raise ParseError(f"report {field!r} entry {key!r} must be a finite number, got {v!r}")
         out[s] = float(v)
     return out

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .algebra import PROB_SUM_TOL, Provenance, measure_from_totals, members
-from .errors import CycleError, DomainError, ModelError, read_json
+from .anova_oracle import DiscreteDomain
+from .errors import CycleError, DomainError, ModelError, NotReducibleError, read_json
 from .formula import Formula, parse_formula
 from .mc import Estimate, EstimatorConfig, pickfreeze_totals, range_tolerance, upper_estimate
 
@@ -418,6 +419,7 @@ class ParentFn:
             if not isinstance(cells, dict):
                 raise ModelError(f"node {node!r}: cells must be an object")
             self.cells = {str(k): _float(node, f"cell {k!r}", v) for k, v in cells.items()}
+            _check_finite(node, "cell values", list(self.cells.values()))
             self.index = CellIndex(node, len(self.parent_names), binning, self.cells)
             self._values = np.array([self.cells[k] for k in self.index.keys], dtype=float)
 
@@ -881,9 +883,9 @@ class ScmModel:
             )
         return v
 
-    def _evaluate(self, noise, node_order):
-        """Evaluate the given node indices in order; noise is (m, V)."""
-        values = {}
+    def _evaluate(self, noise, node_order, values):
+        """Evaluate the given node indices in order into values, a node index
+        -> array map holding any nodes given, not evaluated; noise is (m, V)."""
         with np.errstate(all="ignore"):
             for i in node_order:
                 values[i] = self._node_values(i, noise[:, i], values)
@@ -894,13 +896,44 @@ class ScmModel:
         noise = np.asarray(noise, dtype=float)
         if noise.ndim != 2 or noise.shape[1] != self.n_nodes:
             raise ModelError(f"noise must have shape (m, {self.n_nodes})")
-        values = self._evaluate(noise, self._order)
+        values = self._evaluate(noise, self._order, {})
         return {self.dag.names[i]: v for i, v in values.items()}
 
     def outcome_values(self, noise):
         """Outcome column only; skips nodes outside the outcome's ancestry."""
-        values = self._evaluate(np.asarray(noise, dtype=float), self._outcome_order)
+        values = self._evaluate(np.asarray(noise, dtype=float), self._outcome_order, {})
         return values[self._outcome_index]
+
+    def oracle_domain(self):
+        """(domain, f, names) for exact decomposition: the product of the
+        discrete roots' laws, names, in declaration order, and f, the map
+        from an (n, K) array of root values to the outcome by the node loop
+        of outcome_values. Every other node, the outcome included, must be
+        deterministic (it may sit anywhere); NotReducibleError names the
+        first node that is neither, and DomainError a domain past budget.
+        """
+        roots, laws = [], []
+        for i, (n, mech) in enumerate(zip(self.dag.names, self.mechanisms)):
+            law = None if i == self._outcome_index else mech.discrete_law()
+            if law is not None:
+                roots.append(i)
+                laws.append(law)
+            elif mech.uses_noise:
+                raise NotReducibleError(
+                    f"node {n!r} has a {mech.kind or type(mech).__name__} mechanism; oracle needs "
+                    "discrete roots (rademacher, categorical or empirical) and every other node, "
+                    "the outcome included, deterministic"
+                )
+        order = tuple(i for i in self._outcome_order if i not in roots)
+
+        def f(w):
+            # deterministic nodes read only the length of their noise column
+            noise = np.broadcast_to(0.0, (w.shape[0], self.n_nodes))
+            start = {i: w[:, j] for j, i in enumerate(roots)}
+            return self._evaluate(noise, order, start)[self._outcome_index]
+
+        domain = DiscreteDomain([v for v, _ in laws], [p for _, p in laws])
+        return domain, f, tuple(self.dag.names[i] for i in roots)
 
     def noise_mask(self, nodes) -> int:
         """Bitmask of the noise coordinates owned by the given node names."""

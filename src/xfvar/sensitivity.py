@@ -1,7 +1,7 @@
 """Variance-based sensitivity analysis for functions of independent inputs.
 
-Inputs are described by an IndependentSampler holding one quantile
-transform per variable; all randomness flows through the uniform noise
+Inputs are described by an IndependentSampler holding one root
+mechanism per variable; all randomness flows through the uniform noise
 stream of `rng`, so every estimator is reproducible from (samples, seed)
 alone and two estimators with the same config share their sample pairs.
 """
@@ -9,7 +9,6 @@ alone and two estimators with the same config share their sample pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -26,47 +25,34 @@ from .mc import (
     superset_estimate,
     upper_estimate,
 )
-from .scm import gauss_quantile, rademacher_sign
-
-Quantile = Callable[[np.ndarray], np.ndarray]
-
-
-def normal_quantile(mean=0.0, std=1.0) -> Quantile:
-    return lambda u: mean + std * gauss_quantile(u)
-
-
-def uniform_quantile(low=0.0, high=1.0) -> Quantile:
-    return lambda u: low + (high - low) * u
-
-
-def rademacher_quantile() -> Quantile:
-    return rademacher_sign
+from .scm import RootGaussian
 
 
 @dataclass(frozen=True)
 class IndependentSampler:
-    """Product distribution given by one quantile transform per variable."""
+    """Product distribution of independent inputs, one root mechanism
+    (RootGaussian, RootUniform, ...) per variable."""
 
-    quantiles: tuple
+    roots: tuple
 
     def __post_init__(self):
-        if not self.quantiles:
+        if not self.roots:
             raise DomainError("need at least one input variable")
-        if len(self.quantiles) > MAX_VARS:
+        if len(self.roots) > MAX_VARS:
             raise DomainError(f"at most {MAX_VARS} input variables supported")
 
     @property
     def k(self) -> int:
-        return len(self.quantiles)
+        return len(self.roots)
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Map uniform noise (m, K) to input samples (m, K)."""
-        cols = [np.asarray(q(u[:, j]), dtype=float) for j, q in enumerate(self.quantiles)]
+        cols = [np.asarray(m.sample(u[:, j], ()), dtype=float) for j, m in enumerate(self.roots)]
         return np.column_stack(cols)
 
 
 def standard_normal_sampler(k: int) -> IndependentSampler:
-    return IndependentSampler(tuple(normal_quantile() for _ in range(k)))
+    return IndependentSampler(tuple(RootGaussian(f"W{j + 1}") for j in range(k)))
 
 
 def independent_outcomes(f, sampler: IndependentSampler):

@@ -14,7 +14,6 @@ from xfvar.anova_oracle import (
     indices_from_decomposition,
     rademacher_domain,
 )
-from xfvar.cli import _oracle_domain
 from xfvar.errors import DomainError, ZeroVarianceError
 from xfvar.scm import model_from_json, read_model
 
@@ -234,6 +233,8 @@ _ORACLE_MODELS = {
     "model1": lambda: read_model(Path(__file__).parent / "data" / "model1.json"),
     "ring7": _ring7_model,
     "categorical_empirical": _categorical_empirical_model,
+    # Rademacher A, categorical B, C = A*B and Y = A + C + A*C
+    "dag": lambda: read_model(Path(__file__).parent / "data" / "dag_model.json"),
 }
 
 
@@ -241,7 +242,7 @@ _ORACLE_MODELS = {
 def test_oracle_domain_matches_pair_references(model):
     # the oracle command reports indices from the decomposition alone; the
     # pair-enumeration closed forms must agree with them at 1e-10 * max(1, var)
-    domain, f, _ = _oracle_domain(_ORACLE_MODELS[model]())
+    domain, f, _ = _ORACLE_MODELS[model]().oracle_domain()
     dec = check_decomposition(hoeffding_decompose(f, domain))
     idx = indices_from_decomposition(dec)
     tol = 1e-10 * max(1.0, dec.total_variance)

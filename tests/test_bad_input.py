@@ -199,6 +199,8 @@ REPORT_CASES = {
     "atom_not_numeric": (_put(["atoms", "W1"], "x"), "'atoms' entry 'W1' must be a finite number"),
     "atom_null": (_put(["atoms", "W2"], None), "'atoms' entry 'W2' must be a finite number"),
     "atom_bool": (_put(["atoms", "W2"], True), "'atoms' entry 'W2' must be a finite number"),
+    "atom_an_int_past_float64": (_put(["atoms", "W1"], 10**400),
+                                 "'atoms' entry 'W1' must be a finite number"),
     "stderr_not_numeric": (_put(["atom_stderr", ""], "?"), "'atom_stderr' entry '' must be"),
     "provenance_not_an_object": (_put(["provenance"], "mc"), "'provenance' must be an object"),
     "provenance_bad_kind": (_put(["provenance", "kind"], "magic"), "'provenance' must be"),
@@ -216,6 +218,24 @@ def test_malformed_report_exits_2(tmp_path, capsys, case):
     p.write_text(json.dumps(edit(rep)))
     code = run_cli(["venn", "--report", str(p), "--ascii"])
     assert_one_error(capsys, code, 2, fragment)
+
+
+def test_huge_stderr_draws_without_warning(tmp_path, capsys):
+    # venn folds the outcome out of a counterfactual report, stderr too
+    model = copy.deepcopy(BIG_MODEL)
+    model["nodes"][1:] = [
+        {"name": "B", "parents": [], "mechanism": {"kind": "root_uniform"}},
+        {"name": "Y", "parents": ["A", "B"], "mechanism": {"kind": "deterministic", "expr": "A*B"}},
+    ]
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(model))
+    r = tmp_path / "r.json"
+    assert run_cli(["counterfactual", "--model", str(m), "--samples", "200", "--out", str(r)]) == 0
+    rep = json.loads(r.read_text())
+    rep["atom_stderr"][""] = -1e308
+    r.write_text(json.dumps(rep))
+    assert run_cli(["venn", "--report", str(r), "--ascii"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_non_finite_atom_exits_2(tmp_path, capsys):
@@ -436,3 +456,30 @@ def test_json_syntax_error_at_byte_offset(tmp_path, capsys, kind):
 def test_json_file_not_utf8_exits_2(tmp_path, capsys):
     code = run_cli(_json_argv(tmp_path, "model", b'{"outcome": "\xff"}'))
     assert_one_file_error(capsys, code, "invalid model file: not UTF-8 (at byte offset 13)")
+
+
+def test_csv_file_not_utf8_exits_2(tmp_path, capsys):
+    argv = _fit_argv(tmp_path, GOOD_DAG)
+    # past the first chunk of a streaming decoder, so the offset is the file's
+    data = b"A,Y\n" + b"a,1\n" * 3000 + b"b,\xff2\n"
+    Path(argv[argv.index("--data") + 1]).write_bytes(data)
+    code = run_cli(argv)
+    assert_one_file_error(capsys, code, f"invalid CSV file: not UTF-8 (at byte offset {len(data) - 3})")
+
+
+@pytest.mark.parametrize("method", ["additive_empirical", "hetero_gaussian"])
+def test_fit_on_values_near_float64_limit_exits_2(tmp_path, capsys, method):
+    # the cell means overflow, silently; the mechanism rejects them
+    argv = _fit_argv(tmp_path, GOOD_DAG, ["--method", method, "--min-cell", "2"])
+    rows = "".join(f"{'ab'[i % 2]},1.7e308\n" for i in range(8))
+    Path(argv[argv.index("--data") + 1]).write_text("A,Y\n" + rows)
+    code = run_cli(argv)
+    assert_one_file_error(capsys, code, "node 'Y': cell values must be finite")
+
+
+def test_csv_field_past_size_limit_exits_2(tmp_path, capsys):
+    # an unterminated quote runs to the end of the file as one field
+    argv = _fit_argv(tmp_path, GOOD_DAG)
+    Path(argv[argv.index("--data") + 1]).write_text('A,Y\na,"1\n' + "b,2\n" * 40000)
+    code = run_cli(argv)
+    assert_one_file_error(capsys, code, "invalid CSV file: field larger than field limit")

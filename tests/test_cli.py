@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from xfvar import cli, rng, scm
+from xfvar.algebra import measure_marginalize
 from xfvar.cli import main
 from xfvar.errors import ModelError, NotReducibleError
 from xfvar.fit import FitConfig
 from xfvar.mc import EstimatorConfig, hybrid
+from xfvar.report import read_report
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -95,6 +97,20 @@ def test_gsa_model_rejects_chain(tmp_path, capsys):
     assert "counterfactual" in capsys.readouterr().err
 
 
+def test_gsa_model_names_the_kind_of_a_parentless_non_root(tmp_path, capsys):
+    model = {"outcome": "Y", "nodes": [
+        {"name": "A", "parents": [], "mechanism": {"kind": "root_gaussian"}},
+        {"name": "K", "parents": [], "mechanism": {"kind": "deterministic", "expr": "2"}},
+        {"name": "Y", "parents": ["A", "K"], "mechanism": {"kind": "deterministic", "expr": "A*K"}},
+    ]}
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(model))
+    assert run_cli(["gsa", "--model", str(p), "--samples", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert "node 'K' has a deterministic mechanism, not a root" in err
+    assert "parents" not in err and err.count("\n") == 1
+
+
 def test_counterfactual_full_report(capsys, in_repo_root):
     code = run_cli(["counterfactual", "--model", "tests/data/model1.json", "--samples", "4000"])
     assert code == 0
@@ -175,6 +191,41 @@ def test_oracle_not_reducible(tmp_path, capsys):
     code = run_cli(["oracle", "--model", str(p)])
     assert code == 6
     assert capsys.readouterr().err.startswith("error[E06]:")
+
+
+def test_oracle_evaluates_deterministic_nodes_and_bounds_counterfactual(tmp_path, capsys):
+    # Rademacher A, categorical B, and deterministic nodes between them and
+    # the outcome: C = A*B and Y = A + C + A*C (= A + B + A*B, since A*A = 1)
+    p = DATA / "dag_model.json"
+    assert run_cli(["oracle", "--model", str(p)]) == 0, capsys.readouterr().err
+    rep = json.loads(capsys.readouterr().out)
+    # the report variables are the discrete roots; C and Y own no noise
+    assert rep["variables"] == ["A", "B"]
+    assert abs(math.fsum(rep["atoms"].values()) - 1.0) <= 1e-12
+    # E[B] = 1.3 and Var B = 0.61: the A atom is 2.3**2 / 6.51, B and A+B are 0.61 / 6.51
+    for key, want in (("A", 0.812596), ("B", 0.093702), ("A+B", 0.093702)):
+        assert abs(rep["atoms"][key] - want) <= 1e-6, key
+    out = tmp_path / "cf.json"
+    argv = ["counterfactual", "--model", str(p), "--samples", "200000", "--seed", "0"]
+    assert run_cli(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+    m = read_report(out).measure
+    for drop in ("C", "Y"):
+        m = measure_marginalize(m, drop)
+    assert m.names == ("A", "B")
+    for mask, key in ((1, "A"), (2, "B"), (3, "A+B")):
+        assert abs(m.atom_mass[mask] - rep["atoms"][key]) <= 3 * m.atom_stderr[mask], key
+
+
+def test_oracle_rejects_noisy_non_root(tmp_path, capsys):
+    model = json.loads((DATA / "dag_model.json").read_text())
+    model["nodes"][2]["mechanism"] = {
+        "kind": "hetero_gaussian", "mean": {"expr": "A*B"}, "std": {"expr": "1"}}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    assert run_cli(["oracle", "--model", str(p)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error[E06]: node 'C' has a hetero_gaussian mechanism;")
+    assert err.count("\n") == 1
 
 
 def _rademacher_sum_model(path, k):

@@ -29,6 +29,9 @@ from xfvar.mc import (
 from xfvar.scm import (
     HybridOutcomes,
     Mechanism,
+    RootGaussian,
+    RootRademacher,
+    RootUniform,
     counterfactual_total,
     estimate_counterfactual_measure,
     model_from_json,
@@ -39,9 +42,6 @@ from xfvar.sensitivity import (
     estimate_measure,
     estimate_superset,
     estimate_upper,
-    normal_quantile,
-    rademacher_quantile,
-    uniform_quantile,
 )
 
 
@@ -151,7 +151,7 @@ def _mixed_inputs(w):
 
 
 MIXED = IndependentSampler(
-    (normal_quantile(0.5, 2.0), uniform_quantile(-1.0, 2.0), normal_quantile(), rademacher_quantile())
+    (RootGaussian("W1", 0.5, 2.0), RootUniform("W2", -1.0, 2.0), RootGaussian("W3"), RootRademacher("W4"))
 )
 
 

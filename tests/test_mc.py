@@ -4,13 +4,14 @@ import pytest
 from xfvar import mc
 from xfvar.errors import DomainError, ZeroVarianceError
 from xfvar.mc import Estimate, EstimatorConfig, pickfreeze_totals, upper_estimate
+from xfvar.scm import RootUniform
 from xfvar.sensitivity import IndependentSampler, independent_outcomes
 
 
 def _of_noise(yfn, k):
     """The kernel's evaluator for yfn of the k uniform noise columns
-    themselves: the independent-input provider with identity transforms."""
-    return independent_outcomes(yfn, IndependentSampler(tuple(lambda u: u for _ in range(k))))
+    themselves: the independent-input provider with standard uniform roots."""
+    return independent_outcomes(yfn, IndependentSampler(tuple(RootUniform(f"U{j}") for j in range(k))))
 
 
 def _product_y(k):

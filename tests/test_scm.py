@@ -145,6 +145,8 @@ NAN, INF = float("nan"), float("inf")
         (("P",), {"kind": "quantile_table", "levels": [0.25, NAN], "cells": {"1": [0.0, 1.0]}}),
         (("P",), {"kind": "quantile_table", "levels": [0.25, 0.75], "cells": {"1": [NAN, 1.0]}}),
         (("P",), {"kind": "quantile_table", "levels": [0.25, 0.75], "cells": {"1": [0.0, INF]}}),
+        (("P",), {"kind": "additive_noise", "mean": {"cells": {"1": INF}}, "residuals": [0.0]}),
+        (("P",), {"kind": "hetero_gaussian", "mean": {"expr": "P"}, "std": {"cells": {"1": NAN}}}),
     ],
 )
 def test_non_finite_parameters_rejected(parents, mech):

@@ -13,11 +13,9 @@ from xfvar.sensitivity import (
     estimate_upper,
     interaction_contrast,
     named_function,
-    normal_quantile,
-    rademacher_quantile,
     standard_normal_sampler,
-    uniform_quantile,
 )
+from xfvar.scm import RootGaussian, RootRademacher, RootUniform
 
 CFG = EstimatorConfig(samples=120_000, seed=0)
 
@@ -28,13 +26,13 @@ def _linear(w):
 
 def test_quantile_transforms():
     u = np.array([0.001, 0.25, 0.5, 0.75, 0.999])
-    z = normal_quantile(0.0, 1.0)(u)
+    z = RootGaussian("Z", 0.0, 1.0).sample(u, ())
     assert z[2] == pytest.approx(0.0, abs=1e-12)
     assert z[1] == pytest.approx(-z[3], abs=1e-12)
-    x = uniform_quantile(-2.0, 4.0)(u)
+    x = RootUniform("X", -2.0, 4.0).sample(u, ())
     assert x[0] == pytest.approx(-2.0, abs=0.01)
     assert x[2] == pytest.approx(1.0, abs=1e-12)
-    r = rademacher_quantile()(np.array([0.2, 0.5, 0.500001, 0.9]))
+    r = RootRademacher("R").sample(np.array([0.2, 0.5, 0.500001, 0.9]), ())
     assert list(r) == [-1.0, -1.0, 1.0, 1.0]
 
 
