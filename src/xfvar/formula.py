@@ -11,13 +11,15 @@ Grammar (standard infix, whitespace-insensitive):
 '^' binds tighter than unary minus, so -w^2 is -(w^2); exponents parse a
 unary so w^-2 works. Functions: exp, log, abs, sigmoid, sqrt (1 arg),
 min, max (2 args). Evaluation is over numpy arrays or scalars and must
-produce finite values.
+produce finite values. The parser emits each formula as a flat program
+of ops (Formula.program), which scm.HybridOutcomes also runs op by op.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -37,6 +39,14 @@ _FUNCTIONS = {
     "sqrt": (1, np.sqrt),
     "min": (2, np.minimum),
     "max": (2, np.maximum),
+}
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
 }
 
 # One token per match: a number, a name, a run of whitespace, or any other
@@ -109,52 +119,50 @@ class Tokens:
 
 @dataclass(frozen=True)
 class Formula:
-    """A parsed expression; `variables` lists the names it references."""
+    """A parsed expression; `variables` lists the names it references.
+
+    program is the expression as a flat list in evaluation order: entry
+    k is ("var", name), ("num", value) or (fn, args), the callable fn
+    applied to the values of the earlier entries whose indices args
+    lists. The last entry checks that the value is finite and returns it.
+    Each op is the ufunc or operator the expression names, applied to
+    the same operands in the same order as a recursive walk of the
+    expression, so the program's values are that walk's, bit for bit.
+    """
 
     source: str
-    root: tuple
+    program: tuple = field(compare=False, repr=False)
     variables: tuple
 
     def evaluate(self, env):
         """Evaluate against {name: array-or-scalar}; raises on non-finite output."""
+        vals = []
         with np.errstate(all="ignore"):
-            out = _eval_node(self.root, env)
-        arr = np.asarray(out, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise FormulaEvalError(f"formula {self.source!r} produced a non-finite value")
-        return out
+            for op, arg in self.program:
+                if op == "var":
+                    try:
+                        vals.append(env[arg])
+                    except KeyError:
+                        raise FormulaEvalError(f"no value bound for variable {arg!r}") from None
+                elif op == "num":
+                    vals.append(arg)
+                else:
+                    vals.append(op(*[vals[a] for a in arg]))
+        return vals[-1]
 
     def __str__(self):
         return self.source
 
 
-def _eval_node(node, env):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise FormulaEvalError(f"no value bound for variable {node[1]!r}") from None
-    if op == "neg":
-        return -_eval_node(node[1], env)
-    if op == "call":
-        fn = _FUNCTIONS[node[1]][1]
-        return fn(*[_eval_node(a, env) for a in node[2]])
-    a = _eval_node(node[1], env)
-    b = _eval_node(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return np.power(a, b)
-    raise FormulaEvalError(f"corrupt formula node {op!r}")
+def _finite_check(source):
+    """The program's last op: its value, unless that is not finite."""
+
+    def finite(out):
+        if not np.isfinite(np.asarray(out, dtype=float)).all():
+            raise FormulaEvalError(f"formula {source!r} produced a non-finite value")
+        return out
+
+    return finite
 
 
 def parse_formula(text: str, allowed_names) -> Formula:
@@ -166,28 +174,33 @@ def parse_formula(text: str, allowed_names) -> Formula:
     allowed = set(allowed_names)
     toks = Tokens(text, "+-*/^(),")
     used = set()
+    program = []
+
+    def emit(op, arg):
+        program.append((op, arg))
+        return len(program) - 1
 
     def parse_expr():
         node = parse_mul()
         while op := toks.accept("+-"):
-            node = (op, node, parse_mul())
+            node = emit(_BINARY[op], (node, parse_mul()))
         return node
 
     def parse_mul():
         node = parse_unary()
         while op := toks.accept("*/"):
-            node = (op, node, parse_unary())
+            node = emit(_BINARY[op], (node, parse_unary()))
         return node
 
     def parse_unary():
         if toks.accept("-"):
-            return ("neg", parse_unary())
+            return emit(operator.neg, (parse_unary(),))
         return parse_power()
 
     def parse_power():
         node = parse_primary()
         if toks.accept("^"):
-            node = ("^", node, parse_unary())
+            node = emit(np.power, (node, parse_unary()))
         return node
 
     def parse_primary():
@@ -198,13 +211,13 @@ def parse_formula(text: str, allowed_names) -> Formula:
         tok = toks.next()
         kind, value, off = tok
         if kind == "num":
-            return ("num", value)
+            return emit("num", value)
         if kind != "name":
             toks.fail(tok)
         if toks.accept("("):
             if value not in _FUNCTIONS:
                 raise ParseError(f"unknown function {value!r}", off)
-            arity, _ = _FUNCTIONS[value]
+            arity, fn = _FUNCTIONS[value]
             args = [parse_expr()]
             while toks.accept(","):
                 args.append(parse_expr())
@@ -214,12 +227,13 @@ def parse_formula(text: str, allowed_names) -> Formula:
                     f"{value} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
                     off,
                 )
-            return ("call", value, tuple(args))
+            return emit(fn, tuple(args))
         if value not in allowed:
             raise ParseError(f"unknown identifier {value!r}", off)
         used.add(value)
-        return ("var", value)
+        return emit("var", value)
 
     root = toks.finish(parse_expr())
+    emit(_finite_check(text), (root,))
     ordered = tuple(n for n in allowed_names if n in used)
-    return Formula(text, root, ordered)
+    return Formula(text, tuple(program), ordered)

@@ -9,10 +9,10 @@ the outcome of the hybrid that takes the columns set in mask from E' and
 the rest from E. y(0) is y(E) and y(every column) is y(E'). The
 providers decide how much of each hybrid they recompute: `sensitivity`
 transforms E and E' once and builds hybrids in value space, `scm`
-memoizes node values on the resampled ancestors. Per block the kernel
-asks for y(E), y(E') and a list of hybrid masks, with one hybrid output
-alive at a time, and sums the rows of a small per-estimator statistic
-per stderr batch.
+memoizes node values, mechanism stages and formula ops on the
+resampled ancestors. Per block the kernel asks for y(E), y(E') and a
+list of hybrid masks, with one hybrid output alive at a time, and sums
+the rows of a small per-estimator statistic per stderr batch.
 
 upper_estimate, lower_estimate and superset_estimate take the noise mask
 S they estimate and yield the baseline moments of y(E) and y(E') as

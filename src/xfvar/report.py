@@ -72,8 +72,8 @@ def report_from_json(obj) -> RunReport:
     """The report a parsed JSON object holds.
 
     Raises ParseError naming the first malformed field: a missing key, a
-    field of the wrong type, a missing or non-finite atom, or bad
-    provenance.
+    field of the wrong type, a missing or non-finite atom, a negative
+    atom stderr, or bad provenance.
     """
     if not isinstance(obj, dict):
         raise ParseError("report must be a JSON object")
@@ -86,7 +86,7 @@ def report_from_json(obj) -> RunReport:
     if len(set(names)) != len(names):
         raise ParseError("report 'variables' must be unique")
     atoms = _subset_table(obj, "atoms", names)
-    stderr = _subset_table(obj, "atom_stderr", names) if "atom_stderr" in obj else None
+    stderr = _subset_table(obj, "atom_stderr", names, least=0.0) if "atom_stderr" in obj else None
     config = obj.get("config", {})
     warnings = obj.get("warnings", [])
     if not isinstance(config, dict):
@@ -97,8 +97,9 @@ def report_from_json(obj) -> RunReport:
     return RunReport(measure, config=dict(config), warnings=tuple(warnings), outcome=obj.get("outcome"))
 
 
-def _subset_table(obj, field, names):
-    """Dense bitmask-indexed array of a per-subset table of the report."""
+def _subset_table(obj, field, names, least=None):
+    """Dense bitmask-indexed array of a per-subset table of the report;
+    with least, entries below it are rejected too."""
     table = obj[field]
     if not isinstance(table, dict):
         raise ParseError(f"report {field!r} must be an object")
@@ -111,6 +112,8 @@ def _subset_table(obj, field, names):
         # NaN, the infinities and ints past float64 fail the bound
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
             raise ParseError(f"report {field!r} entry {key!r} must be a finite number, got {v!r}")
+        if least is not None and v < least:
+            raise ParseError(f"report {field!r} entry {key!r} must be at least {least:g}, got {v!r}")
         out[s] = float(v)
     return out
 

@@ -19,6 +19,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -499,13 +500,34 @@ def _floats(node, what, v):
     except OverflowError:  # an int past float64
         raise ModelError(f"node {node!r}: {what} must be finite") from None
 
+
+class Stages(NamedTuple):
+    """How a mechanism's sample splits into the stages HybridOutcomes
+    memoizes apart:
+
+        combine(*[post(fn(parents, len(e))) for fn, post in parents], noise(e))
+
+    Each parent stage fn maps the parent columns and the row count to
+    an array, and post, when not None, checks or converts its value;
+    HybridOutcomes evaluates a ParentFn's formula op by op. noise maps
+    the noise column to what combine reads of it; None passes the column
+    itself. Each stage applies the ufuncs of sample to the same operands
+    in the same order, so the split changes no value's bits.
+    """
+
+    parents: tuple
+    noise: object
+    combine: object
+
+
 class Mechanism:
     """One node's conditional-quantile transform V = Q(e | parents).
 
     sample(e, parents) takes the noise column e and a tuple of 1-D
     parent columns of the same length, in parent_names order; roots get
-    an empty tuple. Discrete roots also report their law as
-    (values, probs) through discrete_law(); every other mechanism
+    an empty tuple. stages() returns its Stages split, or None when
+    sample is one stage (every root). Discrete roots also report their
+    law as (values, probs) through discrete_law(); every other mechanism
     returns None there.
     """
 
@@ -515,6 +537,9 @@ class Mechanism:
 
     def sample(self, e, parents):
         raise NotImplementedError
+
+    def stages(self):
+        return None
 
     def discrete_law(self):
         return None
@@ -654,7 +679,10 @@ class QuantileTable(Mechanism):
     Cost per sampled row: the cell lookup of CellIndex.rows, one
     GuideTable search of the levels (one pass for the default 50
     levels) and a handful of gathers and arithmetic, whatever the number
-    of levels or cells.
+    of levels or cells. The lookup is a parent stage and the search a
+    noise stage (stages), so HybridOutcomes runs the lookup once per
+    key of the parents' query columns in a block, 8 for three queried
+    parents, and the search twice.
     """
 
     kind = "quantile_table"
@@ -697,18 +725,34 @@ class QuantileTable(Mechanism):
         self._search = GuideTable(self.levels, "right")
 
     def sample(self, e, parents):
-        # np.interp's arithmetic, so the bits match it: the grid value at
-        # or below the first level, on a level and from the last level on;
-        # slope*(e - x0) + g0 from the segment's left end (x0, g0) between
+        return self.combine(self._cell_offsets(parents, len(e)), self._level(e))
+
+    def stages(self):
+        return Stages(((self._cell_offsets, None),), self._level, self.combine)
+
+    def _cell_offsets(self, parents, n_rows):
+        """Parent stage: the offset of each row's cell in the flat tables."""
+        return self.index.rows(parents, n_rows) * len(self.levels)
+
+    def _level(self, e):
+        """Noise stage: each row's level index j, its offset d = e - levels[j]
+        and where the value is the grid value g0 itself."""
         levels = self.levels
         j = self._search(e)
         j -= 1
         np.maximum(j, 0, out=j)
-        at = self.index.rows(parents, len(e)) * len(levels) + j
-        g0 = self._grid[at]
         d = e - levels[j]
+        return j, d, (d <= 0) | (e >= levels[-1])
+
+    def combine(self, offsets, level):
+        # np.interp's arithmetic, so the bits match it: the grid value at
+        # or below the first level, on a level and from the last level on;
+        # slope*(e - x0) + g0 from the segment's left end (x0, g0) between
+        j, d, flat = level
+        at = offsets + j
+        g0 = self._grid[at]
         out = self._slope[at] * d + g0
-        np.copyto(out, g0, where=(d <= 0) | (e >= levels[-1]))
+        np.copyto(out, g0, where=flat)
         return out
 
     def to_json(self):
@@ -737,7 +781,16 @@ class AdditiveNoise(Mechanism):
             raise ModelError(f"node {node!r}: residual pool is empty")
 
     def sample(self, e, parents):
-        return self.mean(parents, len(e)) + empirical_quantile(self.residuals, e)
+        return self.combine(self.mean(parents, len(e)), self._residual(e))
+
+    def stages(self):
+        return Stages(((self.mean, None),), self._residual, self.combine)
+
+    def _residual(self, e):
+        return empirical_quantile(self.residuals, e)
+
+    def combine(self, mean, residual):
+        return mean + residual
 
     def to_json(self):
         return {
@@ -759,10 +812,22 @@ class HeteroGaussian(Mechanism):
         self.std = std
 
     def sample(self, e, parents):
-        s = np.asarray(self.std(parents, len(e)), dtype=float)
+        s = self._checked_std(self.std(parents, len(e)))
+        return self.combine(s, self.mean(parents, len(e)), gauss_quantile(e))
+
+    def stages(self):
+        return Stages(
+            ((self.std, self._checked_std), (self.mean, None)), gauss_quantile, self.combine
+        )
+
+    def _checked_std(self, s):
+        s = np.asarray(s, dtype=float)
         if np.any(s < 0):
             raise ModelError(f"node {self.node!r}: stddev went negative")
-        return self.mean(parents, len(e)) + s * gauss_quantile(e)
+        return s
+
+    def combine(self, s, mean, z):
+        return mean + s * z
 
     def to_json(self):
         return {"kind": self.kind, "mean": self.mean.to_json(), "std": self.std.to_json()}
@@ -778,9 +843,17 @@ class Deterministic(Mechanism):
         self.node = node
         self.parent_names = tuple(parent_names)
         self.formula = formula
+        self.value = ParentFn(node, parent_names, formula=formula)
 
     def sample(self, e, parents):
-        out = np.asarray(self.formula.evaluate(dict(zip(self.parent_names, parents))), dtype=float)
+        return self.combine(self.value(parents, len(e)), e)
+
+    def stages(self):
+        return Stages(((self.value, None),), None, self.combine)
+
+    def combine(self, out, e):
+        """The formula's value, a constant spread over the rows of e."""
+        out = np.asarray(out, dtype=float)
         return np.full(len(e), float(out)) if out.ndim == 0 else out
 
     def to_json(self):
@@ -868,16 +941,22 @@ class ScmModel:
         """Values of node i from its noise column e and values, a node
         index -> array map holding its parents. Callers silence numpy's
         floating-point warnings around it.
+        """
+        parents = tuple(values[p] for p in self._parent_idx[i])
+        return self._checked(i, self.mechanisms[i].sample(e, parents), len(e))
+
+    def _checked(self, i, v, n_rows):
+        """v as node i's float column of n_rows values.
 
         Raises ModelError for a wrong output shape or a value that is not
         finite, so an overflow inside a mechanism surfaces at its node,
-        not downstream.
+        not downstream. A mechanism that reads no noise is a formula of
+        its parents, whose last op has checked that its value is finite.
         """
-        parents = tuple(values[p] for p in self._parent_idx[i])
-        v = np.asarray(self.mechanisms[i].sample(e, parents), dtype=float)
-        if v.shape != e.shape:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (n_rows,):
             raise ModelError(f"node {self.dag.names[i]!r}: mechanism produced shape {v.shape}")
-        if not np.isfinite(v).all():
+        if self.mechanisms[i].uses_noise and not np.isfinite(v).all():
             raise ModelError(
                 f"node {self.dag.names[i]!r}: mechanism produced a non-finite value"
             )
@@ -944,70 +1023,220 @@ class ScmModel:
 # float64 values are 2 MiB.
 MEMO_ENTRIES = 32
 
+# Most values one mechanism stage or formula op may memoize per block: 8
+# values of at most 17 bytes a row (QuantileTable's level stage holds an
+# index, an offset and a flag per row) are 1.1 MB at rng.BLOCK_LEN rows.
+STAGE_ENTRIES = 8
+
 
 class HybridOutcomes:
     """The outcome under hybrid noise, one replicate block at a time.
 
     open_block(E, E') returns y(mask), the outcome of the hybrid that
     takes the noise columns set in mask from E' (the mc kernel's
-    evaluator). Under any hybrid, a node's values depend only on which
-    columns of An*(v), the node and its ancestors, the hybrid resamples,
-    so y memoizes node values per block keyed on that bitmask. With Q the
-    query mask, the columns the estimator's hybrids resample, a
-    memoized node v costs 2**|An*(v) & Q| evaluations per block, plus one
-    for y(E') when An*(v) has columns outside Q; nodes outside the
-    outcome's ancestry cost nothing.
+    evaluator).
 
-    Only values that more than one hybrid can read are stored: never the
-    outcome, never a node whose ancestors cover Q, never a key with
-    columns outside Q (only y(E') reads it), and only for nodes whose
-    2**|An*(v) & Q| entries fit MEMO_ENTRIES. Every other node is
-    evaluated once per hybrid from its parents' values. An*(child)
-    contains An*(parent), so the memoized nodes form an ancestral set.
+    The model compiles once into units in evaluation order. Leaves are
+    each node's noise column, each formula constant and the block's row
+    count; the other units are each node's mechanism stages (Stages),
+    the ops of their formulas, and the node's value, its combine stage
+    with the node checks (a root is its sample). A unit's noise ancestry
+    anc is the union of its arguments': a noise column's is its own bit.
+    Under any hybrid a value depends only on which columns of its
+    ancestry the hybrid resamples (the Hoeffding structure the measure
+    rests on), so y memoizes unit values per block keyed on anc & mask.
+    y evaluates on demand from the outcome's unit: a memo hit skips
+    every unit below it.
+
+    With Q the query mask, the columns the estimator's hybrids resample,
+    a unit that is stored, or read only by units evaluated once per key
+    of its own, costs 2**|anc & Q| evaluations per block, plus one for
+    y(E') when anc has columns outside Q; any other unit is evaluated
+    once each time a unit that reads it is. Only values that more than
+    one hybrid can read are stored: never the outcome node's value,
+    never a unit whose ancestry covers Q, never a unit every reader of
+    which evaluates at most once per key of the unit's (_decide_storage),
+    never a key with columns outside Q (only y(E') reads it), and only
+    for units whose 2**|anc & Q| entries fit MEMO_ENTRIES for a node's
+    value and STAGE_ENTRIES for a stage or op. A parent stage's ancestry
+    is its parents', so a stage whose parents miss some query column the
+    node has costs half the node's evaluations or less, and a noise stage
+    costs two.
+
+    Memory: a block's memo holds at most 2**|anc & Q| values per stored
+    unit, each of at most 8 bytes a row for a node's value and 17 bytes
+    a row for a stage or op. At rng.BLOCK_LEN rows that is 2 MiB per
+    stored node and 1.1 MB per stored stage or op, whatever the model;
+    the block's noise columns are views of E and E'.
     """
 
     def __init__(self, model: ScmModel, query: int):
-        self.model = model
         self.query = query
-        anc = {}
-        steps = []
+        # per unit: function (None for a leaf), argument units, noise
+        # ancestry, memo cap (0: never stored) and whether it is stored
+        self.fns, self.args, self.anc, self.caps, self.stored = [], [], [], [], []
+        self.noise = []  # (unit, node index) of each noise column
+        self.consts = []  # (unit, value) of each formula constant
+        self.rows = self._leaf(0)
+        self.node_units = {}  # node index -> the unit of its value
         for i in model._outcome_order:
-            a = 1 << i
-            for p in model._parent_idx[i]:
-                a |= anc[p]
-            anc[i] = a
-            shared = a & self.query
-            memo = (
-                i != model._outcome_index
-                and shared != self.query
-                and (1 << shared.bit_count()) <= MEMO_ENTRIES
+            parents = [self.node_units[p] for p in model._parent_idx[i]]
+            noise = self._leaf(1 << i)
+            self.noise.append((noise, i))
+            stages = model.mechanisms[i].stages()
+            if stages is None:
+                fn, args = _sampled(model, i), (noise, *parents)
+            else:
+                args = []
+                for f, post in stages.parents:
+                    u = self._parent_stage(f, parents)
+                    args.append(u if post is None else self._unit(post, (u,), STAGE_ENTRIES))
+                if stages.noise is not None:
+                    noise = self._unit(stages.noise, (noise,), STAGE_ENTRIES)
+                fn, args = _combined(model, i, stages.combine), (*args, noise)
+            cap = 0 if i == model._outcome_index else MEMO_ENTRIES
+            self.node_units[i] = self._unit(fn, (self.rows, *args), cap)
+        self._decide_storage()
+        self.computed = tuple(u for u in range(len(self.fns) - 1, -1, -1) if self.fns[u])
+
+    def _leaf(self, anc):
+        self.fns.append(None)
+        self.args.append(())
+        self.anc.append(anc)
+        self.caps.append(0)
+        self.stored.append(False)  # a block sets its leaves' values up front
+        return len(self.fns) - 1
+
+    def _unit(self, fn, args, cap):
+        anc = 0
+        for a in args:
+            anc |= self.anc[a]
+        self.fns.append(fn)
+        self.args.append(tuple(args))
+        self.anc.append(anc)
+        self.caps.append(cap)
+        self.stored.append(False)
+        return len(self.fns) - 1
+
+    def _decide_storage(self):
+        """Set stored: whether more than one hybrid can read a value a unit
+        stores.
+
+        A unit whose readers each evaluate at most once per key of its
+        own is read once per key, so it stores nothing. A reader does
+        so when it stores its values or is itself such a unit, its query
+        columns are the unit's, and it has no column outside Q that the
+        unit lacks (else it evaluates again for y(E'), where the unit's
+        key repeats). The outcome's value is computed for every hybrid.
+        Readers come after what they read, so each reader is decided
+        first.
+        """
+        q, anc, n = self.query, self.anc, len(self.fns)
+        readers = [[] for _ in range(n)]
+        for r, args in enumerate(self.args):
+            for a in args:
+                readers[a].append(r)
+        once = [False] * n  # evaluated at most once per key in a block
+        for u in range(n - 1, -1, -1):
+            if self.fns[u] is None:
+                continue
+            shared = anc[u] & q
+            rare = bool(readers[u]) and all(
+                once[r] and anc[r] & q == shared and not (anc[r] & ~q and not anc[u] & ~q)
+                for r in readers[u]
             )
-            steps.append((i, a, memo))
-        self.steps = tuple(steps)
+            self.stored[u] = (
+                not rare and shared != q and (1 << shared.bit_count()) <= self.caps[u]
+            )
+            once[u] = rare or self.stored[u]
+
+    def _parent_stage(self, fn, parents):
+        """The unit of a parent stage fn(parent columns, n_rows); a
+        ParentFn's formula becomes one unit per op."""
+        formula = getattr(fn, "formula", None)
+        if formula is None:
+            return self._unit(_rows_last(fn), (self.rows, *parents), STAGE_ENTRIES)
+        at = dict(zip(fn.parent_names, parents))
+        slots = []
+        for op, arg in formula.program:
+            if op == "var":
+                slots.append(at[arg])
+            elif op == "num":
+                slots.append(self._leaf(0))
+                self.consts.append((slots[-1], arg))
+            else:
+                slots.append(self._unit(op, [slots[a] for a in arg], STAGE_ENTRIES))
+        return slots[-1]
 
     def open_block(self, e, ep):
-        """y(mask) for one block; its memo lives as long as y does.
+        """y(mask) for one block; its memo lives as long as y does."""
+        return _Block(self, e, ep)
 
-        y closes over the memo but the memo holds only arrays, so a
-        block's values are freed as soon as the kernel drops y.
-        """
-        model, steps, query = self.model, self.steps, self.query
-        memo = {}
 
-        def y(mask):
-            values = {}
-            with np.errstate(all="ignore"):
-                for i, anc, memoized in steps:
-                    key = anc & mask
-                    v = memo.get((i, key)) if memoized else None
-                    if v is None:
-                        v = model._node_values(i, (ep if mask >> i & 1 else e)[:, i], values)
-                        if memoized and not key & ~query:
-                            memo[(i, key)] = v
-                    values[i] = v
-            return values[model._outcome_index]
+def _sampled(model, i):
+    """Node i's value unit from its sample: f(n_rows, e, *parents)."""
+    sample, checked = model.mechanisms[i].sample, model._checked
+    return lambda n, e, *parents: checked(i, sample(e, parents), n)
 
-        return y
+
+def _combined(model, i, combine):
+    """Node i's value unit from its stages: f(n_rows, *stage values)."""
+    checked = model._checked
+    return lambda n, *stages: checked(i, combine(*stages), n)
+
+
+def _rows_last(fn):
+    """fn(parent columns, n_rows) as a unit function of (n_rows, *parents)."""
+    return lambda n, *parents: fn(parents, n)
+
+
+class _Block:
+    """y(mask) of one block (see HybridOutcomes).
+
+    memo[u] maps a key anc & mask to unit u's value. The block refers to
+    its plan, its leaf values and its memo, and nothing refers back to
+    the block, so the memo is freed as soon as the kernel drops y.
+    """
+
+    def __init__(self, plan: HybridOutcomes, e, ep):
+        self.plan = plan
+        self.memo = [{} for _ in plan.fns]
+        self.leaves = [None] * len(plan.fns)
+        self.leaves[plan.rows] = len(e)
+        for u, c in plan.consts:
+            self.leaves[u] = c
+        self.noise = [(u, 1 << i, e[:, i], ep[:, i]) for u, i in plan.noise]
+
+    def __call__(self, mask):
+        plan, memo = self.plan, self.memo
+        args, anc, stored = plan.args, plan.anc, plan.stored
+        vals = self.leaves.copy()
+        for u, bit, col, resampled in self.noise:
+            vals[u] = resampled if mask & bit else col
+        need = [False] * len(vals)
+        need[-1] = True  # the outcome node's value is the last unit
+        todo = []
+        for u in plan.computed:
+            if not need[u]:
+                continue
+            if stored[u]:
+                v = memo[u].get(anc[u] & mask)
+                if v is not None:
+                    vals[u] = v
+                    continue
+            todo.append(u)
+            for a in args[u]:
+                need[a] = True
+        outside = ~plan.query
+        fns = plan.fns
+        with np.errstate(all="ignore"):
+            for u in reversed(todo):
+                v = vals[u] = fns[u](*[vals[a] for a in args[u]])
+                if stored[u]:
+                    key = anc[u] & mask
+                    if not key & outside:
+                        memo[u][key] = v
+        return vals[-1]
 
 
 def forward_sample(model: ScmModel, noise):
@@ -1055,9 +1284,12 @@ def estimate_counterfactual_measure(
     own atom absorbs the mass not explained by the other nodes; without
     it that mass stays on the empty atom. Each block of sample pairs
     asks for 2**K + 1 outcomes for K query variables. HybridOutcomes
-    evaluates the outcome node and any node past the memo cap once for
-    each of them, a root twice, another memoized node v 2**|An*(v)|
-    times, and a node outside the outcome's ancestry never.
+    evaluates the outcome's value once for each of them; a node's value,
+    a mechanism stage or a formula op within its memo cap costs
+    2**|A| per block, A its noise ancestry (a root or a noise stage two,
+    a formula constant nothing), plus one when A holds the outcome's
+    column and the outcome is left out; nothing outside the outcome's
+    ancestry is evaluated.
     """
     query_names = [
         n for n in model.dag.names if include_outcome or n != model.outcome

@@ -202,6 +202,8 @@ REPORT_CASES = {
     "atom_an_int_past_float64": (_put(["atoms", "W1"], 10**400),
                                  "'atoms' entry 'W1' must be a finite number"),
     "stderr_not_numeric": (_put(["atom_stderr", ""], "?"), "'atom_stderr' entry '' must be"),
+    "stderr_negative": (_put(["atom_stderr", "W1+W2"], -1e308),
+                        "'atom_stderr' entry 'W1+W2' must be at least 0, got -1e+308"),
     "provenance_not_an_object": (_put(["provenance"], "mc"), "'provenance' must be an object"),
     "provenance_bad_kind": (_put(["provenance", "kind"], "magic"), "'provenance' must be"),
     "provenance_bad_samples": (_put(["provenance", "samples"], "many"), "'provenance' must be"),
@@ -232,7 +234,7 @@ def test_huge_stderr_draws_without_warning(tmp_path, capsys):
     r = tmp_path / "r.json"
     assert run_cli(["counterfactual", "--model", str(m), "--samples", "200", "--out", str(r)]) == 0
     rep = json.loads(r.read_text())
-    rep["atom_stderr"][""] = -1e308
+    rep["atom_stderr"][""] = 1e308
     r.write_text(json.dumps(rep))
     assert run_cli(["venn", "--report", str(r), "--ascii"]) == 0
     assert capsys.readouterr().err == ""

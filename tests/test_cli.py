@@ -444,13 +444,13 @@ _FAILING_V = {
 @pytest.mark.parametrize("case", sorted(_FAILING_V))
 def test_node_failing_only_under_hybrids_exit_2(tmp_path, capsys, monkeypatch, case):
     if case == "shape":
-        sample = scm.Deterministic.sample
+        combine = scm.Deterministic.combine
 
-        def short(self, e, parents):
-            out = sample(self, e, parents)
+        def short(self, value, e):
+            out = combine(self, value, e)
             return out[:-1] if self.node == "V" and (out == 1.0).any() else out
 
-        monkeypatch.setattr(scm.Deterministic, "sample", short)
+        monkeypatch.setattr(scm.Deterministic, "combine", short)
     model = {
         "outcome": "Y",
         "nodes": [
