@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -46,6 +47,9 @@ VARIANCE_FLOOR = 1e-12
 
 # Equal-frequency bins per dense numeric parent.
 BINS = 10
+
+# Body rows read_csv parses per step.
+CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -114,18 +118,57 @@ def read_csv(path, categorical=(), used=None):
     dropped when any used numeric cell fails to parse as a finite real
     number or any used cell is empty. Returns (Dataset, warnings). Bytes
     that are not UTF-8 and fields past the csv size limit are a ParseError.
+
+    The body is read CHUNK_ROWS rows at a time, so memory holds the used
+    columns plus one chunk, and each distinct categorical label is stored
+    as one string that every row holding it shares.
     """
     categorical = frozenset(categorical)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
+            header, use = _csv_header(next(reader, None), used)
+            width = len(header)
+            labels = {c: {} for c in use if c in categorical}
+            parts = {c: [np.empty(0, dtype=object if c in labels else float)] for c in use}
+            getters = [(c, itemgetter(header.index(c))) for c in parts]
+            total = 0
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                total += len(chunk)
+                whole = [row for row in chunk if len(row) == width]
+                for c, cell_of in getters:
+                    cells = list(map(cell_of, whole))
+                    if c in labels:
+                        label = labels[c].setdefault
+                        cells = [label(cell, cell) for cell in map(str.strip, cells)]
+                        parts[c].append(np.array(cells, dtype=object))
+                    else:
+                        parts[c].append(_parse_floats(cells))
     except UnicodeDecodeError:  # offsets count within a chunk; read_text raises at the file's
         read_text(path, "CSV")
         raise
     except csv.Error as e:  # a field past csv.field_size_limit()
         raise ParseError(f"invalid CSV file: {e} (line {reader.line_num})") from None
+
+    # pop frees each column's parts before the next column is joined
+    columns = {c: np.concatenate(parts.pop(c)) for c in list(parts)}
+    keep = np.ones(len(columns[use[0]]) if use else 0, dtype=bool)
+    for c, col in columns.items():
+        keep &= col != "" if c in labels else np.isfinite(col)  # float() parses "nan" and "inf"
+    n = int(keep.sum())
+    if n < len(keep):
+        columns = {c: v[keep] for c, v in columns.items()}
+    dropped = total - n
+    warnings = []
+    if dropped:
+        warnings.append(
+            f"dropped {dropped} of {total} rows with missing, unparseable or non-finite cells"
+        )
+    return Dataset(columns, n, categorical & frozenset(use)), warnings
+
+
+def _csv_header(header, used):
+    """(stripped header, the used column names) of a CSV's first row."""
     if header is None:
         raise FitError("CSV file is empty")
     header = [h.strip() for h in header]
@@ -135,30 +178,7 @@ def read_csv(path, categorical=(), used=None):
     missing = [c for c in use if c not in header]
     if missing:
         raise FitError(f"CSV is missing columns: {', '.join(sorted(missing))}")
-
-    width = len(header)
-    whole = [row for row in rows if len(row) == width]
-    keep = np.ones(len(whole), dtype=bool)
-    columns = {}
-    for c in use:
-        cells = list(map(itemgetter(header.index(c)), whole))
-        if c in categorical:
-            col = np.array(list(map(str.strip, cells)), dtype=object)
-            keep &= col != ""
-        else:
-            col = _parse_floats(cells)
-            keep &= np.isfinite(col)  # float() parses "nan" and "inf"
-        columns[c] = col
-    n = int(keep.sum()) if use else 0
-    if n < len(whole):
-        columns = {c: v[keep] for c, v in columns.items()}
-    dropped = len(rows) - n
-    warnings = []
-    if dropped:
-        warnings.append(
-            f"dropped {dropped} of {len(rows)} rows with missing, unparseable or non-finite cells"
-        )
-    return Dataset(columns, n, categorical & frozenset(use)), warnings
+    return header, use
 
 
 def _parse_floats(cells):
@@ -238,6 +258,9 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
             raise FitError(
                 f"node {node!r}: cell {key!r} has {cnt} rows (min_cell is {cfg.min_cell})"
             )
+    # the smallest unsigned dtype of the cell index lets a stable argsort
+    # radix-sort; a stable sort's permutation is the same in any dtype
+    inv = inv.astype(np.min_scalar_type(len(counts) - 1))
     rows = np.split(np.argsort(inv, kind="stable"), np.cumsum(counts)[:-1])
     return y, binning, keys, rows
 

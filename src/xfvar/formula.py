@@ -45,7 +45,9 @@ _BINARY = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
+    # the ufunc operator.truediv calls on arrays; on two floats it gives
+    # inf or nan, as np.power does, where operator.truediv would raise
+    "/": np.true_divide,
     "^": np.power,
 }
 

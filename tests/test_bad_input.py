@@ -485,3 +485,21 @@ def test_csv_field_past_size_limit_exits_2(tmp_path, capsys):
     Path(argv[argv.index("--data") + 1]).write_text('A,Y\na,"1\n' + "b,2\n" * 40000)
     code = run_cli(argv)
     assert_one_file_error(capsys, code, "invalid CSV file: field larger than field limit")
+
+
+# ---------------------------------------------------------------------------
+# Formula constants that divide by zero
+
+
+@pytest.mark.parametrize("command", [["counterfactual", "--samples", "200"], ["oracle"]])
+@pytest.mark.parametrize("expr", ["X + 1/0", "X + 0^-1"])
+def test_constant_division_by_zero_exits_2(tmp_path, capsys, recwarn, command, expr):
+    model = {"outcome": "Y", "nodes": [
+        _node("X", [], {"kind": "root_rademacher"}),
+        _node("Y", ["X"], {"kind": "deterministic", "expr": expr}),
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    code = run_cli(command[:1] + ["--model", str(p)] + command[1:])
+    assert_one_file_error(capsys, code, f"formula {expr!r} produced a non-finite value")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

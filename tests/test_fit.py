@@ -1,8 +1,12 @@
 import csv
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from xfvar import fit as fit_module
+from xfvar.cli import main
 from xfvar.errors import FitError, ModelError, ParseError
 from xfvar.fit import (
     BINS,
@@ -198,6 +202,98 @@ def test_read_csv_matches_the_row_loop_when_every_row_drops(tmp_path):
         reference_read_csv(p)
     with pytest.raises(FitError, match="empty after filtering"):
         read_csv(p)
+
+
+def assert_same_dataset(got, got_warn, want, want_warn):
+    assert got_warn == want_warn
+    assert (got.n, got.categorical, list(got.columns)) == (want.n, want.categorical, list(want.columns))
+    for name, col in want.columns.items():
+        assert got.columns[name].dtype == col.dtype
+        if col.dtype == object:
+            assert got.columns[name].tolist() == col.tolist()
+            assert got.numeric(name).tobytes() == reference_numeric_codes(col).tobytes()
+        else:
+            assert got.columns[name].tobytes() == col.tobytes()
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+@pytest.mark.parametrize("categorical, used", [(("sex",), ("sex", "a", "b")), (("sex", "junk"), None)])
+def test_read_csv_chunk_edges_match_the_row_loop(tmp_path, monkeypatch, shift, categorical, used):
+    # three-row chunks; the shifts put each ragged, blank and non-finite
+    # row first, in the middle and last in its chunk
+    monkeypatch.setattr(fit_module, "CHUNK_ROWS", 3)
+    header, body = DIRTY_CSV.split("\n", 1)
+    p = tmp_path / "dirty.csv"
+    p.write_text(header + "\n" + "F,1,2,x\n" * shift + body * 4, encoding="utf-8")
+    got, got_warn = read_csv(p, categorical=categorical, used=used)
+    want, want_warn = reference_read_csv(p, categorical=categorical, used=used)
+    assert_same_dataset(got, got_warn, want, want_warn)
+    assert len(got_warn) == 1 and f"of {18 * 4 + shift} rows" in got_warn[0]
+
+
+def _fit_error(tmp_path, capsys, data):
+    """The one error line of `fit` on CSV bytes data with columns A
+    (categorical) and Y, after checking that it exits 2."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(data)
+    dag = tmp_path / "dag.json"
+    dag.write_text(json.dumps({"outcome": "Y", "nodes": [{"name": "A"}, {"name": "Y", "parents": ["A"]}],
+                               "categorical": ["A"]}))
+    try:
+        code = main(["fit", "--data", str(csv_path), "--dag", str(dag), "--out", str(tmp_path / "m.json")])
+    except SystemExit as e:
+        code = int(e.code or 0)
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1, err
+    return err
+
+
+def test_read_csv_bad_byte_past_the_first_chunk_exits_2(tmp_path, monkeypatch, capsys):
+    # past the first row chunk and the decoder's first block alike
+    monkeypatch.setattr(fit_module, "CHUNK_ROWS", 3)
+    data = b"A,Y\n" + b"a,1\nb,2\n" * 1500 + b"b,\xff2\n"
+    err = _fit_error(tmp_path, capsys, data)
+    assert err == f"error[E02]: invalid CSV file: not UTF-8 (at byte offset {len(data) - 3})\n"
+
+
+def test_read_csv_unterminated_quote_past_the_first_chunk_exits_2(tmp_path, monkeypatch, capsys):
+    # the quote opens in the third chunk and runs past csv.field_size_limit()
+    monkeypatch.setattr(fit_module, "CHUNK_ROWS", 3)
+    data = b"A,Y\n" + b"a,1\nb,2\n" * 4 + b'a,"1\n' + b"b,2\n" * 40000
+    err = _fit_error(tmp_path, capsys, data)
+    assert err.startswith("error[E02]: invalid CSV file: field larger than field limit")
+
+
+def _traced(fn, *args, **kwargs):
+    """(fn's result, the peak bytes tracemalloc saw it allocate)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_csv_holds_one_chunk_and_one_string_per_label(tmp_path, monkeypatch):
+    # tracing slows each read about tenfold, so the file is small and the
+    # chunk shrinks with it; labels are longer than one character, which
+    # CPython would share anyway
+    monkeypatch.setattr(fit_module, "CHUNK_ROWS", 256)
+    rows, labels = 10_000, (["female", "male"], ["asian", "black", "other", "white"])
+    p = tmp_path / "big.csv"
+    with open(p, "w", encoding="utf-8") as fh:
+        fh.write("sex,race,x,y\n")
+        fh.writelines(
+            f"{labels[0][i % 2]},{labels[1][i % 4]},{i * 0.37:.6f},{i % 101}\n" for i in range(rows)
+        )
+    cat = ("sex", "race")
+    (data, warnings), ours = _traced(read_csv, p, categorical=cat)
+    _, rows_held = _traced(reference_read_csv, p, categorical=cat)
+    assert 3 * ours <= rows_held, (ours, rows_held)
+    assert data.n == rows and not warnings
+    for name, names in zip(cat, labels):
+        col = data.column(name)
+        assert sorted(set(col.tolist())) == names
+        assert len({id(x) for x in col}) == len(names)
 
 
 def test_read_csv_ignores_unused_junk_column(tmp_path):

@@ -65,6 +65,20 @@ def test_nonfinite_evaluation_rejected():
         _ev("log(x)", x=np.array([-1.0]))
 
 
+@pytest.mark.parametrize("text", ["x + 1/0", "x + 0/0", "x + 1/(1 - 1)", "x*0 + 0^-1"])
+def test_constants_that_divide_by_zero_are_non_finite(text):
+    with pytest.raises(FormulaEvalError, match="produced a non-finite value"):
+        _ev(text, x=np.array([1.0, 2.0]))
+
+
+def test_division_of_arrays_is_operator_truediv():
+    x = np.array([0.1, 3.0, -7.0, 1e-300])
+    y = np.array([0.3, 7.0, 0.1, 1e10])
+    assert _ev("x / y", x=x, y=y).tobytes() == (x / y).tobytes()
+    assert _ev("1 / x", x=x).tobytes() == (1.0 / x).tobytes()
+    assert _ev("x / 3", x=x).tobytes() == (x / 3.0).tobytes()
+
+
 def test_source_is_kept():
     f = parse_formula("a + 2 * b", ("a", "b"))
     assert f.source == "a + 2 * b"
