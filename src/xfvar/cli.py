@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import __version__
@@ -65,17 +64,6 @@ def _fail(code: int, msg) -> int:
     return code
 
 
-def _threads() -> int:
-    raw = os.environ.get("XFVAR_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise DomainError(f"XFVAR_THREADS must be an integer, got {raw!r}") from None
-    if v < 0:
-        raise DomainError("XFVAR_THREADS must be >= 0 (0 = auto)")
-    return v
-
-
 def _seed(text) -> int:
     """--seed: an integer in [0, 2**64), the key width of the rng streams."""
     try:
@@ -88,7 +76,7 @@ def _seed(text) -> int:
 
 
 def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(samples=args.samples, seed=args.seed, threads=_threads())
+    return EstimatorConfig(samples=args.samples, seed=args.seed)
 
 
 def _emit(text: str, out_path) -> None:

@@ -22,15 +22,14 @@ and enumerates the hybrids of every variable set by increasing bitmask;
 it squares only differences of outcomes.
 
 Noise follows the counter-based stream contract of `rng`. Replicate
-blocks are independent work items whose partial sums are combined in
-block order, so results are bit-identical for any thread count.
+blocks of rng.BLOCK_LEN pairs run one at a time, in block order, and add
+their partial sums in that order, so results depend on (seed, samples)
+alone.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,19 +56,15 @@ class EstimatorConfig:
     """Settings for pick-freeze estimation.
 
     samples is the number M of (E, E') pairs, split into BATCHES batches
-    for standard errors. threads: worker count for block processing,
-    0 = auto.
+    for standard errors; seed selects the noise stream.
     """
 
     samples: int
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.samples < BATCHES:
             raise DomainError(f"samples ({self.samples}) must be >= batches ({BATCHES})")
-        if self.threads < 0:
-            raise DomainError("threads must be >= 0 (0 = auto)")
 
 
 @dataclass
@@ -79,12 +74,6 @@ class Estimate:
     value: float
     stderr: float
     samples: int
-
-
-def _n_workers(threads: int) -> int:
-    if threads == 0:
-        return os.cpu_count() or 1
-    return max(1, threads)
 
 
 def _batch_starts(m: int, nb: int) -> np.ndarray:
@@ -114,29 +103,19 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorCo
     every = (1 << n_noise) - 1
     starts = _batch_starts(m, BATCHES)
 
-    def work(block_index):
-        g0 = block_index * rng.BLOCK_LEN
-        g1 = min(g0 + rng.BLOCK_LEN, m)
-        u = rng.uniform_block(cfg.seed, block_index, n_noise)[: g1 - g0]
-        b0 = bisect_right(starts, g0) - 1
-        b1 = bisect_right(starts, g1 - 1) - 1
-        bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
-        part = np.zeros((n_stats, b1 - b0 + 1))
-        # set here as well: pool threads do not inherit the caller's errstate
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = open_block(u[:, :, 0], u[:, :, 1])
-            rows = stat(y(0), y(every), (y(s) for s in hybrids))
-            for r, vals in enumerate(rows):
-                part[r] += np.add.reduceat(vals, bounds)
-        return b0, part
-
     acc = np.zeros((n_stats, BATCHES))
-    blocks = range(rng.n_blocks(m))
-    workers = _n_workers(cfg.threads)
-    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(workers) as pool:
-        parts = pool.map(work, blocks) if workers > 1 and len(blocks) > 1 else map(work, blocks)
-        for b0, part in parts:
-            acc[:, b0 : b0 + part.shape[1]] += part
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block_index in range(rng.n_blocks(m)):
+            g0 = block_index * rng.BLOCK_LEN
+            g1 = min(g0 + rng.BLOCK_LEN, m)
+            u = rng.uniform_block(cfg.seed, block_index, n_noise)[: g1 - g0]
+            b0 = bisect_right(starts, g0) - 1
+            b1 = bisect_right(starts, g1 - 1) - 1
+            bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
+            y = open_block(u[:, :, 0], u[:, :, 1])
+            for r, vals in enumerate(stat(y(0), y(every), (y(s) for s in hybrids))):
+                acc[r, b0 : b1 + 1] += np.add.reduceat(vals, bounds)
+            del y  # this block's memo dies before the next block opens
         finite = np.isfinite(2.0 * acc.sum(axis=1)).all()
     if not finite:
         raise ModelError("outcome values are too large to square in float64")

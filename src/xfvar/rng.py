@@ -4,8 +4,8 @@ Every estimator in this package draws its randomness through
 `uniform_block`. The value at position (replicate i, variable k, copy c)
 is a pure function of (seed, i, k, c): blocks of BLOCK_LEN replicates are
 generated from a Philox counter-based generator keyed by
-(seed, block index), so any scheduling of blocks across workers yields
-bit-identical streams. The layout below is frozen by a golden test;
+(seed, block index), so a block's values do not depend on the blocks
+drawn before it. The layout below is frozen by a golden test;
 changing BLOCK_LEN or the keying breaks every seeded result.
 """
 

@@ -989,7 +989,8 @@ class ScmModel:
         from an (n, K) array of root values to the outcome by the node loop
         of outcome_values. Every other node, the outcome included, must be
         deterministic (it may sit anywhere); NotReducibleError names the
-        first node that is neither, and DomainError a domain past budget.
+        first node that is neither, or that no discrete root exists, and
+        DomainError a domain past budget.
         """
         roots, laws = [], []
         for i, (n, mech) in enumerate(zip(self.dag.names, self.mechanisms)):
@@ -1003,6 +1004,10 @@ class ScmModel:
                     "discrete roots (rademacher, categorical or empirical) and every other node, "
                     "the outcome included, deterministic"
                 )
+        if not roots:
+            raise NotReducibleError(
+                "oracle needs at least one discrete root (rademacher, categorical or empirical)"
+            )
         order = tuple(i for i in self._outcome_order if i not in roots)
 
         def f(w):
@@ -1370,6 +1375,8 @@ def model_from_json(obj) -> ScmModel:
         for n, ps, nd in zip(dag.names, dag.parents, nodes)
     ]
     fitted = json_list(obj.get("fitted", []), "model 'fitted'")
+    if not all(isinstance(flag, str) for flag in fitted):
+        raise ModelError("model 'fitted' must be a list of strings")
     return ScmModel(dag, tuple(mechs), outcome, name=obj.get("name"), fitted=tuple(fitted))
 
 

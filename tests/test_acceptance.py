@@ -172,7 +172,7 @@ def test_criterion_01_dag_direction_triples():
         ("downstream second", "W1*W1*W2", (0.0, 1.0, 0.0)),
         ("downstream first", "W2*W2*W1", (1.0, 0.0, 0.0)),
     )
-    cfg = EstimatorConfig(samples=200_000, seed=11, threads=1)
+    cfg = EstimatorConfig(samples=200_000, seed=11)
     t0 = time.monotonic()
     got = []
     for _, formula, _ in scenarios:
@@ -195,7 +195,7 @@ def test_criterion_01_dag_direction_triples():
 
 
 def test_criterion_02_identification_pair_and_refit():
-    cfg = EstimatorConfig(samples=200_000, seed=3, threads=1)
+    cfg = EstimatorConfig(samples=200_000, seed=3)
     xi1 = counterfactual_total(_identified_model(), ["W1"], cfg)
     xi2 = counterfactual_total(_confounded_chain_model(), ["W1"], cfg)
 
@@ -345,7 +345,7 @@ def test_criterion_07_measure_validation_rates():
     for fn_name in ("linear3", "quadratic3", "sigmoid_nn3", "multilinear3"):
         f, sampler, names = named_function(fn_name)
         for seed in range(25):
-            cfg = EstimatorConfig(samples=20_000, seed=seed, threads=1)
+            cfg = EstimatorConfig(samples=20_000, seed=seed)
             m = estimate_measure(f, sampler, cfg, names)
             tol = 3.0 * float(np.max(m.atom_stderr))
             report = measure_validate(m, tol)
@@ -361,7 +361,7 @@ def test_criterion_07_measure_validation_rates():
 
 
 def test_criterion_08_benchmark_function_atoms():
-    cfg = EstimatorConfig(samples=200_000, seed=9, threads=1)
+    cfg = EstimatorConfig(samples=200_000, seed=9)
 
     f, sampler, names = named_function("linear3")
     m = estimate_measure(f, sampler, cfg, names)
@@ -395,8 +395,8 @@ def test_criterion_08_benchmark_function_atoms():
 
 def test_criterion_09_chain_vs_marginalized():
     # collapsing W2 out of the chain W1 -> W2 -> Y must not move xi(W1)
-    cfg_a = EstimatorConfig(samples=200_000, seed=21, threads=1)
-    cfg_b = EstimatorConfig(samples=200_000, seed=22, threads=1)
+    cfg_a = EstimatorConfig(samples=200_000, seed=21)
+    cfg_b = EstimatorConfig(samples=200_000, seed=22)
     chain = _confounded_chain_model()
 
     dag = Dag(("W1", "Y"), ((), ("W1",)))
@@ -483,7 +483,7 @@ def test_criterion_11_efron_stein_and_monotonicity():
 
 def test_criterion_12_second_layer_noise_scaling():
     # shrinking the second-layer noise makes the first layer matter more
-    cfg = EstimatorConfig(samples=200_000, seed=17, threads=1)
+    cfg = EstimatorConfig(samples=200_000, seed=17)
     base = _two_layer_model("1")
     tight = _two_layer_model("1/6")
     rows = []

@@ -72,9 +72,8 @@ def test_outcome_overflow_exits_2(big_model, capsys, argv):
     assert_one_error(capsys, code, 2, OVERFLOW)
 
 
-def test_outcome_overflow_exits_2_with_threads(big_model, capsys, monkeypatch):
-    # three blocks over two pool threads, which keep their own errstate
-    monkeypatch.setenv("XFVAR_THREADS", "2")
+def test_outcome_overflow_exits_2_over_blocks(big_model, capsys):
+    # 20 000 pairs span three blocks: every block overflows, one error line
     code = run_cli(["counterfactual", "--model", big_model, "--samples", "20000"])
     assert_one_error(capsys, code, 2, OVERFLOW)
 
@@ -388,6 +387,22 @@ def test_malformed_model_exits_2(tmp_path, capsys, case):
     p.write_text(json.dumps(edit(copy.deepcopy(GOOD_MODEL))))
     code = run_cli(["counterfactual", "--model", str(p), "--samples", "200"])
     assert_one_file_error(capsys, code, fragment)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gsa", "--samples", "1000", "--format", "table"], ["counterfactual", "--samples", "1000"]],
+    ids=["gsa_table", "counterfactual"],
+)
+def test_fitted_flags_not_strings_exit_2(tmp_path, capsys, argv):
+    model = {"outcome": "Y", "fitted": [1, None], "nodes": [
+        _node("A", [], {"kind": "root_gaussian"}),
+        _node("Y", [], {"kind": "root_gaussian"}),
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    code = run_cli(argv[:1] + ["--model", str(p)] + argv[1:])
+    assert_one_file_error(capsys, code, "model 'fitted' must be a list of strings")
 
 
 GOOD_DAG = {"outcome": "Y", "nodes": [{"name": "A"}, {"name": "Y", "parents": ["A"]}],

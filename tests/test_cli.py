@@ -228,6 +228,17 @@ def test_oracle_rejects_noisy_non_root(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_oracle_without_discrete_root_exits_6(tmp_path, capsys):
+    model = {"outcome": "Y", "nodes": [
+        {"name": "Y", "parents": [], "mechanism": {"kind": "deterministic", "expr": "2"}}]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    assert run_cli(["oracle", "--model", str(p)]) == 6
+    assert capsys.readouterr().err == (
+        "error[E06]: oracle needs at least one discrete root (rademacher, categorical or empirical)\n"
+    )
+
+
 def _rademacher_sum_model(path, k):
     names = [f"W{i}" for i in range(k)]
     nodes = [{"name": n, "parents": [], "mechanism": {"kind": "root_rademacher"}} for n in names]
@@ -578,23 +589,6 @@ def test_cli_sets_every_config_field(monkeypatch, tmp_path):
     assert run_cli(argv + ["--levels", "0.25,0.5,0.75"]) == 0
     for cls in (EstimatorConfig, FitConfig):
         assert seen[cls.__name__] == {f.name for f in dataclasses.fields(cls)}
-
-
-def test_threads_env(monkeypatch, tmp_path, in_repo_root):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    monkeypatch.setenv("XFVAR_THREADS", "1")
-    assert run_cli(["gsa", "--func", "linear3", "--samples", "30000", "--out", str(out1)]) == 0
-    monkeypatch.setenv("XFVAR_THREADS", "3")
-    assert run_cli(["gsa", "--func", "linear3", "--samples", "30000", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_threads_env_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("XFVAR_THREADS", "many")
-    code = run_cli(["gsa", "--func", "linear3", "--samples", "1000"])
-    assert code == 2
-    assert "XFVAR_THREADS" in capsys.readouterr().err
 
 
 def test_bad_samples_exit_2(capsys):

@@ -293,17 +293,6 @@ def test_node_above_the_cap_is_evaluated_per_hybrid():
     assert _hex_measure(got) == _hex_measure(_reference_measure(model, cfg, True))
 
 
-def test_scm_thread_count_does_not_change_bits():
-    model = model_from_json(DAG)
-    seen = set()
-    for threads in (1, 2, 5):
-        cfg = EstimatorConfig(samples=20_000, seed=11, threads=threads)
-        m = estimate_counterfactual_measure(model, cfg)
-        t = counterfactual_total(model, ["L", "B"], cfg)
-        seen.add((tuple(_hex_measure(m)), tuple(_hex_est(t))))
-    assert len(seen) == 1
-
-
 def test_memo_key_covers_the_resampled_ancestors():
     # resampling a column outside An*(v) must reuse v's values; one inside must not
     model = model_from_json(DAG)
@@ -333,6 +322,27 @@ def test_block_evaluator_is_freed_without_the_cycle_collector():
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_kernel_frees_each_block_before_it_opens_the_next(monkeypatch):
+    # two blocks' memos alive at once would raise peak memory
+    model = model_from_json(DAG)
+    opened = []
+    open_block = HybridOutcomes.open_block
+
+    def recording(self, e, ep):
+        assert [r() for r in opened] == [None] * len(opened)
+        y = open_block(self, e, ep)
+        opened.append(weakref.ref(y))
+        return y
+
+    monkeypatch.setattr(HybridOutcomes, "open_block", recording)
+    gc.disable()
+    try:
+        estimate_counterfactual_measure(model, EstimatorConfig(samples=20_000, seed=2))
+    finally:
+        gc.enable()
+    assert len(opened) == 3
 
 
 def _memo_peak(model, include_outcome):

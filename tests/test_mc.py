@@ -26,8 +26,6 @@ def test_config_validation():
         EstimatorConfig(samples=0)
     with pytest.raises(DomainError):
         EstimatorConfig(samples=19)  # fewer pairs than stderr batches
-    with pytest.raises(DomainError):
-        EstimatorConfig(samples=100, threads=-1)
     cfg = EstimatorConfig(samples=100)
     assert mc.BATCHES == 20 and cfg.seed == 0
     EstimatorConfig(samples=mc.BATCHES)
@@ -56,19 +54,6 @@ def test_zero_variance_raises():
 
     with pytest.raises(ZeroVarianceError):
         upper_estimate(_of_noise(yfn, 2), 2, 0b1, EstimatorConfig(samples=1000))
-
-
-def test_thread_count_does_not_change_bits():
-    yfn = _product_y(3)
-    base = None
-    for threads in (1, 2, 5):
-        cfg = EstimatorConfig(samples=50_000, seed=3, threads=threads)
-        est = upper_estimate(yfn, 3, 0b101, cfg)
-        if base is None:
-            base = est
-        else:
-            assert est.value == base.value  # bit-identical
-            assert est.stderr == base.stderr
 
 
 def test_seed_changes_draws():
