@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParseError, XfvarError
 
@@ -31,11 +30,18 @@ class FormulaEvalError(XfvarError):
     """Evaluation produced a non-finite value or hit a missing variable."""
 
 
+def sigmoid(x):
+    """The logistic function, scipy's expit; scipy.special loads on first call."""
+    from scipy.special import expit
+
+    return expit(x)
+
+
 _FUNCTIONS = {
     "exp": (1, np.exp),
     "log": (1, np.log),
     "abs": (1, np.abs),
-    "sigmoid": (1, expit),
+    "sigmoid": (1, sigmoid),
     "sqrt": (1, np.sqrt),
     "min": (2, np.minimum),
     "max": (2, np.maximum),

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .algebra import PROB_SUM_TOL, Provenance, measure_from_totals, members
 from .anova_oracle import DiscreteDomain
@@ -141,7 +140,13 @@ _CLIP_HI = 1.0 - 1e-16
 
 
 def gauss_quantile(e):
-    """Standard normal quantile of uniform noise, clipped off 0 and 1."""
+    """Standard normal quantile of uniform noise, clipped off 0 and 1.
+
+    scipy.special loads on the first call, so commands that draw no
+    Gaussian noise never import it.
+    """
+    from scipy.special import ndtri
+
     return ndtri(np.clip(e, _CLIP_LO, _CLIP_HI))
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import mc
 from .algebra import MAX_VARS, ExplanationMeasure, Provenance, measure_from_totals, members, mobius_sign
 from .errors import DomainError
+from .formula import sigmoid
 from .mc import (
     Estimate,
     EstimatorConfig,
@@ -155,7 +155,7 @@ def _quadratic3(w):
 
 
 def _sigmoid_nn3(w):
-    return expit(-10.0 * (w[:, 0] + w[:, 1])) + expit(-10.0 * (w[:, 1] + w[:, 2]))
+    return sigmoid(-10.0 * (w[:, 0] + w[:, 1])) + sigmoid(-10.0 * (w[:, 1] + w[:, 2]))
 
 
 def _multilinear3(w):
