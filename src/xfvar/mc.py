@@ -2,24 +2,25 @@
 
 Every estimator is one call of a single streaming kernel,
 per_batch_sums. Hybrids are named by int bitmasks over the noise
-columns: bit c set means column c is resampled. Per block of replicate
-pairs (E, E') of uniform noise, shape (m, n_noise) each, the kernel
-opens one hybrid evaluator, open_block(E, E'), which returns y(mask):
-the outcome of the hybrid that takes the columns set in mask from E' and
-the rest from E. y(0) is y(E) and y(every column) is y(E'). The
-providers decide how much of each hybrid they recompute: `sensitivity`
-transforms E and E' once and builds hybrids in value space, `scm`
-memoizes node values, mechanism stages and formula ops on the
-resampled ancestors. Per block the kernel asks for y(E), y(E') and a
-list of hybrid masks, with one hybrid output alive at a time, and sums
-the rows of a small per-estimator statistic per stderr batch.
+columns: bit c set means column c is resampled. y(mask) is the outcome
+of the hybrid that takes the columns set in mask from E' and the rest
+from E, so y(0) is y(E) and y(every column) is y(E'). Per block of
+replicate pairs (E, E') of uniform noise, shape (m, n_noise) each, the
+kernel calls open_block(E, E', masks) once with the same masks, (0,
+every column, *hybrids), and reads the outcomes back from the iterator
+it returns, one hybrid's at a time. The providers decide how much of
+each hybrid they recompute: `sensitivity` transforms E and E' once and
+builds hybrids in value space, `scm` compiles the masks into a plan
+that computes each node value, mechanism stage and formula op once per
+key of its resampled ancestors. The kernel sums the rows of a small
+per-estimator statistic per stderr batch.
 
 upper_estimate, lower_estimate and superset_estimate take the noise mask
 S they estimate and yield the baseline moments of y(E) and y(E') as
 their first four rows, for the pooled-variance and batch-stderr step
 they share. pickfreeze_totals takes one noise column per query variable
-and enumerates the hybrids of every variable set by increasing bitmask;
-it squares only differences of outcomes.
+and asks for the hybrids of every variable set with the first variable
+toggling slowest; it squares only differences of outcomes.
 
 Noise follows the counter-based stream contract of `rng`. Replicate
 blocks of rng.BLOCK_LEN pairs run one at a time, in block order, and add
@@ -83,12 +84,15 @@ def _batch_starts(m: int, nb: int) -> np.ndarray:
 def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorConfig):
     """The kernel: per-batch sums of the rows of a per-replicate statistic.
 
-    open_block(E, E') is called once per block and returns y(mask), the
-    outcome of the hybrid that takes the noise columns set in mask from
-    E'. stat(y0, y1, outs) must yield n_stats rows, where y0 = y(0) is
-    y(E), y1 = y(every column) is y(E'), and outs iterates y over the
-    masks hybrids[0], hybrids[1], ... in that order, each evaluated when
-    stat asks for it. Returns an (n_stats, BATCHES) array of sums.
+    open_block(E, E', masks) is called once per block, always with the
+    same masks = (0, every column, *hybrids), and returns an iterator
+    over y(mask) for those masks in that order: the outcome of the hybrid
+    that takes the noise columns set in mask from E'. stat(y0, y1, outs)
+    must yield n_stats rows, where y0 = y(0) is y(E), y1 = y(every
+    column) is y(E'), and outs is the iterator over the hybrids'
+    outcomes, each evaluated when stat asks for it. The kernel drops the
+    iterator before it opens the next block. Returns an (n_stats,
+    BATCHES) array of sums.
 
     Raises DomainError before the first block past MC_BUDGET outcome
     evaluations, and ModelError when twice a row's total is not finite:
@@ -100,7 +104,7 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorCo
     evals = (len(hybrids) + 2) * m
     if evals > MC_BUDGET:
         raise DomainError(f"{evals} outcome evaluations exceed the Monte Carlo budget {MC_BUDGET}")
-    every = (1 << n_noise) - 1
+    masks = (0, (1 << n_noise) - 1, *hybrids)
     starts = _batch_starts(m, BATCHES)
 
     acc = np.zeros((n_stats, BATCHES))
@@ -112,10 +116,10 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorCo
             b0 = bisect_right(starts, g0) - 1
             b1 = bisect_right(starts, g1 - 1) - 1
             bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
-            y = open_block(u[:, :, 0], u[:, :, 1])
-            for r, vals in enumerate(stat(y(0), y(every), (y(s) for s in hybrids))):
+            outs = open_block(u[:, :, 0], u[:, :, 1], masks)
+            for r, vals in enumerate(stat(next(outs), next(outs), outs)):
                 acc[r, b0 : b1 + 1] += np.add.reduceat(vals, bounds)
-            del y  # this block's memo dies before the next block opens
+            del outs  # this block's values die before the next block opens
         finite = np.isfinite(2.0 * acc.sum(axis=1)).all()
     if not finite:
         raise ModelError("outcome values are too large to square in float64")
@@ -181,22 +185,29 @@ def pickfreeze_totals(open_block, n_noise, cols, cfg: EstimatorConfig) -> Totals
 
     Each block asks for 2**K + 1 outcomes: the two baselines plus one
     hybrid per nonempty subset, so K is capped by MAX_QUERY_VARS. What
-    one outcome costs is up to the provider behind open_block.
+    one outcome costs is up to the provider behind open_block. The
+    subsets come with variable 0 toggling slowest, which shortens how
+    long a provider that reuses values across hybrids keeps them; each
+    subset's row sums on its own, so the order changes no bits.
     """
     k = len(cols)
     if k > MAX_QUERY_VARS:
         raise DomainError(f"{k} query variables; at most {MAX_QUERY_VARS} are supported")
     n_masks = 1 << k
-    masks = [0]  # masks[s]: the noise mask of the variable set s
-    for c in cols:
-        masks += [mask | 1 << c for mask in masks]
+    # sets[t], masks[t]: the t-th variable set and its noise mask, counting
+    # with variable 0 toggling slowest: sets[t] is t bit-reversed, so the
+    # kernel's row sets[s] is the set s
+    sets, masks = [0], [0]
+    for j in reversed(range(k)):
+        sets += [s | 1 << j for s in sets]
+        masks += [mask | 1 << cols[j] for mask in masks]
 
     def stat(y0, y1, outs):
         yield (y0 - y1) ** 2
         for ys in outs:
             yield (y0 - ys) ** 2
 
-    acc = per_batch_sums(open_block, n_noise, masks[1:], stat, n_masks, cfg)
+    acc = per_batch_sums(open_block, n_noise, masks[1:], stat, n_masks, cfg)[sets]
     base = acc[0]
     denom = float(base.sum())
     if denom <= 0.0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -508,7 +509,7 @@ def _floats(node, what, v):
 
 class Stages(NamedTuple):
     """How a mechanism's sample splits into the stages HybridOutcomes
-    memoizes apart:
+    computes apart, each once per key of its own noise ancestry:
 
         combine(*[post(fn(parents, len(e))) for fn, post in parents], noise(e))
 
@@ -516,8 +517,10 @@ class Stages(NamedTuple):
     an array, and post, when not None, checks or converts its value;
     HybridOutcomes evaluates a ParentFn's formula op by op. noise maps
     the noise column to what combine reads of it; None passes the column
-    itself. Each stage applies the ufuncs of sample to the same operands
-    in the same order, so the split changes no value's bits.
+    itself, or len(e) for a mechanism that reads no noise (uses_noise
+    False), so its stages are keyed on its parents alone. Each stage
+    applies the ufuncs of sample to the same operands in the same order,
+    so the split changes no value's bits.
     """
 
     parents: tuple
@@ -685,9 +688,9 @@ class QuantileTable(Mechanism):
     GuideTable search of the levels (one pass for the default 50
     levels) and a handful of gathers and arithmetic, whatever the number
     of levels or cells. The lookup is a parent stage and the search a
-    noise stage (stages), so HybridOutcomes runs the lookup once per
-    key of the parents' query columns in a block, 8 for three queried
-    parents, and the search twice.
+    noise stage (stages), so in a block HybridOutcomes runs the lookup
+    once per key of the parents' noise ancestry, 8 for three queried
+    roots, and the search twice.
     """
 
     kind = "quantile_table"
@@ -851,15 +854,15 @@ class Deterministic(Mechanism):
         self.value = ParentFn(node, parent_names, formula=formula)
 
     def sample(self, e, parents):
-        return self.combine(self.value(parents, len(e)), e)
+        return self.combine(self.value(parents, len(e)), len(e))
 
     def stages(self):
         return Stages(((self.value, None),), None, self.combine)
 
-    def combine(self, out, e):
-        """The formula's value, a constant spread over the rows of e."""
+    def combine(self, out, n_rows):
+        """The formula's value, a constant spread over n_rows rows."""
         out = np.asarray(out, dtype=float)
-        return np.full(len(e), float(out)) if out.ndim == 0 else out
+        return np.full(n_rows, float(out)) if out.ndim == 0 else out
 
     def to_json(self):
         return {"kind": self.kind, "expr": self.formula.source}
@@ -1029,224 +1032,192 @@ class ScmModel:
         return sum(1 << i for i in {self.dag.index(str(n)) for n in nodes})
 
 
-# Most values one node may memoize per block: 32 arrays of rng.BLOCK_LEN
-# float64 values are 2 MiB.
-MEMO_ENTRIES = 32
-
-# Most values one mechanism stage or formula op may memoize per block: 8
-# values of at most 17 bytes a row (QuantileTable's level stage holds an
-# index, an offset and a flag per row) are 1.1 MB at rng.BLOCK_LEN rows.
-STAGE_ENTRIES = 8
+# Most values of one unit a block keeps alive at once; a unit whose values
+# would overlap more is computed again for each hybrid that reads it.
+LIVE_VALUES = 32
 
 
 class HybridOutcomes:
     """The outcome under hybrid noise, one replicate block at a time.
 
-    open_block(E, E') returns y(mask), the outcome of the hybrid that
-    takes the noise columns set in mask from E' (the mc kernel's
-    evaluator).
+    open_block(E, E', masks) yields, in order, the outcome of the hybrid
+    of each mask: the one that takes the noise columns set in mask from
+    E' (the mc kernel's evaluator).
 
     The model compiles once into units in evaluation order. Leaves are
-    each node's noise column, each formula constant and the block's row
-    count; the other units are each node's mechanism stages (Stages),
-    the ops of their formulas, and the node's value, its combine stage
-    with the node checks (a root is its sample). A unit's noise ancestry
-    anc is the union of its arguments': a noise column's is its own bit.
-    Under any hybrid a value depends only on which columns of its
-    ancestry the hybrid resamples (the Hoeffding structure the measure
-    rests on), so y memoizes unit values per block keyed on anc & mask.
-    y evaluates on demand from the outcome's unit: a memo hit skips
-    every unit below it.
+    the noise columns the mechanisms read, each formula constant and the
+    row count; the other units are each node's mechanism stages
+    (Stages), the ops of their formulas, and the node's value, its
+    combine stage with the node checks (a root is its sample). A unit's
+    noise ancestry anc is the union of its arguments': a noise column's
+    is its own bit. Its value under a hybrid depends only on anc & mask
+    (the Hoeffding structure the measure rests on).
 
-    With Q the query mask, the columns the estimator's hybrids resample,
-    a unit that is stored, or read only by units evaluated once per key
-    of its own, costs 2**|anc & Q| evaluations per block, plus one for
-    y(E') when anc has columns outside Q; any other unit is evaluated
-    once each time a unit that reads it is. Only values that more than
-    one hybrid can read are stored: never the outcome node's value,
-    never a unit whose ancestry covers Q, never a unit every reader of
-    which evaluates at most once per key of the unit's (_decide_storage),
-    never a key with columns outside Q (only y(E') reads it), and only
-    for units whose 2**|anc & Q| entries fit MEMO_ENTRIES for a node's
-    value and STAGE_ENTRIES for a stage or op. A parent stage's ancestry
-    is its parents', so a stage whose parents miss some query column the
-    node has costs half the node's evaluations or less, and a noise stage
-    costs two.
+    Every block of an estimate asks for the same masks, so the first
+    compiles them into a plan: straight-line steps (fn, argument slots,
+    output slot, slots to free) that compute each (unit, anc & mask)
+    once, at the first hybrid that reads it, and free each value after
+    its last reader. A unit whose values would be alive more than
+    LIVE_VALUES at once runs instead for each hybrid that reads it.
 
-    Memory: a block's memo holds at most 2**|anc & Q| values per stored
-    unit, each of at most 8 bytes a row for a node's value and 17 bytes
-    a row for a stage or op. At rng.BLOCK_LEN rows that is 2 MiB per
-    stored node and 1.1 MB per stored stage or op, whatever the model;
-    the block's noise columns are views of E and E'.
+    Memory: a block holds at most LIVE_VALUES values of each unit at
+    once, of at most 17 bytes a row each (8 for a float column; the
+    QuantileTable level stage holds an index, an offset and a flag):
+    4.5 MB per unit at rng.BLOCK_LEN rows, whatever the masks. The
+    noise columns are views of E and E'.
     """
 
-    def __init__(self, model: ScmModel, query: int):
-        self.query = query
-        # per unit: function (None for a leaf), argument units, noise
-        # ancestry, memo cap (0: never stored) and whether it is stored
-        self.fns, self.args, self.anc, self.caps, self.stored = [], [], [], [], []
-        self.noise = []  # (unit, node index) of each noise column
+    def __init__(self, model: ScmModel):
+        # per unit: function (None for a leaf), argument units, noise ancestry
+        self.fns, self.args, self.anc = [], [], []
+        self.rows = self._unit(None, ())
         self.consts = []  # (unit, value) of each formula constant
-        self.rows = self._leaf(0)
+        self.noise = []  # (unit, node index) of each noise column
         self.node_units = {}  # node index -> the unit of its value
         for i in model._outcome_order:
+            mech = model.mechanisms[i]
             parents = [self.node_units[p] for p in model._parent_idx[i]]
-            noise = self._leaf(1 << i)
-            self.noise.append((noise, i))
-            stages = model.mechanisms[i].stages()
-            if stages is None:
-                fn, args = _sampled(model, i), (noise, *parents)
+            noise = self.rows  # a mechanism that reads no noise reads the row count
+            if mech.uses_noise:
+                noise = self._unit(None, (), 1 << i)
+                self.noise.append((noise, i))
+            stages = mech.stages()
+            if stages is None:  # sample is one stage
+                combine = lambda e, *ps, sample=mech.sample: sample(e, ps)
+                args = (noise, *parents)
             else:
                 args = []
                 for f, post in stages.parents:
                     u = self._parent_stage(f, parents)
-                    args.append(u if post is None else self._unit(post, (u,), STAGE_ENTRIES))
+                    args.append(u if post is None else self._unit(post, (u,)))
                 if stages.noise is not None:
-                    noise = self._unit(stages.noise, (noise,), STAGE_ENTRIES)
-                fn, args = _combined(model, i, stages.combine), (*args, noise)
-            cap = 0 if i == model._outcome_index else MEMO_ENTRIES
-            self.node_units[i] = self._unit(fn, (self.rows, *args), cap)
-        self._decide_storage()
-        self.computed = tuple(u for u in range(len(self.fns) - 1, -1, -1) if self.fns[u])
+                    noise = self._unit(stages.noise, (noise,))
+                combine, args = stages.combine, (*args, noise)
+            self.node_units[i] = self._unit(_checked_value(model, i, combine), (self.rows, *args))
+        self._masks = self._plan = None
 
-    def _leaf(self, anc):
-        self.fns.append(None)
-        self.args.append(())
-        self.anc.append(anc)
-        self.caps.append(0)
-        self.stored.append(False)  # a block sets its leaves' values up front
-        return len(self.fns) - 1
-
-    def _unit(self, fn, args, cap):
-        anc = 0
+    def _unit(self, fn, args, anc=0):
+        """A new unit fn(*args), or a leaf of ancestry anc when fn is None."""
         for a in args:
             anc |= self.anc[a]
         self.fns.append(fn)
         self.args.append(tuple(args))
         self.anc.append(anc)
-        self.caps.append(cap)
-        self.stored.append(False)
         return len(self.fns) - 1
-
-    def _decide_storage(self):
-        """Set stored: whether more than one hybrid can read a value a unit
-        stores.
-
-        A unit whose readers each evaluate at most once per key of its
-        own is read once per key, so it stores nothing. A reader does
-        so when it stores its values or is itself such a unit, its query
-        columns are the unit's, and it has no column outside Q that the
-        unit lacks (else it evaluates again for y(E'), where the unit's
-        key repeats). The outcome's value is computed for every hybrid.
-        Readers come after what they read, so each reader is decided
-        first.
-        """
-        q, anc, n = self.query, self.anc, len(self.fns)
-        readers = [[] for _ in range(n)]
-        for r, args in enumerate(self.args):
-            for a in args:
-                readers[a].append(r)
-        once = [False] * n  # evaluated at most once per key in a block
-        for u in range(n - 1, -1, -1):
-            if self.fns[u] is None:
-                continue
-            shared = anc[u] & q
-            rare = bool(readers[u]) and all(
-                once[r] and anc[r] & q == shared and not (anc[r] & ~q and not anc[u] & ~q)
-                for r in readers[u]
-            )
-            self.stored[u] = (
-                not rare and shared != q and (1 << shared.bit_count()) <= self.caps[u]
-            )
-            once[u] = rare or self.stored[u]
 
     def _parent_stage(self, fn, parents):
         """The unit of a parent stage fn(parent columns, n_rows); a
         ParentFn's formula becomes one unit per op."""
         formula = getattr(fn, "formula", None)
         if formula is None:
-            return self._unit(_rows_last(fn), (self.rows, *parents), STAGE_ENTRIES)
+            return self._unit(lambda n, *ps, fn=fn: fn(ps, n), (self.rows, *parents))
         at = dict(zip(fn.parent_names, parents))
         slots = []
         for op, arg in formula.program:
             if op == "var":
                 slots.append(at[arg])
             elif op == "num":
-                slots.append(self._leaf(0))
+                slots.append(self._unit(None, ()))
                 self.consts.append((slots[-1], arg))
             else:
-                slots.append(self._unit(op, [slots[a] for a in arg], STAGE_ENTRIES))
+                slots.append(self._unit(op, [slots[a] for a in arg]))
         return slots[-1]
 
-    def open_block(self, e, ep):
-        """y(mask) for one block; its memo lives as long as y does."""
-        return _Block(self, e, ep)
+    def _runs(self, masks):
+        """runs[t]: the units the hybrid of masks[t] computes, descending.
+
+        reads[u][key] holds the hybrids that read u's value at key. Units
+        are decided from the outcome's value (the last unit) down, so
+        every reader of a unit is decided before it.
+        """
+        fns, args, anc = self.fns, self.args, self.anc
+        reads = [{} for _ in fns]
+        for t, m in enumerate(masks):
+            reads[-1].setdefault(anc[-1] & m, set()).add(t)
+        runs = [[] for _ in masks]
+        for u in range(len(fns) - 1, -1, -1):
+            if fns[u] is None or not reads[u]:
+                continue
+            firsts = sorted(min(ts) for ts in reads[u].values())
+            lasts = sorted(max(ts) for ts in reads[u].values())
+            # the most values alive at once: keys first read by a hybrid
+            # less those last read before it
+            alive = max(n - bisect_left(lasts, t) for n, t in enumerate(firsts, 1))
+            if alive <= LIVE_VALUES:
+                at = firsts
+            else:
+                at = set().union(*reads[u].values())
+            for t in at:
+                runs[t].append(u)
+                for a in args[u]:
+                    reads[a].setdefault(anc[a] & masks[t], set()).add(t)
+        return runs
+
+    def _compile(self, masks):
+        """The plan of masks, one (steps, outcome slot, slots to free after
+        the outcome is read) per hybrid, and its slot count. The leaf
+        slots come first: the row count, the constants, then each noise
+        column of E and each of E'."""
+        fns, args, anc = self.fns, self.args, self.anc
+        where = {(self.rows, 0): 0}  # (unit, anc & mask) -> slot of its value
+        for u, _ in self.consts:
+            where[u, 0] = len(where)
+        for u, _ in self.noise:
+            where[u, 0] = len(where)
+        for u, i in self.noise:
+            where[u, 1 << i] = len(where)
+        n_slots = n_leaves = len(where)
+        plan, last = [], {}  # last[slot]: the free list of its last reader
+        for m, run in zip(masks, self._runs(masks)):
+            steps = []
+            for u in reversed(run):
+                slots = tuple(where[a, anc[a] & m] for a in args[u])
+                steps.append((fns[u], slots, n_slots, []))
+                for s in slots:
+                    last[s] = steps[-1][3]
+                where[u, anc[u] & m] = n_slots
+                n_slots += 1
+            out = where[len(fns) - 1, anc[-1] & m]
+            plan.append((steps, out, []))
+            last[out] = plan[-1][2]
+        for s, free in last.items():
+            if s >= n_leaves:
+                free.append(s)
+        return plan, n_slots
+
+    def open_block(self, e, ep, masks):
+        """An iterator over the outcomes of masks for one block; the
+        block's values live no longer than it does. The first block of a
+        mask list compiles its plan."""
+        masks = tuple(masks)
+        if masks != self._masks:
+            self._plan, self._n_slots = self._compile(masks)
+            self._masks = masks
+        slots = [len(e), *(c for _, c in self.consts)]
+        slots += [e[:, i] for _, i in self.noise] + [ep[:, i] for _, i in self.noise]
+        slots += [None] * (self._n_slots - len(slots))
+        return _outcomes(self._plan, slots)
 
 
-def _sampled(model, i):
-    """Node i's value unit from its sample: f(n_rows, e, *parents)."""
-    sample, checked = model.mechanisms[i].sample, model._checked
-    return lambda n, e, *parents: checked(i, sample(e, parents), n)
+def _outcomes(plan, slots):
+    """Run a plan over one block's slots, yielding each hybrid's outcome.
+    Nothing refers back to the generator, so its slots die with it."""
+    for steps, out, free in plan:
+        with np.errstate(all="ignore"):
+            for fn, args, dst, dead in steps:
+                slots[dst] = fn(*[slots[a] for a in args])
+                for s in dead:
+                    slots[s] = None
+        yield slots[out]
+        for s in free:
+            slots[s] = None
 
 
-def _combined(model, i, combine):
-    """Node i's value unit from its stages: f(n_rows, *stage values)."""
+def _checked_value(model, i, combine):
+    """Node i's value unit: f(n_rows, *stage values), combine's value
+    under the node checks."""
     checked = model._checked
     return lambda n, *stages: checked(i, combine(*stages), n)
-
-
-def _rows_last(fn):
-    """fn(parent columns, n_rows) as a unit function of (n_rows, *parents)."""
-    return lambda n, *parents: fn(parents, n)
-
-
-class _Block:
-    """y(mask) of one block (see HybridOutcomes).
-
-    memo[u] maps a key anc & mask to unit u's value. The block refers to
-    its plan, its leaf values and its memo, and nothing refers back to
-    the block, so the memo is freed as soon as the kernel drops y.
-    """
-
-    def __init__(self, plan: HybridOutcomes, e, ep):
-        self.plan = plan
-        self.memo = [{} for _ in plan.fns]
-        self.leaves = [None] * len(plan.fns)
-        self.leaves[plan.rows] = len(e)
-        for u, c in plan.consts:
-            self.leaves[u] = c
-        self.noise = [(u, 1 << i, e[:, i], ep[:, i]) for u, i in plan.noise]
-
-    def __call__(self, mask):
-        plan, memo = self.plan, self.memo
-        args, anc, stored = plan.args, plan.anc, plan.stored
-        vals = self.leaves.copy()
-        for u, bit, col, resampled in self.noise:
-            vals[u] = resampled if mask & bit else col
-        need = [False] * len(vals)
-        need[-1] = True  # the outcome node's value is the last unit
-        todo = []
-        for u in plan.computed:
-            if not need[u]:
-                continue
-            if stored[u]:
-                v = memo[u].get(anc[u] & mask)
-                if v is not None:
-                    vals[u] = v
-                    continue
-            todo.append(u)
-            for a in args[u]:
-                need[a] = True
-        outside = ~plan.query
-        fns = plan.fns
-        with np.errstate(all="ignore"):
-            for u in reversed(todo):
-                v = vals[u] = fns[u](*[vals[a] for a in args[u]])
-                if stored[u]:
-                    key = anc[u] & mask
-                    if not key & outside:
-                        memo[u][key] = v
-        return vals[-1]
 
 
 def forward_sample(model: ScmModel, noise):
@@ -1282,7 +1253,7 @@ def counterfactual_total(model: ScmModel, nodes, cfg: EstimatorConfig) -> Estima
     if not names:
         raise DomainError("node set must be nonempty")
     s = model.noise_mask(names)
-    return upper_estimate(HybridOutcomes(model, s).open_block, model.n_nodes, s, cfg)
+    return upper_estimate(HybridOutcomes(model).open_block, model.n_nodes, s, cfg)
 
 
 def estimate_counterfactual_measure(
@@ -1294,12 +1265,14 @@ def estimate_counterfactual_measure(
     own atom absorbs the mass not explained by the other nodes; without
     it that mass stays on the empty atom. Each block of sample pairs
     asks for 2**K + 1 outcomes for K query variables. HybridOutcomes
-    evaluates the outcome's value once for each of them; a node's value,
-    a mechanism stage or a formula op within its memo cap costs
-    2**|A| per block, A its noise ancestry (a root or a noise stage two,
-    a formula constant nothing), plus one when A holds the outcome's
-    column and the outcome is left out; nothing outside the outcome's
-    ancestry is evaluated.
+    evaluates each node value, mechanism stage and formula op once per
+    key: 2**|A| per block, A the query columns of its noise ancestry (a
+    root or a noise stage two, a formula constant nothing), plus one
+    when that ancestry holds the outcome's column and the outcome is
+    left out. A unit whose values
+    would stay alive past LIVE_VALUES at once runs instead for each
+    hybrid that reads it. Nothing outside the outcome's ancestry is
+    evaluated.
     """
     query_names = [
         n for n in model.dag.names if include_outcome or n != model.outcome
@@ -1307,7 +1280,7 @@ def estimate_counterfactual_measure(
     if not query_names:
         raise DomainError("no query variables: lone-outcome model without include_outcome")
     cols = [model.dag.index(n) for n in query_names]
-    outcomes = HybridOutcomes(model, model.noise_mask(query_names))
+    outcomes = HybridOutcomes(model)
     table = pickfreeze_totals(outcomes.open_block, model.n_nodes, cols, cfg)
     flags = tuple(model.fitted)
     if not include_outcome:

@@ -58,24 +58,21 @@ def standard_normal_sampler(k: int) -> IndependentSampler:
 def independent_outcomes(f, sampler: IndependentSampler):
     """Hybrid evaluator of f over the sampler's inputs, for the mc kernel.
 
-    Variable j owns noise column j. open_block(E, E') transforms both
-    noise blocks once; y(mask) builds the hybrid in value space, which
-    equals the transform of the noise hybrid because every quantile acts
-    on its own column, and calls f.
+    Variable j owns noise column j. open_block(E, E', masks) transforms
+    both noise blocks once and yields f of each mask's hybrid, built in
+    value space, which equals the transform of the noise hybrid because
+    every quantile acts on its own column.
     """
 
-    def open_block(e, ep):
+    def open_block(e, ep, masks):
         x, xp = sampler.transform(e), sampler.transform(ep)
-
-        def y(mask):
+        for mask in masks:
             out = np.asarray(f(mc.hybrid(x, xp, members(mask))), dtype=float)
             if out.shape != (x.shape[0],):
                 raise DomainError(
                     f"function must map (m, {sampler.k}) inputs to (m,) outputs, got {out.shape}"
                 )
-            return out
-
-        return y
+            yield out
 
     return open_block
 

@@ -3,14 +3,16 @@
 The reference evaluator builds every hybrid in noise space and recomputes
 the whole input transform or the whole DAG: y(mask) = yfn(hybrid(E, E',
 members(mask))). The program's evaluators (sensitivity.independent_outcomes,
-which builds hybrids in value space, and scm.HybridOutcomes, which
-memoizes node values, mechanism stages and formula ops per block) must
-give the same float bits for every estimator, and HybridOutcomes must
-evaluate each of them exactly as often as its memo key allows.
+which builds hybrids in value space, and scm.HybridOutcomes, which runs a
+plan that computes each node value, mechanism stage and formula op once
+per key of its noise ancestry) must give the same float bits for every
+estimator and every order of masks, and HybridOutcomes must evaluate each
+unit exactly once per key and stay within its stated memory bound.
 """
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +50,9 @@ from xfvar.sensitivity import (
 def noise_space(yfn):
     """The reference evaluator: yfn of each noise hybrid."""
 
-    def open_block(e, ep):
-        return lambda mask: yfn(hybrid(e, ep, members(mask)))
+    def open_block(e, ep, masks):
+        for mask in masks:
+            yield yfn(hybrid(e, ep, members(mask)))
 
     return open_block
 
@@ -85,25 +88,10 @@ DAG = {
     ],
 }
 
-# Evaluations per block with every node queried, per node: each of its
-# stages and formula ops in evaluation order, then its value. A unit u
-# costs 2**|anc(u) & Q| (anc: its noise ancestry; a node's own column is
-# in its value's) when it is stored or read only by units evaluated once
-# per key, else once per evaluation of its readers. O is outside the
-# outcome's ancestry and costs nothing; "Y" is the outcome's count.
-# - A, B: a root is its value.
-# - C = 2.5: its check op has no ancestry; its value reads C's column.
-# - L: the std ops abs(A), 0.1*., 0.3 + ., the formula's finiteness
-#   check and the std >= 0 check, then 0.5*A and its check (ancestry A);
-#   gauss_quantile (L); the value (A, L).
-# - R: A*B, 0.2*A, the difference and its check; the residual; the value.
-# - J: L*R, with 16 keys past STAGE_ENTRIES, the sum and its check run
-#   once for each of J's 32 values; sigmoid(L) has 4 keys.
-# - T: cell offsets (A, C), level (T), value.
-# - Y: abs(B), 0.5 + ., check, std >= 0 (B); 0.5*T (A, C, T); then
-#   (0.5*T)*B, the sum with J and its check once per outcome;
-#   gauss_quantile, which costs two even when Y is not queried (y(E')
-#   resamples it); the value once per outcome.
+# Evaluations per block of each unit with every node queried, as the
+# per-call memo that the compiled plan replaced made them: each stage and
+# formula op of a node in evaluation order, then its value; "Y" is the
+# outcome's count, one per outcome. No unit may run more often now.
 DAG_EVALS = {
     "A": [2],
     "B": [2],
@@ -152,7 +140,7 @@ def _scm_estimates(model, cfg, outcomes):
 def test_scm_memo_matches_noise_space_bits(seed, samples):
     model = model_from_json(DAG)
     cfg = EstimatorConfig(samples=samples, seed=seed)
-    got = _scm_estimates(model, cfg, lambda q: HybridOutcomes(model, q).open_block)
+    got = _scm_estimates(model, cfg, lambda q: HybridOutcomes(model).open_block)
     want = _scm_estimates(model, cfg, lambda q: noise_space(model.outcome_values))
     assert got == want
     assert _hex_est(counterfactual_total(model, ["R", "C"], cfg)) == want["upper"]
@@ -202,13 +190,28 @@ def test_value_space_hybrids_match_noise_space_bits(seed, samples):
     assert _hex_measure(estimate_measure(f, sampler, cfg, names)) == _hex_measure(want)
 
 
+def _query_names(model, include_outcome):
+    return [n for n in model.dag.names if include_outcome or n != model.outcome]
+
+
+def _per_node(model, outcomes, per_unit):
+    """per_unit's entries grouped as {node: [each stage and formula op, then the value]}."""
+    out, first = {}, 0
+    for i, unit in outcomes.node_units.items():  # in evaluation order
+        out[model.dag.names[i]] = [
+            per_unit[u] for u in range(first, unit + 1) if outcomes.fns[u] is not None
+        ]
+        first = unit + 1
+    return out
+
+
 def block_evals(model, include_outcome, samples=2 * 8192 + 5):
     """Evaluations per block of each unit of HybridOutcomes under the full
-    measure's kernel: {node: [each stage and formula op, then the value]}.
-    The default samples span three blocks, so every count is 3x a block's.
+    measure's kernel, grouped by _per_node. The default samples span
+    three blocks, so every count is 3x a block's.
     """
-    names = [n for n in model.dag.names if include_outcome or n != model.outcome]
-    outcomes = HybridOutcomes(model, model.noise_mask(names))
+    names = _query_names(model, include_outcome)
+    outcomes = HybridOutcomes(model)
     counts = [0] * len(outcomes.fns)
     for u, fn in enumerate(outcomes.fns):
         if fn is not None:
@@ -222,20 +225,25 @@ def block_evals(model, include_outcome, samples=2 * 8192 + 5):
     pickfreeze_totals(outcomes.open_block, model.n_nodes, cols, EstimatorConfig(samples, seed=3))
     blocks = 3 if samples > 2 * 8192 else 1
     assert all(c % blocks == 0 for c in counts)
-    out, first = {}, 0
-    for i, unit in outcomes.node_units.items():  # in evaluation order
-        out[model.dag.names[i]] = [
-            counts[u] // blocks for u in range(first, unit + 1) if outcomes.fns[u] is not None
-        ]
-        first = unit + 1
-    return out
+    return _per_node(model, outcomes, [c // blocks for c in counts])
 
 
-@pytest.mark.parametrize("include_outcome, outcome_evals", [(True, 513), (False, 257)])
-def test_memoized_nodes_cost_two_to_their_queried_ancestors(include_outcome, outcome_evals):
-    model = model_from_json(DAG)
-    want = {n: [outcome_evals if c == "Y" else c for c in cs] for n, cs in DAG_EVALS.items()}
-    assert block_evals(model, include_outcome) == want
+def once_per_key(model, include_outcome):
+    """Evaluations per block if every unit runs once per key anc & mask of
+    the full measure, whose masks are 0, every column, and each nonempty
+    subset of the query columns Q: 2**|anc & Q| keys, plus the key of
+    y(E') when anc has a column outside Q.
+    """
+    q = model.noise_mask(_query_names(model, include_outcome))
+    outcomes = HybridOutcomes(model)
+    keys = [(1 << (anc & q).bit_count()) + bool(anc & ~q) for anc in outcomes.anc]
+    # a node's value depends on the noise of the ancestors, itself
+    # included, whose mechanisms read their noise
+    for i, unit in outcomes.node_units.items():
+        closure = scm.ancestral_closure(model.dag, [model.dag.names[i]])
+        reads = [n for n in closure if model.mechanisms[model.dag.index(n)].uses_noise]
+        assert outcomes.anc[unit] == model.noise_mask(reads), model.dag.names[i]
+    return _per_node(model, outcomes, keys)
 
 
 def _roots_model(expr):
@@ -244,139 +252,6 @@ def _roots_model(expr):
         "outcome": "Y",
         "nodes": roots + [_node("Y", ["X0", "X1", "X2", "X3"], {"kind": "deterministic", "expr": expr})],
     })
-
-
-def test_independent_roots_cost_two_evaluations():
-    # X0*X1 has 4 keys and X0*X1 + X2 8; X3^2 has 2; the difference and
-    # its check read all four query columns, so they run for each of the
-    # 2**4 + 1 outcomes, as does the outcome's value
-    got = block_evals(_roots_model("X0*X1 + X2 - X3^2"), include_outcome=False)
-    assert got == {"X0": [2], "X1": [2], "X2": [2], "X3": [2], "Y": [4, 8, 2, 17, 17, 17]}
-
-
-def test_formula_ops_cost_two_to_the_variables_they_read():
-    # ops in evaluation order: 2*X0 (one variable), X1*X2 (two), their
-    # sum (three), X0*X1, X0*X1*X2, X0*X1*X2*X3 (all four: once per
-    # outcome), the outer sum, the check and the value; a recursive walk
-    # of the formula costs its 8 ops for each of the 17 outcomes
-    got = block_evals(_roots_model("2*X0 + X1*X2 + X0*X1*X2*X3"), include_outcome=False)
-    assert got["Y"] == [2, 4, 8, 4, 8, 17, 17, 17, 17]
-    assert sum(got["Y"][:-1]) == 77 < 8 * 17
-
-
-def test_node_above_the_cap_is_evaluated_per_hybrid():
-    # V has six queried ancestors (itself included): 2**6 entries > MEMO_ENTRIES,
-    # so its value runs for each of the 2**8 + 1 outcomes, and so do its
-    # difference (32 keys > STAGE_ENTRIES) and check; its ops P0*P1,
-    # P0*P1 + P2 and P3*P4 have 4, 8 and 4 keys. Y's constant std runs
-    # once, its mean V*W and check once per outcome.
-    assert scm.MEMO_ENTRIES < 64
-    roots = [_node(f"P{i}", [], {"kind": "root_uniform"}) for i in range(5)]
-    model = model_from_json({
-        "outcome": "Y",
-        "nodes": roots + [
-            _node("V", [f"P{i}" for i in range(5)],
-                  {"kind": "deterministic", "expr": "P0*P1 + P2 - P3*P4"}),
-            _node("W", [], {"kind": "root_gaussian"}),
-            _node("Y", ["V", "W"], {"kind": "hetero_gaussian", "mean": {"expr": "V*W"},
-                                    "std": {"expr": "0.5"}}),
-        ],
-    })
-    assert block_evals(model, include_outcome=True) == {
-        **{f"P{i}": [2] for i in range(5)},
-        "V": [4, 8, 4, 257, 257, 257],
-        "W": [2],
-        "Y": [1, 1, 257, 257, 2, 257],
-    }
-    cfg = EstimatorConfig(samples=1000, seed=5)
-    got = estimate_counterfactual_measure(model, cfg)
-    assert _hex_measure(got) == _hex_measure(_reference_measure(model, cfg, True))
-
-
-def test_memo_key_covers_the_resampled_ancestors():
-    # resampling a column outside An*(v) must reuse v's values; one inside must not
-    model = model_from_json(DAG)
-    rs = np.random.default_rng(0)
-    e, ep = rs.random((50, model.n_nodes)), rs.random((50, model.n_nodes))
-    y = HybridOutcomes(model, (1 << model.n_nodes) - 1).open_block(e, ep)
-    for cols in ([], [1], [0, 6], [3, 4, 5], [7], list(range(model.n_nodes)), [2, 8]):
-        mask = sum(1 << c for c in cols)
-        assert y(mask).tobytes() == model.outcome_values(hybrid(e, ep, cols)).tobytes()
-
-
-def test_block_evaluator_is_freed_without_the_cycle_collector():
-    # a block's memo must die with its y, not wait for gc to find a cycle
-    # (one formed inside y's calls would keep every block's memo alive)
-    model = model_from_json(DAG)
-    rs = np.random.default_rng(1)
-    e, ep = rs.random((50, model.n_nodes)), rs.random((50, model.n_nodes))
-    gc.disable()
-    try:
-        y = HybridOutcomes(model, (1 << model.n_nodes) - 1).open_block(e, ep)
-        y(0b11)
-        y(0b101)
-        stored = [v for d in y.memo for v in d.values() if isinstance(v, np.ndarray)]
-        assert stored
-        refs = [weakref.ref(y)] + [weakref.ref(v) for v in stored]
-        del y, stored
-        assert [r() for r in refs] == [None] * len(refs)
-    finally:
-        gc.enable()
-
-
-def test_kernel_frees_each_block_before_it_opens_the_next(monkeypatch):
-    # two blocks' memos alive at once would raise peak memory
-    model = model_from_json(DAG)
-    opened = []
-    open_block = HybridOutcomes.open_block
-
-    def recording(self, e, ep):
-        assert [r() for r in opened] == [None] * len(opened)
-        y = open_block(self, e, ep)
-        opened.append(weakref.ref(y))
-        return y
-
-    monkeypatch.setattr(HybridOutcomes, "open_block", recording)
-    gc.disable()
-    try:
-        estimate_counterfactual_measure(model, EstimatorConfig(samples=20_000, seed=2))
-    finally:
-        gc.enable()
-    assert len(opened) == 3
-
-
-def _memo_peak(model, include_outcome):
-    """Bytes one full block's memo holds after the full measure's hybrids
-    (a memo only grows, so this is its peak), and the bound the
-    HybridOutcomes docstring states: 2**|anc & Q| values per stored unit,
-    8 bytes a row for a node's value and 17 for a stage or op."""
-    names = [n for n in model.dag.names if include_outcome or n != model.outcome]
-    q = model.noise_mask(names)
-    outcomes = HybridOutcomes(model, q)
-    blocks = []
-
-    def open_block(e, ep):
-        blocks.append(outcomes.open_block(e, ep))
-        return blocks[-1]
-
-    rows = 8192
-    cols = [model.dag.index(n) for n in names]
-    pickfreeze_totals(open_block, model.n_nodes, cols, EstimatorConfig(samples=rows))
-    held = {}
-    for d in blocks[0].memo:
-        for v in d.values():
-            for a in v if isinstance(v, tuple) else (v,):
-                if isinstance(a, np.ndarray):
-                    held[id(a)] = a.nbytes
-    bound = 0
-    nodes = set(outcomes.node_units.values())
-    for u, anc in enumerate(outcomes.anc):
-        if outcomes.stored[u]:
-            entries = 1 << (anc & q).bit_count()
-            cap = scm.MEMO_ENTRIES if u in nodes else scm.STAGE_ENTRIES
-            assert entries <= cap
-            bound += entries * rows * (8 if u in nodes else 17)
-    return sum(held.values()), bound
 
 
 def _roots8_shaped():
@@ -403,11 +278,182 @@ def _hetero_chain6():
     return model_from_json({"outcome": "F", "nodes": nodes})
 
 
-# MiB one block's memo may hold on these models (measured 6.4 and 5.4).
-# With these memos the benchmark's formula_mc peak RSS rose from 63.5 to
-# 67.2 MB at one thread on a 2-CPU x86 host, against a 10% bound; a cap
-# raised or ignored shows here before the benchmark runs
-MEMO_BUDGET_MIB = {"roots8": 7.0, "chain6": 6.0}
+def _product12():
+    # the K = 12 worst case: W2*...*W12 has 2**11 keys, each read again
+    # in both halves of the hybrids, where W1 is kept and resampled
+    w = [f"W{i}" for i in range(1, 13)]
+    roots = [_node(x, [], {"kind": "root_gaussian"}) for x in w]
+    expr = "W1 + " + "*".join(w[1:])
+    return model_from_json({
+        "outcome": "Y", "nodes": roots + [_node("Y", w, {"kind": "deterministic", "expr": expr})],
+    })
+
+
+@pytest.mark.parametrize("include_outcome, outcome_evals", [(True, 513), (False, 257)])
+def test_memoized_nodes_cost_two_to_their_queried_ancestors(include_outcome, outcome_evals):
+    # the diamond: once per key, and no unit more often than under the memo
+    model = model_from_json(DAG)
+    got = block_evals(model, include_outcome)
+    assert got == once_per_key(model, include_outcome)
+    before = {n: [outcome_evals if c == "Y" else c for c in cs] for n, cs in DAG_EVALS.items()}
+    assert got.keys() == before.keys()
+    for n, counts in got.items():
+        assert len(counts) == len(before[n]), n
+        assert all(c <= b for c, b in zip(counts, before[n])), (n, counts, before[n])
+
+
+@pytest.mark.parametrize("build, include_outcome", [
+    (_hetero_chain6, True),
+    (_roots8_shaped, False),
+], ids=["chain", "formula"])
+def test_each_unit_runs_once_per_key_of_its_ancestry(build, include_outcome):
+    model = build()
+    assert block_evals(model, include_outcome) == once_per_key(model, include_outcome)
+
+
+def test_deterministic_nodes_are_keyed_on_their_parents():
+    # C = A*B and Y = A + C + A*C read only the noise of A and B, so
+    # C's op, check and value and Y's four ops and value run once per key
+    # of {A, B}, though C and Y own query columns
+    model = scm.read_model(Path(__file__).parent / "data" / "dag_model.json")
+    assert block_evals(model, include_outcome=True) == {
+        "A": [2], "B": [2], "C": [4, 4, 4], "Y": [4, 4, 4, 4, 4],
+    }
+
+
+def test_independent_roots_cost_two_evaluations():
+    # X0*X1 has 4 keys and X0*X1 + X2 8; X3^2 has 2; the difference, its
+    # check and the value read all four query columns, so they run for
+    # each of their 2**4 keys: y(E') is the hybrid that resamples all four
+    got = block_evals(_roots_model("X0*X1 + X2 - X3^2"), include_outcome=False)
+    assert got == {"X0": [2], "X1": [2], "X2": [2], "X3": [2], "Y": [4, 8, 2, 16, 16, 16]}
+
+
+def test_formula_ops_cost_two_to_the_variables_they_read():
+    # ops in evaluation order: 2*X0 (one variable), X1*X2 (two), their
+    # sum (three), X0*X1, X0*X1*X2, X0*X1*X2*X3 (all four: once per
+    # key), the outer sum, the check and the value; a recursive walk
+    # of the formula costs its 8 ops for each of the 17 outcomes
+    got = block_evals(_roots_model("2*X0 + X1*X2 + X0*X1*X2*X3"), include_outcome=False)
+    assert got["Y"] == [2, 4, 8, 4, 8, 16, 16, 16, 16]
+    assert sum(got["Y"][:-1]) == 74 < 8 * 17
+
+
+def random_masks(model, rs):
+    """40 random masks with repeats, the columns no unit reads, and every
+    column in the middle."""
+    n = model.n_nodes
+    masks = [int(m) for m in rs.integers(0, 1 << n, 40)]
+    masks += [masks[int(j)] for j in rs.integers(0, 40, 10)]  # repeated masks
+    # O is outside the outcome's ancestry, C and J are deterministic
+    masks.append(model.noise_mask(["O", "C", "J"]))
+    masks.insert(len(masks) // 2, (1 << n) - 1)
+    return masks
+
+
+def test_memo_key_covers_the_resampled_ancestors(monkeypatch):
+    # outcomes in any mask order match the noise-space reference, also at
+    # one live value, where most units run again for each hybrid
+    model = model_from_json(DAG)
+    for seed, live_values in [(0, scm.LIVE_VALUES), (1, scm.LIVE_VALUES), (2, 1), (3, 1)]:
+        monkeypatch.setattr(scm, "LIVE_VALUES", live_values)
+        rs = np.random.default_rng(seed)
+        e, ep = rs.random((50, model.n_nodes)), rs.random((50, model.n_nodes))
+        outcomes = HybridOutcomes(model)
+        for _ in range(2):  # a second mask list compiles a second plan
+            masks = random_masks(model, rs)
+            want = [model.outcome_values(hybrid(e, ep, members(m))).tobytes() for m in masks]
+            assert [y.tobytes() for y in outcomes.open_block(e, ep, masks)] == want
+
+
+def _tracked(outcomes, on_value):
+    """Wrap each unit function of outcomes to pass every array it returns
+    to on_value."""
+    for u, fn in enumerate(outcomes.fns):
+        if fn is not None:
+
+            def tracked(*args, _fn=fn):
+                v = _fn(*args)
+                for a in v if isinstance(v, tuple) else (v,):
+                    if isinstance(a, np.ndarray):
+                        on_value(a)
+                return v
+
+            outcomes.fns[u] = tracked
+
+
+def test_block_evaluator_is_freed_without_the_cycle_collector():
+    # a block's slots must die with its iterator, not wait for gc to find
+    # a cycle (one formed inside the plan would keep every block's values
+    # alive)
+    model = model_from_json(DAG)
+    rs = np.random.default_rng(1)
+    e, ep = rs.random((50, model.n_nodes)), rs.random((50, model.n_nodes))
+    outcomes = HybridOutcomes(model)
+    made = []
+    _tracked(outcomes, lambda a: made.append(weakref.ref(a)))
+    gc.disable()
+    try:
+        outs = outcomes.open_block(e, ep, [0b11, 0b101, 0b11, 0])
+        ys = [next(outs), next(outs)]
+        assert sum(r() is not None for r in made) > len(ys)  # held for the later hybrids
+        refs = [weakref.ref(outs)] + made
+        del outs, ys
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_kernel_frees_each_block_before_it_opens_the_next(monkeypatch):
+    # two blocks' values alive at once would raise peak memory
+    model = model_from_json(DAG)
+    opened = []
+    open_block = HybridOutcomes.open_block
+
+    def recording(self, e, ep, masks):
+        assert [r() for r in opened] == [None] * len(opened)
+        outs = open_block(self, e, ep, masks)
+        opened.append(weakref.ref(outs))
+        return outs
+
+    monkeypatch.setattr(HybridOutcomes, "open_block", recording)
+    gc.disable()
+    try:
+        estimate_counterfactual_measure(model, EstimatorConfig(samples=20_000, seed=2))
+    finally:
+        gc.enable()
+    assert len(opened) == 3
+
+
+def block_peak(model, include_outcome, rows):
+    """Most bytes of unit values alive at once over one block of rows
+    under the full measure's kernel, and the bound the HybridOutcomes
+    docstring states for it: LIVE_VALUES values per unit of at most 17
+    bytes a row, plus the outcomes the kernel holds (y(E), y(E') and one
+    hybrid's)."""
+    outcomes = HybridOutcomes(model)
+    live, held = {}, [0, 0]  # id -> bytes of each live array; bytes now, peak
+
+    def forget(key):
+        held[0] -= live.pop(key)
+
+    def on_value(a):
+        if id(a) not in live:
+            live[id(a)] = a.nbytes
+            held[0] += a.nbytes
+            held[1] = max(held)
+            weakref.finalize(a, forget, id(a))
+
+    _tracked(outcomes, on_value)
+    cols = [model.dag.index(n) for n in _query_names(model, include_outcome)]
+    pickfreeze_totals(outcomes.open_block, model.n_nodes, cols, EstimatorConfig(samples=rows))
+    units = sum(fn is not None for fn in outcomes.fns)
+    return held[1], (scm.LIVE_VALUES * 17 * units + 3 * 8) * rows
+
+
+# MiB one block may hold on these shapes at 8192 rows (measured 5.0 and
+# 2.0). The benchmark's formula_mc peak RSS moves with them.
+PEAK_MIB = {"roots8": 5.5, "chain6": 2.5}
 
 
 @pytest.mark.parametrize("name, build, include_outcome", [
@@ -415,6 +461,13 @@ MEMO_BUDGET_MIB = {"roots8": 7.0, "chain6": 6.0}
     ("chain6", _hetero_chain6, True),
 ])
 def test_block_memo_stays_within_its_bound(name, build, include_outcome):
-    peak, bound = _memo_peak(build(), include_outcome)
+    peak, bound = block_peak(build(), include_outcome, rows=8192)
     assert 0 < peak <= bound
-    assert peak <= MEMO_BUDGET_MIB[name] * 2**20
+    assert peak <= PEAK_MIB[name] * 2**20
+
+
+def test_worst_case_product_is_bounded_by_recomputing():
+    # without LIVE_VALUES, W2*...*W12 alone would hold 2**11 values
+    rows = 300
+    peak, bound = block_peak(_product12(), include_outcome=False, rows=rows)
+    assert 0 < peak <= bound < 2**11 * 8 * rows
