@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import PROB_SUM_TOL, Provenance, measure_from_totals, members
-from .anova_oracle import DiscreteDomain
+from .anova_oracle import ENUMERATION_BUDGET, DiscreteDomain
 from .errors import CycleError, DomainError, ModelError, NotReducibleError, read_json
 from .formula import Formula, parse_formula
 from .mc import Estimate, EstimatorConfig, pickfreeze_totals, range_tolerance, upper_estimate
@@ -643,7 +643,16 @@ class RootCategorical(Mechanism):
         return self.values[np.clip(idx, 0, len(self.values) - 1)]
 
     def discrete_law(self):
-        return self.values, self.probs
+        # a value listed twice is one support point (numpy equality, so
+        # -0.0 is 0.0) at its first position, with the summed probability;
+        # summed in another order the total can round past the load check's
+        # tolerance, so the merged law is divided by its total
+        _, first, inverse = np.unique(self.values, return_index=True, return_inverse=True)
+        if len(first) == len(self.values):
+            return self.values, self.probs
+        order = np.argsort(first)
+        probs = np.bincount(inverse, weights=self.probs)[order]
+        return self.values[first[order]], probs / probs.sum()
 
     def to_json(self):
         out = {
@@ -997,8 +1006,8 @@ class ScmModel:
         from an (n, K) array of root values to the outcome by the node loop
         of outcome_values. Every other node, the outcome included, must be
         deterministic (it may sit anywhere); NotReducibleError names the
-        first node that is neither, or that no discrete root exists, and
-        DomainError a domain past budget.
+        first node that is neither, that no discrete root exists, or that
+        the decomposition's work exceeds ENUMERATION_BUDGET.
         """
         roots, laws = [], []
         for i, (n, mech) in enumerate(zip(self.dag.names, self.mechanisms)):
@@ -1016,6 +1025,11 @@ class ScmModel:
             raise NotReducibleError(
                 "oracle needs at least one discrete root (rademacher, categorical or empirical)"
             )
+        # the Moebius inversion in hoeffding_decompose touches prod_j (1 + 2 d_j)
+        # elements, never fewer than the domain has points
+        work = math.prod(1 + 2 * len(v) for v, _ in laws)
+        if work > ENUMERATION_BUDGET:
+            raise NotReducibleError(f"decomposition work {work} exceeds budget {ENUMERATION_BUDGET}")
         order = tuple(i for i in self._outcome_order if i not in roots)
 
         def f(w):

@@ -149,6 +149,32 @@ def test_counterfactual_subset_disjunction(capsys, in_repo_root):
     assert out.startswith("xi(W2 v Y) = ")
 
 
+def test_counterfactual_subset_lists_each_node_once(capsys, in_repo_root):
+    lines = []
+    for subset in ("W2,W2,Y", "W2,Y"):
+        argv = ["counterfactual", "--model", "tests/data/model1.json", "--samples", "2000", "--subset", subset]
+        assert run_cli(argv) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0].startswith("xi(W2 v Y) = ")
+    assert lines[0] == lines[1]
+
+
+def test_counterfactual_blank_subset_exits_2(capsys, in_repo_root):
+    argv = ["counterfactual", "--model", "tests/data/model1.json", "--samples", "2000", "--subset", " , "]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error[E02]: --subset needs at least one node name\n"
+
+
+def test_gsa_lone_outcome_model_exits_2(tmp_path, capsys):
+    model = {"outcome": "Y", "nodes": [{"name": "Y", "parents": [], "mechanism": {"kind": "root_uniform"}}]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    assert run_cli(["gsa", "--model", str(p), "--samples", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        "error[E02]: no query variables: lone-outcome model without include_outcome\n"
+    )
+
+
 def test_counterfactual_clip_atoms(capsys, in_repo_root):
     code = run_cli(
         [
@@ -289,20 +315,69 @@ _OFFSET_LAWS = (
 )
 
 
-def test_oracle_accepts_every_categorical_law_that_loads(tmp_path, capsys):
-    # probs summing to 1 + 1e-10 load as a root_categorical, so oracle must take them too
-    law = {"kind": "root_categorical", "values": [0.0, 1.0], "probs": [0.5, 0.5000000001]}
+def _categorical_model(path, values, probs):
+    law = {"kind": "root_categorical", "values": values, "probs": probs}
     model = {"outcome": "Y", "nodes": [
         {"name": "A", "parents": [], "mechanism": law},
         {"name": "B", "parents": [], "mechanism": {"kind": "root_rademacher"}},
         {"name": "Y", "parents": ["A", "B"], "mechanism": {"kind": "deterministic", "expr": "A*B + A"}},
     ]}
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(model))
+
+
+@pytest.mark.parametrize(
+    "values, probs, merged",
+    [
+        # probs summing to 1 + 1e-10 load as a root_categorical
+        ([0.0, 1.0], [0.5, 0.5000000001], ([0.0, 1.0], [0.5, 0.5000000001])),
+        # a value listed twice is one support point with the summed probability
+        ([0.0, 1.0, 1.0], [0.5, 0.25, 0.25], ([0.0, 1.0], [0.5, 0.5])),
+        ([0.0, -0.0, 1.0], [0.25, 0.25, 0.5], ([0.0, 1.0], [0.5, 0.5])),
+        ([1.0, 0.0, 1.0], [0.25, 0.5, 0.25], ([1.0, 0.0], [0.5, 0.5])),
+    ],
+    ids=["sum_above_one", "repeated", "signed_zero", "non_adjacent"],
+)
+def test_oracle_accepts_every_categorical_law_that_loads(tmp_path, capsys, monkeypatch, values, probs, merged):
+    # every law that loads runs under counterfactual, so oracle must take it too,
+    # with the report of the law merged by hand (same relative path, same bytes)
+    _categorical_model(tmp_path / "law" / "m.json", values, probs)
+    _categorical_model(tmp_path / "merged" / "m.json", *merged)
+    monkeypatch.chdir(tmp_path / "law")
+    assert run_cli(["counterfactual", "--model", "m.json", "--samples", "200"]) == 0
+    capsys.readouterr()
+    reports = []
+    for d in ("law", "merged"):
+        monkeypatch.chdir(tmp_path / d)
+        assert run_cli(["oracle", "--model", "m.json", "--out", "rep.json"]) == 0, capsys.readouterr().err
+        reports.append((tmp_path / d / "rep.json").read_bytes())
+    rep = json.loads(reports[0])
+    assert rep["atoms"]["A+B"] == pytest.approx(1 / 3)
+    assert reports[0] == reports[1]
+
+
+def test_oracle_accepts_a_repeated_value_law_at_the_tolerance_edge(tmp_path, capsys):
+    # these probs sum to 1 + 0.99999986e-9 and load; summed per value they
+    # give 1 + 1.00000008e-9, past the 1e-9 tolerance
+    probs = [0.35142697293116953, 0.19473978754784552, 0.4538332405209849]
     p = tmp_path / "m.json"
-    p.write_text(json.dumps(model))
+    _categorical_model(p, [1.0, 0.0, 1.0], probs)
     assert run_cli(["counterfactual", "--model", str(p), "--samples", "200"]) == 0
     capsys.readouterr()
     assert run_cli(["oracle", "--model", str(p)]) == 0, capsys.readouterr().err
-    assert json.loads(capsys.readouterr().out)["atoms"]["A+B"] == pytest.approx(1 / 3)
+    rep = json.loads(capsys.readouterr().out)
+    assert abs(math.fsum(rep["atoms"].values()) - 1.0) <= 1e-15
+
+
+def test_oracle_work_budget_checked_before_the_domain_is_built(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("DiscreteDomain built for an over-budget model")
+
+    monkeypatch.setattr(scm, "DiscreteDomain", never)
+    code = run_cli(["oracle", "--model", _rademacher_sum_model(tmp_path / "k12.json", 12)])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err == f"error[E06]: decomposition work {5**12} exceeds budget 10000000\n"
 
 
 def test_oracle_renormalizes_categorical_law(tmp_path, capsys):
@@ -414,6 +489,22 @@ def test_zero_variance_exit_4(tmp_path, capsys):
     code = run_cli(["counterfactual", "--model", str(p), "--samples", "1000"])
     assert code == 4
     assert capsys.readouterr().err.startswith("error[E04]:")
+
+
+def test_batch_without_variance_exits_4(tmp_path, capsys):
+    # X = 1 with probability 0.05: over 40 pairs some pair differs, so the
+    # total variation is positive, but most 2-pair batches see none
+    law = {"kind": "root_categorical", "values": [0.0, 1.0], "probs": [0.95, 0.05]}
+    model = {"outcome": "Y", "nodes": [
+        {"name": "X", "parents": [], "mechanism": law},
+        {"name": "Y", "parents": ["X"], "mechanism": {"kind": "deterministic", "expr": "X"}},
+    ]}
+    p = tmp_path / "rare.json"
+    p.write_text(json.dumps(model))
+    assert run_cli(["counterfactual", "--model", str(p), "--samples", "40", "--seed", "0"]) == 4
+    assert capsys.readouterr().err == (
+        "error[E04]: a standard-error batch has non-positive variance; increase samples\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,12 @@ def test_forward_sample_validates_vector():
         forward_sample(m, [np.nan, 0.5, 0.5])
 
 
+def test_forward_checks_noise_width():
+    m = model2()
+    with pytest.raises(ModelError, match=r"^noise must have shape \(m, 3\)$"):
+        m.forward(np.full((4, 2), 0.5))
+
+
 def test_non_finite_node_values_name_the_node():
     dag = Dag(("X", "Y"), ((), ("X",)))
     mechs = (RootGaussian("X", 0.0, 1e308), Deterministic("Y", ("X",), parse_formula("X", ("X",))))

@@ -104,6 +104,13 @@ def test_subset_validation():
     assert a.value == b.value
 
 
+def test_function_output_shape_is_checked():
+    s = standard_normal_sampler(2)
+    want = r"function must map \(m, 2\) inputs to \(m,\) outputs, got \(\d+, 1\)"
+    with pytest.raises(DomainError, match=want):
+        estimate_measure(lambda w: w[:, :1], s, EstimatorConfig(samples=1000), ("W1", "W2"))
+
+
 def test_max_vars_guard():
     s = standard_normal_sampler(13)
     cfg = EstimatorConfig(samples=1000)

@@ -1,6 +1,7 @@
 """The benchmark tracer (perfbench/tracing.py) wraps program functions by
 name. A refactor that drops or moves one of those names must fail here,
-not only when the benchmark runs with `--trace 1`."""
+naming the target, not only in a traced pass: the benchmark run with
+`--trace 1` and the traced runs of perfbench/test_perfbench.py."""
 
 import importlib
 import importlib.util
