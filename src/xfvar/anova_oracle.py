@@ -1,13 +1,16 @@
 """Exact functional ANOVA on finite discrete independent domains.
 
-Everything here is brute force by design: the product domain is
-enumerated in row-major order, conditional expectations are exact
-weighted sums, and interaction-contrast covariances enumerate all
-(W, W') pairs. This module is the reference the Monte Carlo estimators
-and the algebra constructions are verified against. Only the
-decomposition runs in a command (`oracle`); the pair-enumeration closed
-forms (`exact_pickfreeze`, `exact_contrast_var`, `exact_contrast_cov`)
-are test references for it.
+The product domain is enumerated in row-major order and every
+expectation is an exact weighted sum: nothing is sampled. This module is
+the reference the Monte Carlo estimators and the algebra constructions
+are verified against. Only the decomposition runs in a command
+(`oracle`). It shares work across subsets (each conditional mean is one
+contraction of the next larger one; the Moebius sums of all subsets with
+the same support sizes advance together, one broadcast per term) while
+keeping the float operations, and so every bit, of the brute-force loop
+the tests keep as `reference_decompose`. The pair-enumeration closed forms
+(`exact_pickfreeze`, `exact_contrast_var`, `exact_contrast_cov`) are
+brute force by design and are test references for it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .algebra import (
     EXACT,
     PROB_SUM_TOL,
     ExplanationMeasure,
-    iter_subsets,
     mass_meeting,
     members,
     mobius_sign,
@@ -28,7 +30,7 @@ from .algebra import (
     subset_zeta,
     superset_zeta,
 )
-from .errors import DomainError, ZeroVarianceError
+from .errors import DomainError, ModelError, ZeroVarianceError
 
 ENUMERATION_BUDGET = 10**7
 
@@ -75,7 +77,10 @@ class DiscreteDomain:
 
     def weights(self) -> np.ndarray:
         """Product probabilities aligned with grid() rows."""
-        return _subset_weights(self, (1 << self.k) - 1).ravel()
+        w = np.ones(())
+        for p in self.probs:
+            w = np.multiply.outer(w, p)
+        return w.ravel()
 
     def shape(self):
         return tuple(v.size for v in self.values)
@@ -125,48 +130,87 @@ def hoeffding_decompose(f, domain: DiscreteDomain) -> AnovaDecomposition:
     non-negative by construction, and the tests check that every
     component has zero marginals along its own axes (so components are
     orthogonal) and that the sigma2 add up to total_variance.
+
+    Order contract, which keeps every output bit equal to the brute-force
+    loop kept in the tests (`reference_decompose`):
+    - m_S contracts the variables outside S from the highest down, each
+      by one tensordot with its law; m_S is the last step of that chain,
+      taken from m_{S+j} for the lowest j outside S.
+    - f_S sums the signed m_T left to right over T from S down to 0
+      (`submasks` order), starting from 0.0; subtracting m_T is adding
+      -1.0 * m_T, bit for bit.
+    - The weights over the S grid multiply the laws of S's members in
+      ascending order, starting from 1.0; sigma2[S] and the total
+      variance are np.sum of weight * value**2 over one contiguous table.
+    Subsets whose members have the same support sizes share one row
+    gather and one broadcast add (or subtract) per term.
+
+    Raises ModelError when a sigma2[S] or the total variance overflows.
     """
     k = domain.k
     shape = domain.shape()
     vals = _eval_on_grid(f, domain.grid()).reshape(shape)
     n_sub = 1 << k
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = [vals] * n_sub
+        weights = [np.ones(())] * n_sub
+        for s in range(n_sub - 2, -1, -1):
+            j = ((s + 1) & ~s).bit_length() - 1  # lowest variable outside s
+            cond[s] = np.tensordot(cond[s | 1 << j], domain.probs[j], axes=([j], [0]))
+        for s in range(1, n_sub):
+            j = s.bit_length() - 1  # highest member of s
+            weights[s] = np.multiply.outer(weights[s ^ 1 << j], domain.probs[j])
+        mean = float(cond[0])
 
-    # cond[S] = E[f | W_S], stored over the S axes in ascending variable order.
-    # Marginalizing in descending variable order keeps axis j at index j
-    # until the moment it is contracted away.
-    cond = {}
-    for s in iter_subsets(k):
-        out = vals
-        for axis_var in reversed(members((n_sub - 1) ^ s)):
-            out = np.tensordot(out, domain.probs[axis_var], axes=([axis_var], [0]))
-        cond[s] = out
-    mean = float(cond[0])
+        # subsets grouped by their members' support sizes; row[S] is the
+        # position of S in its group, and so of its tables in the stacks
+        groups = {}
+        for s in range(n_sub):
+            groups.setdefault(tuple(shape[j] for j in members(s)), []).append(s)
+        row = np.zeros(n_sub, dtype=np.int64)
+        cond_stack = {}
+        for dims, masks in groups.items():
+            row[masks] = np.arange(len(masks))
+            cond_stack[dims] = np.stack([np.ravel(cond[s]) for s in masks])
+        del cond
 
-    components = {}
-    sigma2 = np.zeros(n_sub)
-    for s in iter_subsets(k):
-        comp = np.zeros(tuple(shape[j] for j in members(s)))
-        for t in submasks(s):
-            comp = comp + mobius_sign(s, t) * _embed(cond[t], t, s)
-        components[s] = comp
-        if s:
-            sigma2[s] = float(np.sum(_subset_weights(domain, s) * comp**2))
-
-    total_variance = float(np.sum(domain.weights() * (vals.ravel() - mean) ** 2))
-    return AnovaDecomposition(domain, mean, sigma2, total_variance, components)
-
-
-def _embed(table: np.ndarray, t: int, s: int) -> np.ndarray:
-    """Broadcast a T-marginal table to the S axes (T <= S)."""
-    return np.asarray(table)[tuple(slice(None) if t >> j & 1 else None for j in members(s))]
+        comps = [None] * n_sub
+        sigma2 = np.zeros(n_sub)
+        for dims, masks in groups.items():
+            totals = _mobius_sums(dims, masks, row, cond_stack)
+            w = np.stack([np.ravel(weights[s]) for s in masks])
+            sigma2[masks] = np.sum(w * totals.reshape(len(masks), -1) ** 2, axis=1)
+            for i, s in enumerate(masks):
+                comps[s] = totals[i, ...]
+        sigma2[0] = 0.0  # the grand mean is no variance component
+        total_variance = float(np.sum(weights[-1].ravel() * (vals.ravel() - mean) ** 2))
+    if not (np.isfinite(sigma2).all() and np.isfinite(total_variance)):
+        raise ModelError("outcome values are too large to square in float64")
+    return AnovaDecomposition(domain, mean, sigma2, total_variance, dict(enumerate(comps)))
 
 
-def _subset_weights(domain: DiscreteDomain, s: int) -> np.ndarray:
-    """Product probabilities over the S-marginal grid."""
-    w = np.ones(())
-    for j in members(s):
-        w = np.multiply.outer(w, domain.probs[j])
-    return w
+def _mobius_sums(dims, masks, row, cond_stack):
+    """Components of the subsets `masks`, whose members all have support
+    sizes `dims`, as one (len(masks), *dims) array.
+
+    Every S in the group has m members, and `submasks(S)` visits them in
+    the order it visits the submasks of m bits. So the u-th term of every
+    S is m_T, T the members of S at the positions u picks; the m_T of the
+    whole group are rows of one stack, and one row gather and one
+    broadcast add (or subtract, for the Moebius sign -1) apply them.
+    """
+    m = len(dims)
+    every = (1 << m) - 1
+    local = list(submasks(every))
+    member_bits = np.array([[1 << j for j in members(s)] for s in masks], dtype=np.int64)
+    term_rows = row[(np.array(local)[:, None] >> np.arange(m) & 1) @ member_bits.T]
+    totals = np.zeros((len(masks), *dims))
+    for u, rows in zip(local, term_rows):
+        picked = [u >> i & 1 for i in range(m)]
+        term = cond_stack[tuple(d for d, p in zip(dims, picked) if p)][rows]
+        term = term.reshape(len(masks), *(d if p else 1 for d, p in zip(dims, picked)))
+        (np.subtract if mobius_sign(every, u) < 0 else np.add)(totals, term, out=totals)
+    return totals
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from xfvar import algebra, anova_oracle
 from xfvar.anova_oracle import (
+    ENUMERATION_BUDGET,
     DiscreteDomain,
     exact_contrast_cov,
     exact_contrast_var,
@@ -17,7 +19,8 @@ from xfvar.anova_oracle import (
 from xfvar.errors import DomainError, ZeroVarianceError
 from xfvar.scm import model_from_json, read_model
 
-from anova_checks import check_decomposition
+from anova_checks import check_decomposition, reference_decompose
+from test_scm_exact import MODELS as NOISE_GRID_MODELS, _gridded, _noise_grid
 
 
 def _xor(w):
@@ -252,3 +255,74 @@ def test_oracle_domain_matches_pair_references(model):
         assert abs(upper - idx.upper[s]) <= tol, s
         contrast = exact_contrast_var(f, domain, s) / (1 << bin(s).count("1"))
         assert abs(contrast - idx.superset[s]) <= tol, s
+
+
+def _random_domain_case(rng):
+    """A random domain of 1 to 6 variables with 1 to 8 support points each,
+    non-uniform laws with some zero-probability points, and a random table
+    over it; the Moebius work is at most 50 000 elements."""
+    while True:
+        dims = rng.integers(1, 9, size=rng.integers(1, 7))
+        if np.prod(1 + 2 * dims) <= 50_000:
+            break
+    values = [np.sort(rng.normal(size=d)) + 3.0 * np.arange(d) for d in dims]
+    probs = []
+    for d in dims:
+        p = rng.uniform(0.0, 1.0, size=d) * (rng.uniform(size=d) > 0.2)
+        p[rng.integers(d)] += 0.5  # at least one point carries mass
+        probs.append(p / p.sum())
+    dom = DiscreteDomain(values, probs)
+    table = rng.normal(size=dom.shape()) * 10.0 ** rng.integers(-3, 4)
+
+    def f(w):
+        return table[tuple(np.searchsorted(dom.values[j], w[:, j]) for j in range(dom.k))]
+
+    return f, dom
+
+
+def _model_case(model):
+    domain, f, _ = model.oracle_domain()
+    return f, domain
+
+
+def _noise_grid_case():
+    model = _gridded(NOISE_GRID_MODELS["diamond"])
+    return model.outcome_values, _noise_grid(model)
+
+
+def _decompose_cases():
+    rng = np.random.default_rng(20240611)
+    for i in range(150):
+        yield f"random{i}", _random_domain_case(rng)
+    for name in ("model1", "dag", "ring7"):
+        yield name, _model_case(_ORACLE_MODELS[name]())
+    yield "noise_grid_diamond", _noise_grid_case()
+
+
+def test_decomposition_matches_reference_bit_for_bit():
+    # the grouped Moebius sums do the reference loop's float operations in
+    # its order, so every output must be equal, not merely close
+    for name, (f, domain) in _decompose_cases():
+        got, want = hoeffding_decompose(f, domain), reference_decompose(f, domain)
+        assert got.sigma2.tobytes() == want.sigma2.tobytes(), name
+        assert np.float64(got.mean).tobytes() == np.float64(want.mean).tobytes(), name
+        assert np.float64(got.total_variance).tobytes() == np.float64(want.total_variance).tobytes(), name
+        assert list(got.components) == list(want.components), name
+        for s, comp in want.components.items():
+            assert np.array_equal(got.components[s], comp), (name, s)
+
+
+def test_decomposition_memory_at_the_budget_edge():
+    # 10 binary inputs are the most oracle accepts: the Moebius work is 5**10
+    # elements, but each term is gathered once per group of subsets and
+    # broadcast in place, so the peak stays far below those 5**10 floats
+    assert 5**10 <= ENUMERATION_BUDGET < 5**11
+    f = _random_table_fn(10, seed=4)
+    domain = rademacher_domain(10)
+    tracemalloc.start()
+    try:
+        hoeffding_decompose(f, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak

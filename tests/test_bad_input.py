@@ -89,6 +89,32 @@ def test_outcome_overflow_prints_no_warning_outside_pytest(big_model):
     assert proc.stderr == f"error[E02]: {OVERFLOW}\n"
 
 
+@pytest.fixture
+def big_discrete_model(tmp_path):
+    # the same outcome over a Rademacher root, so oracle takes the model
+    model = copy.deepcopy(BIG_MODEL)
+    model["nodes"][0]["mechanism"] = {"kind": "root_rademacher"}
+    p = tmp_path / "big_discrete.json"
+    p.write_text(json.dumps(model))
+    return str(p)
+
+
+def test_oracle_outcome_overflow_exits_2(big_discrete_model, capsys):
+    code = run_cli(["oracle", "--model", big_discrete_model])
+    assert_one_error(capsys, code, 2, OVERFLOW)
+
+
+def test_oracle_outcome_overflow_prints_no_warning_outside_pytest(big_discrete_model):
+    proc = subprocess.run(
+        [sys.executable, "-m", "xfvar", "oracle", "--model", big_discrete_model],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error[E02]: {OVERFLOW}\n"
+
+
 # Y = 1e155 + 1e150*(A + A*B): finite outcomes whose squares overflow but
 # whose differences' squares do not
 SQUARE_MODEL = {

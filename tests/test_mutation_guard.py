@@ -223,6 +223,16 @@ def guard(tmp_path, capsys, monkeypatch):
     return Guard(tmp_path, capsys)
 
 
+def huge_outcome(model, exponent):
+    """A copy of model whose outcome formula is multiplied by 10**exponent:
+    past about 1e154 its values stay finite but their squares overflow."""
+    model = copy.deepcopy(model)
+    for node in model["nodes"]:
+        if node["name"] == model["outcome"]:
+            node["mechanism"]["expr"] = f"1e{exponent}*({node['mechanism']['expr']})"
+    return model
+
+
 def test_mutated_model_files(guard):
     rnd = random.Random(SEED)
     for case in range(CASES):
@@ -236,6 +246,10 @@ def test_mutated_model_files(guard):
             ["oracle", "--model", p, "--out", "r.json"],
         ))
         guard.run(case, argv, outs=("r.json",))
+        if argv[0] == "oracle":
+            # the huge-coefficient mutation alone, on either side of the overflow edge
+            guard.write(p, json.dumps(huge_outcome(base, 150 + case % 10)).encode("utf-8"))
+            guard.run(case, argv, outs=("r.json",))
     assert guard.failures == []
 
 
