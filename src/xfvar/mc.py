@@ -22,14 +22,23 @@ they share. pickfreeze_totals takes one noise column per query variable
 and asks for the hybrids of every variable set with the first variable
 toggling slowest; it squares only differences of outcomes.
 
-Noise follows the counter-based stream contract of `rng`. Replicate
-blocks of rng.BLOCK_LEN pairs run one at a time, in block order, and add
-their partial sums in that order, so results depend on (seed, samples)
-alone.
+Noise follows the counter-based stream contract of `rng`: a block of
+rng.BLOCK_LEN pairs is a pure function of (seed, block), so blocks may
+run in any process. The calling process runs block 0, then splits the
+rest into contiguous shares, one per CPU it may use (os.sched_getaffinity),
+and forks a child for every share but the first, which it runs itself.
+Each child sends back its blocks' partial sums, and the parent adds
+every block's partial sums in block order, so results depend on
+(seed, samples) alone, bit for bit, whatever the number of processes.
+Where os.fork or os.sched_getaffinity is missing, or another Python
+thread is alive, the same code runs every share in the calling process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -81,6 +90,65 @@ def _batch_starts(m: int, nb: int) -> np.ndarray:
     return np.array([(b * m) // nb for b in range(nb)] + [m], dtype=np.int64)
 
 
+def _max_workers() -> int:
+    """How many processes may run blocks: one per CPU this process may
+    use, or 1 where a block cannot run in a forked child (no os.fork or
+    os.sched_getaffinity, or another Python thread alive, which the
+    child would lack)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
+
+
+def _shares(n_blocks: int, m: int, workers: int) -> list:
+    """Blocks 1 .. n_blocks - 1 of m replicates in `workers` contiguous
+    ranges of about equal rows: share w starts at the first block past
+    w / workers of the rows after block 0. None is empty while workers
+    < n_blocks, since only the last block is short."""
+    rest = m - rng.BLOCK_LEN
+    starts = [1 + -(-w * rest // (workers * rng.BLOCK_LEN)) for w in range(workers)]
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [n_blocks])]
+
+
+def _fork_share(blocks, block_sums):
+    """Fork a child that pickles [block_sums(b) for b in blocks] into a
+    pipe and exits 0, or exits 1 without a result if anything fails or
+    the parent is gone before a block starts (killed by a signal that
+    left it no time to kill the child). Returns (pid, read end of the
+    pipe), or None if no child could be forked."""
+    parent = os.getpid()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the parent runs the share itself
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            sums = []
+            for b in blocks:
+                if os.getppid() != parent:
+                    os._exit(1)
+                sums.append(block_sums(b))
+            with os.fdopen(w, "wb") as out:
+                pickle.dump(sums, out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _read_to_end(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorConfig):
     """The kernel: per-batch sums of the rows of a per-replicate statistic.
 
@@ -93,6 +161,17 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorCo
     outcomes, each evaluated when stat asks for it. The kernel drops the
     iterator before it opens the next block. Returns an (n_stats,
     BATCHES) array of sums.
+
+    Block 0 runs in the calling process before anything is forked, so
+    whatever a provider does once (a plan compile, a lazy import) and
+    every error it raises on the first block happen there. The other
+    blocks run in contiguous shares, one per process (_max_workers, at
+    most one per remaining block); forked children send their blocks'
+    partial sums back, and the parent adds every block's sums in block
+    order, so the float operations and their order are the serial
+    loop's. A child that fails sends nothing, and the parent runs its
+    share itself: the earliest failing block raises, as in a serial
+    run. No child outlives the call, on success or on any exception.
 
     Raises DomainError before the first block past MC_BUDGET outcome
     evaluations, and ModelError when twice a row's total is not finite:
@@ -107,19 +186,52 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorCo
     masks = (0, (1 << n_noise) - 1, *hybrids)
     starts = _batch_starts(m, BATCHES)
 
+    def block_sums(block_index):
+        """The first batch a block touches, and the (n_stats, batches
+        touched) sums of the statistic's rows over the block."""
+        g0 = block_index * rng.BLOCK_LEN
+        g1 = min(g0 + rng.BLOCK_LEN, m)
+        u = rng.uniform_block(cfg.seed, block_index, n_noise)[: g1 - g0]
+        b0 = bisect_right(starts, g0) - 1
+        b1 = bisect_right(starts, g1 - 1) - 1
+        bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
+        outs = open_block(u[:, :, 0], u[:, :, 1], masks)  # freed on return
+        rows = stat(next(outs), next(outs), outs)
+        return b0, np.array([np.add.reduceat(vals, bounds) for vals in rows])
+
     acc = np.zeros((n_stats, BATCHES))
+
+    def add(b0, sums):
+        acc[:, b0 : b0 + sums.shape[1]] += sums
+
+    n = rng.n_blocks(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block_index in range(rng.n_blocks(m)):
-            g0 = block_index * rng.BLOCK_LEN
-            g1 = min(g0 + rng.BLOCK_LEN, m)
-            u = rng.uniform_block(cfg.seed, block_index, n_noise)[: g1 - g0]
-            b0 = bisect_right(starts, g0) - 1
-            b1 = bisect_right(starts, g1 - 1) - 1
-            bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
-            outs = open_block(u[:, :, 0], u[:, :, 1], masks)
-            for r, vals in enumerate(stat(next(outs), next(outs), outs)):
-                acc[r, b0 : b1 + 1] += np.add.reduceat(vals, bounds)
-            del outs  # this block's values die before the next block opens
+        add(*block_sums(0))
+        shares = _shares(n, m, max(1, min(_max_workers(), n - 1)))
+        children = []  # (pid, pipe) per forked share; None once reaped, or if no fork
+        try:
+            for blocks in shares[1:]:
+                children.append(_fork_share(blocks, block_sums))
+            for b in shares[0]:
+                add(*block_sums(b))
+            for i, blocks in enumerate(shares[1:]):
+                parts = None
+                if children[i] is not None:
+                    pid, fd = children[i]
+                    data = _read_to_end(fd)
+                    status = os.waitpid(pid, 0)[1]
+                    children[i] = None
+                    os.close(fd)
+                    if status == 0:
+                        parts = pickle.loads(data)
+                for part in parts if parts is not None else map(block_sums, blocks):
+                    add(*part)
+        finally:
+            for child in children:
+                if child is not None:
+                    os.close(child[1])
+                    os.kill(child[0], 9)  # SIGKILL
+                    os.waitpid(child[0], 0)
         finite = np.isfinite(2.0 * acc.sum(axis=1)).all()
     if not finite:
         raise ModelError("outcome values are too large to square in float64")

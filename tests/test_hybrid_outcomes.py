@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xfvar import scm
+from xfvar import mc, scm
 from xfvar.algebra import Provenance, measure_from_totals, members
 from xfvar.mc import (
     EstimatorConfig,
@@ -45,6 +45,13 @@ from xfvar.sensitivity import (
     estimate_superset,
     estimate_upper,
 )
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every block in this process: the counts below are taken from
+    the unit functions and open_block calls this process sees."""
+    monkeypatch.setattr(mc, "_max_workers", lambda: 1)
 
 
 def noise_space(yfn):
@@ -289,6 +296,7 @@ def _product12():
     })
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("include_outcome, outcome_evals", [(True, 513), (False, 257)])
 def test_memoized_nodes_cost_two_to_their_queried_ancestors(include_outcome, outcome_evals):
     # the diamond: once per key, and no unit more often than under the memo
@@ -302,6 +310,7 @@ def test_memoized_nodes_cost_two_to_their_queried_ancestors(include_outcome, out
         assert all(c <= b for c, b in zip(counts, before[n])), (n, counts, before[n])
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("build, include_outcome", [
     (_hetero_chain6, True),
     (_roots8_shaped, False),
@@ -311,6 +320,7 @@ def test_each_unit_runs_once_per_key_of_its_ancestry(build, include_outcome):
     assert block_evals(model, include_outcome) == once_per_key(model, include_outcome)
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_deterministic_nodes_are_keyed_on_their_parents():
     # C = A*B and Y = A + C + A*C read only the noise of A and B, so
     # C's op, check and value and Y's four ops and value run once per key
@@ -321,6 +331,7 @@ def test_deterministic_nodes_are_keyed_on_their_parents():
     }
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_independent_roots_cost_two_evaluations():
     # X0*X1 has 4 keys and X0*X1 + X2 8; X3^2 has 2; the difference, its
     # check and the value read all four query columns, so they run for
@@ -329,6 +340,7 @@ def test_independent_roots_cost_two_evaluations():
     assert got == {"X0": [2], "X1": [2], "X2": [2], "X3": [2], "Y": [4, 8, 2, 16, 16, 16]}
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_formula_ops_cost_two_to_the_variables_they_read():
     # ops in evaluation order: 2*X0 (one variable), X1*X2 (two), their
     # sum (three), X0*X1, X0*X1*X2, X0*X1*X2*X3 (all four: once per
@@ -337,6 +349,22 @@ def test_formula_ops_cost_two_to_the_variables_they_read():
     got = block_evals(_roots_model("2*X0 + X1*X2 + X0*X1*X2*X3"), include_outcome=False)
     assert got["Y"] == [2, 4, 8, 4, 8, 16, 16, 16, 16]
     assert sum(got["Y"][:-1]) == 74 < 8 * 17
+
+
+@pytest.mark.usefixtures("one_worker")
+def test_function_runs_once_per_distinct_hybrid():
+    # the full measure asks for y(E') twice, as the kernel's second
+    # outcome and as the hybrid of the full query set: f runs 2**K times
+    # per block, not 2**K + 1
+    calls = []
+
+    def f(w):
+        calls.append(len(w))
+        return _mixed_inputs(w)
+
+    cfg = EstimatorConfig(samples=2 * 8192 + 5, seed=3)
+    estimate_measure(f, MIXED, cfg, ("W1", "W2", "W3", "W4"))
+    assert len(calls) == 3 * 2**MIXED.k
 
 
 def random_masks(model, rs):
@@ -404,6 +432,7 @@ def test_block_evaluator_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_kernel_frees_each_block_before_it_opens_the_next(monkeypatch):
     # two blocks' values alive at once would raise peak memory
     model = model_from_json(DAG)

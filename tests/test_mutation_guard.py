@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from xfvar import cli
+from xfvar.anova_oracle import hoeffding_decompose
 from xfvar.cli import main
 
 SEED = 20240611
@@ -251,6 +253,67 @@ def test_mutated_model_files(guard):
             guard.write(p, json.dumps(huge_outcome(base, 150 + case % 10)).encode("utf-8"))
             guard.run(case, argv, outs=("r.json",))
     assert guard.failures == []
+
+
+# numbers the oracle family puts in place of dag_model.json's: signed
+# zeros, units, the tiny and the huge (past about 1e154 a square
+# overflows float64)
+NUMBERS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 0.1, 1e-8, 1e-300, 5e-324, 1e8, 1e150, 1e160,
+           1e300, -1e308)
+UNARY = ("exp", "log", "abs", "sigmoid", "sqrt")
+
+
+def random_formula(rnd, names, depth):
+    """A random formula over names and NUMBERS, depth levels deep."""
+    r = rnd.random()
+    if depth == 0 or r < 0.3:
+        return rnd.choice(names) if rnd.random() < 0.6 else repr(rnd.choice(NUMBERS))
+    a = random_formula(rnd, names, depth - 1)
+    if r < 0.45:
+        return f"{rnd.choice(UNARY)}({a})"
+    b = random_formula(rnd, names, depth - 1)
+    if r < 0.5:
+        return f"{rnd.choice(('min', 'max'))}({a}, {b})"
+    return f"({a} {rnd.choice('+-*/^')} {b})"
+
+
+def mutate_numbers(rnd, model):
+    """model, dag_model.json, with one to three of its numbers or formulas
+    replaced; its nodes, parents and kinds stay, so most cases stay
+    reducible and reach the decomposition."""
+    model = copy.deepcopy(model)
+    law = model["nodes"][1]["mechanism"]  # B: root_categorical
+    for _ in range(rnd.randint(1, 3)):
+        op = rnd.random()
+        if op < 0.25:
+            law["values"][rnd.randrange(len(law["values"]))] = rnd.choice(NUMBERS)
+        elif op < 0.4:
+            weights = [rnd.choice((0, 1, 2, 3, 7)) for _ in law["values"]]
+            if sum(weights):
+                law["probs"] = [w / sum(weights) for w in weights]
+        elif op < 0.5:
+            law["values"].append(rnd.choice(NUMBERS))
+            law["probs"] = [p * 0.5 for p in law["probs"]] + [0.5]
+        else:
+            node = rnd.choice(model["nodes"][2:])  # C or Y
+            node["mechanism"]["expr"] = random_formula(rnd, node["parents"], 2)
+    return model
+
+
+def test_mutated_oracle_numbers(guard, monkeypatch):
+    decomposed = []
+
+    def counted(f, domain):
+        decomposed.append(None)
+        return hoeffding_decompose(f, domain)
+
+    monkeypatch.setattr(cli, "hoeffding_decompose", counted)
+    rnd = random.Random(SEED + 4)
+    for case in range(CASES):
+        p = guard.write("m.json", json.dumps(mutate_numbers(rnd, MODELS[0])).encode("utf-8"))
+        guard.run(case, ["oracle", "--model", p, "--out", "r.json"], outs=("r.json",))
+    assert guard.failures == []
+    assert len(decomposed) >= CASES // 2  # the family reaches the arithmetic
 
 
 def test_mutated_csv_files(guard):
