@@ -5,7 +5,9 @@ Three per-node estimation routes, all built on cell estimators over the
 heteroskedastic gaussian noise, and a full per-cell quantile grid. The
 first two always cross-fit their residuals with a 2-fold split;
 quantile grids are order statistics rather than residuals of a fitted
-regression, so they are estimated in-sample.
+regression, so they are estimated in-sample, and being taken at strictly
+increasing levels they are non-decreasing by construction (QuantileTable
+checks this on load).
 
 Parent handling: categorical parents and numeric parents with at most
 BINS distinct values form exact cells; other numeric parents are
@@ -237,22 +239,21 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
         raise FitError(f"node {node!r} is categorical; only roots may be categorical")
     y = data.numeric(node)
     binning = parent_binning(data, parents)
-    cols = [data.numeric(p) for p in parents]
     codes, radices = [], []
-    for col, b in zip(cols, binning):
+    for p, b in zip(parents, binning):
         if b is None:
-            values, code = np.unique(col, return_inverse=True)
-            radices.append(len(values))
+            labels, code = data.coded(p)
+            codes.append(code.astype(np.intp))
+            radices.append(len(labels))
         else:
-            code = GuideTable(b, "right")(col)
+            codes.append(GuideTable(b, "right")(data.numeric(p)))
             radices.append(len(b) + 1)
-        codes.append(code)
     ids = cell_ids(node, codes, radices, data.n)
     _, first, inv, counts = np.unique(
         ids, return_index=True, return_inverse=True, return_counts=True
     )
-    parts = [col if b is None else c for col, b, c in zip(cols, binning, codes)]
-    keys = [cell_key(binning, [p[i] for p in parts]) for i in first]
+    # canon_value renders an integer code as it does Dataset.numeric's float code
+    keys = [cell_key(binning, [c[i] for c in codes]) for i in first]
     for key, cnt in zip(keys, counts):
         if cnt < cfg.min_cell:
             raise FitError(
@@ -281,27 +282,6 @@ def _residuals(y, rows, seed):
         resid[in0] = y[in0] - y[in1].mean()
         resid[in1] = y[in1] - y[in0].mean()
     return resid
-
-
-def isotonic_rearrange(values):
-    """Nondecreasing L2 projection by pool-adjacent-violators."""
-    v = np.asarray(values, dtype=float)
-    level_val = []
-    level_w = []
-    for x in v:
-        val, w = float(x), 1.0
-        while level_val and level_val[-1] > val:
-            pv, pw = level_val.pop(), level_w.pop()
-            val = (val * w + pv * pw) / (w + pw)
-            w += pw
-        level_val.append(val)
-        level_w.append(w)
-    out = np.empty_like(v)
-    i = 0
-    for val, w in zip(level_val, level_w):
-        out[i : i + int(w)] = val
-        i += int(w)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +332,11 @@ def fit_hetero_gaussian(data: Dataset, node, parents, cfg: FitConfig):
 
 
 def fit_quantile_grid(data: Dataset, node, parents, cfg: FitConfig):
-    """Per-cell empirical quantile grids at cfg.levels, made monotone."""
+    """Per-cell empirical quantile grids at cfg.levels: order statistics,
+    non-decreasing by construction, which QuantileTable checks on load."""
     parents = tuple(parents)
     y, binning, keys, rows = _cell_groups(data, node, parents, cfg)
-    cells = {
-        key: isotonic_rearrange(empirical_quantile(np.sort(y[r]), cfg.levels))
-        for key, r in zip(keys, rows)
-    }
+    cells = {key: empirical_quantile(np.sort(y[r]), cfg.levels) for key, r in zip(keys, rows)}
     return QuantileTable(node, parents, cfg.levels, cells, binning=binning)
 
 

@@ -149,18 +149,18 @@ def _read_to_end(fd) -> bytes:
     return b"".join(chunks)
 
 
-def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorConfig):
+def per_batch_sums(open_block, n_noise, hybrids, stat, cfg: EstimatorConfig):
     """The kernel: per-batch sums of the rows of a per-replicate statistic.
 
     open_block(E, E', masks) is called once per block, always with the
     same masks = (0, every column, *hybrids), and returns an iterator
     over y(mask) for those masks in that order: the outcome of the hybrid
     that takes the noise columns set in mask from E'. stat(y0, y1, outs)
-    must yield n_stats rows, where y0 = y(0) is y(E), y1 = y(every
-    column) is y(E'), and outs is the iterator over the hybrids'
+    yields n_stats rows on every block, where y0 = y(0) is y(E), y1 =
+    y(every column) is y(E'), and outs is the iterator over the hybrids'
     outcomes, each evaluated when stat asks for it. The kernel drops the
     iterator before it opens the next block. Returns an (n_stats,
-    BATCHES) array of sums.
+    BATCHES) array of sums, with n_stats read off block 0's sums.
 
     Block 0 runs in the calling process before anything is forked, so
     whatever a provider does once (a plan compile, a lazy import) and
@@ -199,14 +199,14 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, n_stats, cfg: EstimatorCo
         rows = stat(next(outs), next(outs), outs)
         return b0, np.array([np.add.reduceat(vals, bounds) for vals in rows])
 
-    acc = np.zeros((n_stats, BATCHES))
-
     def add(b0, sums):
         acc[:, b0 : b0 + sums.shape[1]] += sums
 
     n = rng.n_blocks(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        add(*block_sums(0))
+        b0, sums = block_sums(0)
+        acc = np.zeros((len(sums), BATCHES))
+        add(b0, sums)
         shares = _shares(n, m, max(1, min(_max_workers(), n - 1)))
         children = []  # (pid, pipe) per forked share; None once reaped, or if no fork
         try:
@@ -319,7 +319,7 @@ def pickfreeze_totals(open_block, n_noise, cols, cfg: EstimatorConfig) -> Totals
         for ys in outs:
             yield (y0 - ys) ** 2
 
-    acc = per_batch_sums(open_block, n_noise, masks[1:], stat, n_masks, cfg)[sets]
+    acc = per_batch_sums(open_block, n_noise, masks[1:], stat, cfg)[sets]
     base = acc[0]
     denom = float(base.sum())
     if denom <= 0.0:
@@ -347,7 +347,7 @@ def upper_estimate(open_block, n_noise, s, cfg: EstimatorConfig) -> Estimate:
         yield from _moments(y0, y1)
         yield (y0 - next(outs)) ** 2
 
-    acc = per_batch_sums(open_block, n_noise, [s], stat, 5, cfg)
+    acc = per_batch_sums(open_block, n_noise, [s], stat, cfg)
     return _pooled_ratio(acc, lambda t, c: t[4] / (2.0 * c), cfg)
 
 
@@ -363,7 +363,7 @@ def lower_estimate(open_block, n_noise, s, cfg: EstimatorConfig) -> Estimate:
         yield g
 
     rest = ((1 << n_noise) - 1) & ~s
-    acc = per_batch_sums(open_block, n_noise, [rest], stat, 6, cfg)
+    acc = per_batch_sums(open_block, n_noise, [rest], stat, cfg)
     return _pooled_ratio(acc, lambda t, c: t[4] / c - (t[0] / c) * (t[5] / c), cfg)
 
 
@@ -385,6 +385,6 @@ def superset_estimate(open_block, n_noise, s, cfg: EstimatorConfig) -> Estimate:
         yield contrast
         yield contrast**2
 
-    acc = per_batch_sums(open_block, n_noise, subs[1:], stat, 6, cfg)
+    acc = per_batch_sums(open_block, n_noise, subs[1:], stat, cfg)
     scale = 2.0 ** s.bit_count()
     return _pooled_ratio(acc, lambda t, c: (t[5] / c - (t[4] / c) ** 2) / scale, cfg)

@@ -1234,13 +1234,19 @@ def _checked_value(model, i, combine):
     return lambda n, *stages: checked(i, combine(*stages), n)
 
 
+def _unit_noise(model: ScmModel, v, what):
+    """v, named what in errors, as a flat float vector of n_nodes coordinates in [0, 1]."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != model.n_nodes:
+        raise ModelError(f"{what} must have length {model.n_nodes}")
+    if not np.all((v >= 0) & (v <= 1)):  # written so that NaN fails it
+        raise ModelError("noise coordinates must lie in [0, 1]")
+    return v
+
+
 def forward_sample(model: ScmModel, noise):
     """Node values for one noise vector, as a name -> float map."""
-    e = np.asarray(noise, dtype=float).ravel()
-    if e.size != model.n_nodes:
-        raise ModelError(f"noise vector must have length {model.n_nodes}")
-    if not np.all((e >= 0) & (e <= 1)):
-        raise ModelError("noise coordinates must lie in [0, 1]")
+    e = _unit_noise(model, noise, "noise vector")
     vals = model.forward(e.reshape(1, -1))
     return {n: float(v[0]) for n, v in vals.items()}
 
@@ -1251,10 +1257,7 @@ def counterfactual_outcome(model: ScmModel, e, e2, nodes) -> float:
     e supplies the base noise vector, e2 the donor coordinates for the
     nodes in the set; the empty set reproduces the factual outcome.
     """
-    e = np.asarray(e, dtype=float).ravel()
-    e2 = np.asarray(e2, dtype=float).ravel()
-    if e.size != model.n_nodes or e2.size != model.n_nodes:
-        raise ModelError(f"noise vectors must have length {model.n_nodes}")
+    e, e2 = _unit_noise(model, e, "noise vectors"), _unit_noise(model, e2, "noise vectors")
     h = e.copy()
     cols = members(model.noise_mask(nodes))
     h[cols] = e2[cols]

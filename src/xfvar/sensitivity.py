@@ -169,20 +169,19 @@ def _multilinear3(w):
     return w[:, 0] * w[:, 1] * w[:, 2]
 
 
-# name -> (function, sampler factory, variable names)
 FUNCTIONS = {
-    "linear3": (_linear3, lambda: standard_normal_sampler(3), ("W1", "W2", "W3")),
-    "quadratic3": (_quadratic3, lambda: standard_normal_sampler(3), ("W1", "W2", "W3")),
-    "sigmoid_nn3": (_sigmoid_nn3, lambda: standard_normal_sampler(3), ("W1", "W2", "W3")),
-    "multilinear3": (_multilinear3, lambda: standard_normal_sampler(3), ("W1", "W2", "W3")),
+    "linear3": _linear3,
+    "quadratic3": _quadratic3,
+    "sigmoid_nn3": _sigmoid_nn3,
+    "multilinear3": _multilinear3,
 }
 
 
 def named_function(name: str):
-    """Look up a built-in test function: (f, sampler, names)."""
+    """Look up a built-in test function of three standard normals: (f, sampler, names)."""
     try:
-        f, make_sampler, names = FUNCTIONS[name]
+        f = FUNCTIONS[name]
     except KeyError:
         known = ", ".join(sorted(FUNCTIONS))
         raise DomainError(f"unknown function {name!r}; known: {known}") from None
-    return f, make_sampler(), names
+    return f, standard_normal_sampler(3), ("W1", "W2", "W3")

@@ -15,13 +15,13 @@ from xfvar.fit import (
     FitConfig,
     dag_from_json,
     fit_model,
+    fit_quantile_grid,
     fit_root,
-    isotonic_rearrange,
     parent_binning,
     read_csv,
 )
 from xfvar.mc import EstimatorConfig
-from xfvar.scm import Dag, counterfactual_total, empirical_quantile
+from xfvar.scm import Dag, cell_key, counterfactual_total, empirical_quantile
 
 
 def _write_csv(path, header, rows):
@@ -350,11 +350,55 @@ def test_empirical_levels_left_continuous():
     assert list(got) == [1.0, 2.0, 3.0, 4.0]
 
 
-def test_isotonic_rearrange_pava():
-    got = isotonic_rearrange(np.array([1.0, 3.0, 2.0, 4.0, 0.0]))
-    assert list(got) == [1.0, 2.25, 2.25, 2.25, 2.25]
-    inc = np.array([1.0, 2.0, 3.0])
-    assert list(isotonic_rearrange(inc)) == [1.0, 2.0, 3.0]
+def _unique_coded_cells(data, parents, binning):
+    """(keys, rows) of each cell: categorical parents coded by np.unique
+    of their float codes, binned parents by np.searchsorted."""
+    codes, parts, radices = [], [], []
+    for p, b in zip(parents, binning):
+        col = data.numeric(p)
+        if b is None:
+            values, code = np.unique(col, return_inverse=True)
+            codes.append(code)
+            parts.append(col)
+            radices.append(len(values))
+        else:
+            code = np.searchsorted(b, col, "right")
+            codes.append(code)
+            parts.append(code)
+            radices.append(len(b) + 1)
+    ids = np.zeros(data.n, dtype=np.int64)
+    for c, r in zip(codes, radices):
+        ids = ids * r + c
+    cells, first = np.unique(ids, return_index=True)
+    keys = [cell_key(binning, [p[i] for p in parts]) for i in first]
+    return keys, [np.flatnonzero(ids == c) for c in cells]
+
+
+def test_quantile_grid_cells_are_sorted_order_statistics():
+    rng = np.random.default_rng(7)
+    n = 3000
+    # labels first appear as zeta, alpha, mid; they sort as alpha, mid, zeta
+    labels = ["zeta", "alpha", "mid"] + list(rng.choice(["alpha", "mid", "zeta"], n - 3))
+    sex = np.array(labels, dtype=object)
+    x = rng.integers(0, 4, n).astype(float)  # few values: one bin each
+    z = rng.normal(size=n)  # dense: equal-frequency bins
+    ties = rng.choice([-0.0, 0.0, 1.0, -2.5], n // 2)
+    y = np.concatenate([ties, np.round(rng.normal(size=n - n // 2), 1)])
+    rng.shuffle(y)
+    data = Dataset({"S": sex, "X": x, "Z": z, "Y": y}, n, frozenset({"S"}))
+    cfg = FitConfig(min_cell=2, seed=3)
+    parents = ("S", "X", "Z")
+    mech = fit_quantile_grid(data, "Y", parents, cfg)
+    _, binning, keys, rows = fit_module._cell_groups(data, "Y", parents, cfg)
+    ref_keys, ref_rows = _unique_coded_cells(data, parents, binning)
+    assert keys == ref_keys and list(mech.cells) == ref_keys
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in ref_rows]
+    levels = np.asarray(cfg.levels)
+    for key, r in zip(ref_keys, ref_rows):
+        want = empirical_quantile(np.sort(y[r]), levels)
+        assert mech.cells[key].tobytes() == want.tobytes(), key
+    zeros = [g for g in mech.cells.values() if (g == 0).any()]
+    assert any(np.signbit(g[g == 0]).any() for g in zeros)  # a -0.0 survives into a grid
 
 
 def test_fit_root_empirical_and_categorical():

@@ -212,7 +212,7 @@ def kernel(opened, act=lambda b: None):
         yield y1 * y0
         yield next(outs) ** 2
 
-    return mc.per_batch_sums(open_block, 1, [1], stat, 3, EstimatorConfig(SAMPLES)).tobytes()
+    return mc.per_batch_sums(open_block, 1, [1], stat, EstimatorConfig(SAMPLES)).tobytes()
 
 
 @pytest.mark.parametrize("workers, here", [(1, [0, 1, 2, 3]), (2, [0, 1, 2]), (3, [0, 1])])
@@ -344,7 +344,7 @@ def open_block(e, ep, masks):
     for mask in masks:
         yield e[:, 0]
 
-mc.per_batch_sums(open_block, 1, [], lambda y0, y1, outs: (y0, y1), 2,
+mc.per_batch_sums(open_block, 1, [], lambda y0, y1, outs: (y0, y1),
                   EstimatorConfig(60 * rng.BLOCK_LEN))
 """
 

@@ -225,6 +225,22 @@ def test_counterfactual_outcome_golden():
     assert y2 == 2.0
 
 
+def test_counterfactual_outcome_rejects_noise_outside_unit_interval():
+    dag = Dag(("A", "Y"), ((), ("A",)))
+    y = Deterministic("Y", ("A",), parse_formula("2*A", ("A",)))
+    m = ScmModel(dag, (RootUniform("A"), y), "Y")
+    assert counterfactual_outcome(m, [0.5, 0.0], [0.25, 0.0], ["A"]) == 0.5
+    bad = (7.0, -0.5, 1.0 + 1e-12, np.nan, np.inf)
+    for v in bad:
+        for e, e2 in (([v, 0.0], [0.25, 0.0]), ([0.5, 0.0], [v, 0.0]), ([0.5, 0.0], [0.25, v])):
+            with pytest.raises(ModelError, match=r"^noise coordinates must lie in \[0, 1\]$"):
+                counterfactual_outcome(m, e, e2, ["A"])
+    with pytest.raises(ModelError, match=r"^noise vectors must have length 2$"):
+        counterfactual_outcome(m, [0.5, 0.0], [0.25], ["A"])
+    with pytest.raises(ModelError, match=r"^noise vector must have length 2$"):
+        forward_sample(m, [0.5])
+
+
 def test_counterfactual_totals_model1_vs_model2():
     cfg = EstimatorConfig(samples=60_000, seed=0)
     t1 = counterfactual_total(model1(), ["W1"], cfg)
