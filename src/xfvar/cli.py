@@ -6,10 +6,9 @@ Five subcommands: gsa (independent-input sensitivity), counterfactual
 report). Every failure exits nonzero and prints a single line with an
 "error[EXX]:" prefix whose number is the exit code.
 
-Exit codes: 0 ok, 1 internal, 2 usage/file/parse/model value, 3 cycle,
-4 zero variance, 5 fit failure, 6 not oracle-reducible (a node that is
-neither a discrete root nor deterministic) or too large to decompose,
-7 venn variable count.
+Exit codes: 0 ok, 2 usage or a file that cannot be read; an error of this
+package exits with its class's `exit_code` (xfvar.errors, the README's
+table); anything else is an internal error and exits 1.
 """
 
 from __future__ import annotations
@@ -25,18 +24,8 @@ from .anova_oracle import exact_measure, hoeffding_decompose, indices_from_decom
 # getattr; without them every traced pass fails, under `--trace 1` and in
 # perfbench/test_perfbench.py.
 from .anova_oracle import exact_contrast_var, exact_pickfreeze  # noqa: F401
-from .errors import (
-    CycleError,
-    DomainError,
-    FitError,
-    ModelError,
-    NotReducibleError,
-    ParseError,
-    XfvarError,
-    ZeroVarianceError,
-)
+from .errors import DomainError, XfvarError
 from .fit import FitConfig, fit_model, read_csv, read_dag
-from .formula import FormulaEvalError
 from .mc import EstimatorConfig
 from .report import (
     RunReport,
@@ -181,13 +170,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_venn(args) -> int:
     rep = read_report(args.report)
-    try:
-        if args.ascii:
-            _emit(venn_ascii(rep.measure, rep.outcome), args.out)
-        else:
-            _emit(venn_svg(rep.measure, rep.outcome), args.out)
-    except DomainError as e:
-        return _fail(7, e)
+    draw = venn_ascii if args.ascii else venn_svg
+    _emit(draw(rep.measure, rep.outcome), args.out)
     return 0
 
 
@@ -253,18 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_EXIT_MAP = (
-    (CycleError, 3),
-    (ZeroVarianceError, 4),
-    (FitError, 5),
-    (NotReducibleError, 6),
-    (ParseError, 2),
-    (FormulaEvalError, 2),
-    (ModelError, 2),
-    (DomainError, 2),
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -273,10 +245,7 @@ def main(argv=None) -> int:
     except OSError as e:
         return _fail(2, e)
     except XfvarError as e:
-        for etype, code in _EXIT_MAP:
-            if isinstance(e, etype):
-                return _fail(code, e)
-        return _fail(1, e)
+        return _fail(e.exit_code, e)
     except Exception as e:  # pragma: no cover - defensive
         return _fail(1, f"{type(e).__name__}: {e}")
 

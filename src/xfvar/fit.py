@@ -114,7 +114,8 @@ class Dataset:
 
 
 def read_csv(path, categorical=(), used=None):
-    """Ingest a UTF-8 CSV with a header row.
+    """Ingest a UTF-8 CSV with a header row; a leading byte-order mark is
+    skipped.
 
     Only the columns named in `used` (default: all) are checked; a row is
     dropped when any used numeric cell fails to parse as a finite real
@@ -127,7 +128,7 @@ def read_csv(path, categorical=(), used=None):
     """
     categorical = frozenset(categorical)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header, use = _csv_header(next(reader, None), used)
             width = len(header)

@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, XfvarError
-
-
-class FormulaEvalError(XfvarError):
-    """Evaluation produced a non-finite value or hit a missing variable."""
+from .errors import FormulaEvalError, ParseError
 
 
 def sigmoid(x):

@@ -72,8 +72,9 @@ def report_from_json(obj) -> RunReport:
     """The report a parsed JSON object holds.
 
     Raises ParseError naming the first malformed field: a missing key, a
-    field of the wrong type, a missing or non-finite atom, a negative
-    atom stderr, or bad provenance.
+    field of the wrong type, a variable name that is empty or holds '+'
+    (names join with '+' in subset keys), a missing or non-finite atom, a
+    negative atom stderr, or bad provenance.
     """
     if not isinstance(obj, dict):
         raise ParseError("report must be a JSON object")
@@ -85,6 +86,9 @@ def report_from_json(obj) -> RunReport:
     names = tuple(str(n) for n in obj["variables"])
     if len(set(names)) != len(names):
         raise ParseError("report 'variables' must be unique")
+    for n in names:
+        if not n or "+" in n:
+            raise ParseError(f"report variable {n!r} must be a non-empty name without '+'")
     atoms = _subset_table(obj, "atoms", names)
     stderr = _subset_table(obj, "atom_stderr", names, least=0.0) if "atom_stderr" in obj else None
     config = obj.get("config", {})

@@ -71,6 +71,11 @@ class Dag:
             raise ModelError("need one parent list per node")
         known = set(names)
         for n, ps in zip(names, parents):
+            if not n or "+" in n:
+                raise ModelError(
+                    f"node {n!r}: a node name must be non-empty and hold no '+', "
+                    "which joins names in report keys"
+                )
             if len(ps) != len(set(ps)):
                 raise ModelError(f"node {n!r} lists a parent twice")
             for p in ps:
@@ -448,14 +453,10 @@ class ParentFn:
     def from_json(node, parent_names, obj):
         if not isinstance(obj, dict):
             raise ModelError(f"node {node!r}: parent function must be an object")
-        if "expr" in obj:
-            f = parse_formula(str(obj["expr"]), parent_names)
-            return ParentFn(node, parent_names, formula=f)
-        if "cells" in obj:
-            return ParentFn(
-                node, parent_names, cells=obj["cells"], binning=obj.get("binning")
-            )
-        raise ModelError(f"node {node!r}: parent function needs 'expr' or 'cells'")
+        f = parse_formula(str(obj["expr"]), parent_names) if "expr" in obj else None
+        return ParentFn(
+            node, parent_names, formula=f, cells=obj.get("cells"), binning=obj.get("binning")
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,17 @@ atom mass merges into the matching region of the remaining variables.
 from __future__ import annotations
 
 from .algebra import ExplanationMeasure, measure_marginalize, subset_key
-from .errors import DomainError
+from .errors import VennError
 
 _WEDGE = "∧"
 
 
 def _display_measure(m: ExplanationMeasure, outcome=None) -> ExplanationMeasure:
-    if outcome is not None and outcome in m.names:
-        m = measure_marginalize(m, outcome)
-    if m.var_count not in (2, 3):
-        raise DomainError(
-            f"venn supports 2 or 3 variables, report has {m.var_count}"
-        )
-    return m
+    fold = outcome in m.names
+    shown = m.var_count - fold
+    if shown not in (2, 3):
+        raise VennError(f"venn supports 2 or 3 variables besides the outcome, report has {shown}")
+    return measure_marginalize(m, outcome) if fold else m
 
 
 def _fmt(v: float) -> str:

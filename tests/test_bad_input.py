@@ -18,6 +18,8 @@ import pytest
 
 from xfvar import mc, rng
 from xfvar.cli import main
+from xfvar.errors import ModelError
+from xfvar.scm import Dag
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -415,6 +417,52 @@ def test_malformed_model_exits_2(tmp_path, capsys, case):
     assert_one_file_error(capsys, code, fragment)
 
 
+# well-typed fields whose values a mechanism, the DAG or the file reader rejects
+MODEL_VALUE_CASES = {
+    "parent_listed_twice": (_put(["nodes", 5, "parents"], ["A", "A", "B", "D", "E"]),
+                            "node 'Y' lists a parent twice"),
+    "binning_length": (_put(["nodes", 4, "mechanism", "mean", "binning"], [[0.0], [1.0]]),
+                       "node 'E': binning must hold one entry per parent"),
+    "parent_fn_empty": (_mech(4, "mean", {}), "node 'E': need exactly one of expr or cells"),
+    "parent_fn_expr_and_cells": (_mech(4, "mean", {"expr": "C", "cells": {"b0": 0.0, "b1": 1.0}}),
+                                 "node 'E': need exactly one of expr or cells"),
+    "std_negative": (_mech(2, "std", -1.0), "node 'C': std must be >= 0"),
+    "uniform_high_below_low": (_put(["nodes", 2, "mechanism"],
+                                    {"kind": "root_uniform", "low": 1.0, "high": 0.0}),
+                               "node 'C': need high >= low"),
+    "categorical_empty": (_put(["nodes", 0, "mechanism"],
+                               {"kind": "root_categorical", "values": [], "probs": []}),
+                          "node 'A': empty categorical"),
+    "empirical_empty": (_mech(1, "values", []), "node 'B': need a nonempty sample list"),
+    "residuals_empty": (_mech(4, "residuals", []), "node 'E': residual pool is empty"),
+    "levels_empty": (_mech(3, "levels", []), "node 'D': need at least one quantile level"),
+    "levels_outside_unit": (_mech(3, "levels", [0.0, 0.75]),
+                            "node 'D': levels must lie strictly inside (0, 1)"),
+    "levels_decreasing": (_mech(3, "levels", [0.75, 0.25]),
+                          "node 'D': levels must be strictly increasing"),
+    "quantile_table_without_parents": (_put(["nodes", 3, "parents"], []),
+                                       "node 'D': quantile_table needs parents; use a root"),
+    "grid_length": (_put(["nodes", 3, "mechanism", "cells", "0"], [0.0]),
+                    "node 'D': cell '0' grid length 1 != 2 levels"),
+    "grid_decreasing": (_put(["nodes", 3, "mechanism", "cells", "0"], [1.0, 0.0]),
+                        "node 'D': cell '0' grid must be non-decreasing"),
+    "stddev_negative_at_sampling": (_put(["nodes", 4, "mechanism"], {"kind": "hetero_gaussian",
+                                         "mean": {"expr": "C"}, "std": {"expr": "C"}}),
+                                    "node 'E': stddev went negative"),
+    "file_not_an_object": (lambda model: [model], "model file must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_VALUE_CASES))
+def test_bad_model_value_exits_2(tmp_path, capsys, recwarn, case):
+    edit, fragment = MODEL_VALUE_CASES[case]
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(edit(copy.deepcopy(GOOD_MODEL))))
+    code = run_cli(["counterfactual", "--model", str(p), "--samples", "200"])
+    assert_one_file_error(capsys, code, fragment)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gsa", "--samples", "1000", "--format", "table"], ["counterfactual", "--samples", "1000"]],
@@ -458,6 +506,64 @@ def test_malformed_dag_exits_2(tmp_path, capsys, case):
     edit, fragment = DAG_CASES[case]
     code = run_cli(_fit_argv(tmp_path, edit(copy.deepcopy(GOOD_DAG))))
     assert_one_file_error(capsys, code, fragment)
+
+
+# ---------------------------------------------------------------------------
+# Node names that would collide in report keys, which join names with "+"
+
+# {A+B} and {A, B} share the key "A+B"; "" is the empty set's key
+NAME_CASES = {"plus": "A+B", "empty": ""}
+
+
+@pytest.mark.parametrize("case", sorted(NAME_CASES))
+@pytest.mark.parametrize("command", [["oracle"], ["counterfactual", "--samples", "200"]])
+def test_model_node_name_that_collides_exits_2(tmp_path, capsys, case, command):
+    name = NAME_CASES[case]
+    model = {"outcome": "Y", "nodes": [
+        _node("A", [], {"kind": "root_rademacher"}),
+        _node("B", [], {"kind": "root_rademacher"}),
+        _node(name, [], {"kind": "root_rademacher"}),
+        _node("Y", ["A", "B"], {"kind": "deterministic", "expr": "A*B"}),
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    out = tmp_path / "r.json"
+    code = run_cli(command[:1] + ["--model", str(p), "--out", str(out)] + command[1:])
+    assert_one_file_error(capsys, code, f"node {name!r}: a node name must be non-empty and hold no '+'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(NAME_CASES))
+def test_dag_node_name_that_collides_exits_2(tmp_path, capsys, case):
+    name = NAME_CASES[case]
+    dag = {"outcome": "Y", "nodes": [{"name": name}, {"name": "Y", "parents": [name]}]}
+    argv = _fit_argv(tmp_path, dag)
+    Path(argv[argv.index("--data") + 1]).write_text(
+        f"{name},Y\n" + "".join(f"{i % 2},{i % 7}\n" for i in range(60))
+    )
+    code = run_cli(argv)
+    assert_one_file_error(capsys, code, f"node {name!r}: a node name must be non-empty and hold no '+'")
+    assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+@pytest.mark.parametrize("case", sorted(NAME_CASES))
+def test_dag_rejects_a_node_name_that_collides(case):
+    name = NAME_CASES[case]
+    with pytest.raises(ModelError, match="a node name must be non-empty and hold no"):
+        Dag(("A", name), ((), ("A",)))
+
+
+@pytest.mark.parametrize("case", sorted(NAME_CASES))
+def test_report_variable_that_collides_exits_2(tmp_path, capsys, case):
+    name = NAME_CASES[case]
+    rep = json.loads((DATA / "model1_report.json").read_text())
+    rep["variables"][1] = name
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps(rep))
+    out = tmp_path / "v.svg"
+    code = run_cli(["venn", "--report", str(p), "--out", str(out)])
+    assert_one_file_error(capsys, code, f"report variable {name!r} must be a non-empty name without '+'")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

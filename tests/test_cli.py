@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from xfvar import cli, rng, scm
+from xfvar import cli, errors, rng, scm
 from xfvar.algebra import measure_marginalize
 from xfvar.cli import main
 from xfvar.errors import ModelError, NotReducibleError
@@ -453,6 +453,60 @@ def test_venn_too_many_vars(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[E07]:")
 
 
+def test_venn_lone_outcome_report_exits_7(tmp_path, capsys):
+    # counterfactual writes a report whose only variable is the outcome
+    model = {"outcome": "Y", "nodes": [{"name": "Y", "parents": [], "mechanism": {"kind": "root_gaussian"}}]}
+    mp = tmp_path / "m.json"
+    mp.write_text(json.dumps(model))
+    rp = tmp_path / "r.json"
+    assert run_cli(["counterfactual", "--model", str(mp), "--samples", "1000", "--out", str(rp)]) == 0
+    assert json.loads(rp.read_text())["variables"] == ["Y"]
+    for out in (["--ascii"], ["--out", str(tmp_path / "v.svg")]):
+        assert run_cli(["venn", "--report", str(rp), *out]) == 7
+        assert capsys.readouterr().err == (
+            "error[E07]: venn supports 2 or 3 variables besides the outcome, report has 0\n"
+        )
+    assert not (tmp_path / "v.svg").exists()
+
+
+# the README's exit-code table, by the error class that ends a command
+EXIT_CODES = {
+    "XfvarError": 1,
+    "ParseError": 2,
+    "FormulaEvalError": 2,
+    "DomainError": 2,
+    "ModelError": 2,
+    "CycleError": 3,
+    "ZeroVarianceError": 4,
+    "FitError": 5,
+    "NotReducibleError": 6,
+    "VennError": 7,
+}
+
+
+def test_every_error_class_declares_its_exit_code(monkeypatch, capsys):
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.XfvarError)
+    }
+    assert set(classes) == set(EXIT_CODES)
+    table = (ROOT / "README.md").read_text(encoding="utf-8").split("## Exit codes")[1]
+    for name, cls in classes.items():
+        code = EXIT_CODES[name]
+        assert "exit_code" in vars(cls) and cls.exit_code == code, name
+        assert f"\n| {code} |" in table, name
+        exc = cls(["A", "B"]) if cls is errors.CycleError else cls("boom")
+
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_venn", fail)
+        assert run_cli(["venn", "--report", "r.json", "--ascii"]) == code, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[E{code:02d}]: ") and err.count("\n") == 1, err
+
+
 def test_missing_file_exit_2(capsys):
     code = run_cli(["counterfactual", "--model", "no-such-file.json", "--samples", "1000"])
     assert code == 2
@@ -630,6 +684,35 @@ def test_fit_end_to_end(tmp_path, capsys):
     assert code == 0
     value = float(capsys.readouterr().out.split("=")[1].split("+-")[0])
     assert abs(value - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("method", ["additive_empirical", "hetero_gaussian"])
+def test_fit_summary_for_non_grid_methods(tmp_path, capsys, method):
+    csv, dag = _write_fit_inputs(tmp_path)
+    with open(csv, "a") as fh:
+        fh.write("1.0,oops,2.0\n")
+    out = tmp_path / "model.json"
+    code = run_cli(["fit", "--data", str(csv), "--dag", str(dag), "--method", method, "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    kind = "additive_noise" if method == "additive_empirical" else method
+    assert capsys.readouterr().out.splitlines() == [
+        "warning: dropped 1 of 4001 rows with missing, unparseable or non-finite cells",
+        "node W1: root_empirical",
+        f"node W2: {kind} over (W1), 2 cells",
+        f"node Y: {kind} over (W2), 3 cells",
+        f"fitted 3 nodes from 4000 rows; wrote {out}",
+    ]
+
+
+def test_fit_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    csv, dag = _write_fit_inputs(tmp_path)
+    csv.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes())
+    out = tmp_path / "model.json"
+    plain = tmp_path / "plain.json"
+    assert run_cli(["fit", "--data", str(csv), "--dag", str(dag), "--out", str(out)]) == 0
+    csv.write_bytes(csv.read_bytes()[3:])
+    assert run_cli(["fit", "--data", str(csv), "--dag", str(dag), "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_fit_min_cell_exit_5(tmp_path, capsys):
