@@ -13,13 +13,24 @@ Parent handling: categorical parents and numeric parents with at most
 BINS distinct values form exact cells; other numeric parents are
 equal-frequency binned into BINS bins, and unseen values at sampling
 time fall into the nearest outer bin.
+
+CSV input (read_csv) takes two paths per chunk of CHUNK_ROWS lines. A
+clean chunk (no quote, no NUL, every line a row of the header's width)
+is parsed in C by np.loadtxt; any other goes through csv.reader and one
+float() per numeric cell, and after the first quote csv.reader reads
+the rest of the file. Every cell gets the same bits on both paths:
+loadtxt strips the whitespace str.strip() strips and hands the rest to
+PyOS_string_to_double, which is where float() ends too, and it refuses
+everything float() parses differently (`_`, non-ASCII digits), sending
+that chunk to csv.reader.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -50,7 +61,7 @@ VARIANCE_FLOOR = 1e-12
 # Equal-frequency bins per dense numeric parent.
 BINS = 10
 
-# Body rows read_csv parses per step.
+# Body lines read_csv parses per step.
 CHUNK_ROWS = 2048
 
 
@@ -122,35 +133,33 @@ def read_csv(path, categorical=(), used=None):
     number or any used cell is empty. Returns (Dataset, warnings). Bytes
     that are not UTF-8 and fields past the csv size limit are a ParseError.
 
-    The body is read CHUNK_ROWS rows at a time, so memory holds the used
+    The body is read CHUNK_ROWS lines at a time, so memory holds the used
     columns plus one chunk, and each distinct categorical label is stored
-    as one string that every row holding it shares.
+    as one string that every row holding it shares. A clean chunk is
+    parsed in C by np.loadtxt (_loadtxt_values), any other by csv.reader
+    and float() per cell (_row_values); from the first chunk that holds a
+    quote on, csv.reader reads the rest of the file, since a quoted field
+    may span lines. Both paths give every cell the same value: loadtxt
+    strips the whitespace str.strip() strips and parses what is left with
+    PyOS_string_to_double, where float() ends too, and what it refuses
+    (`_`, non-ASCII digits, an empty cell) sends its chunk to the row path.
     """
     categorical = frozenset(categorical)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh)  # it reads no line past the header
             header, use = _csv_header(next(reader, None), used)
-            width = len(header)
             labels = {c: {} for c in use if c in categorical}
             parts = {c: [np.empty(0, dtype=object if c in labels else float)] for c in use}
-            getters = [(c, itemgetter(header.index(c))) for c in parts]
             total = 0
-            while chunk := list(islice(reader, CHUNK_ROWS)):
-                total += len(chunk)
-                whole = [row for row in chunk if len(row) == width]
-                for c, cell_of in getters:
-                    cells = list(map(cell_of, whole))
-                    if c in labels:
-                        label = labels[c].setdefault
-                        cells = [label(cell, cell) for cell in map(str.strip, cells)]
-                        parts[c].append(np.array(cells, dtype=object))
-                    else:
-                        parts[c].append(_parse_floats(cells))
+            for rows, values in _chunks(fh, reader.line_num, header, list(parts), labels):
+                total += rows
+                for c, v in zip(parts, values):
+                    parts[c].append(_interned(v, labels[c]) if c in labels else v)
     except UnicodeDecodeError:  # offsets count within a chunk; read_text raises at the file's
         read_text(path, "CSV")
         raise
-    except csv.Error as e:  # a field past csv.field_size_limit()
+    except csv.Error as e:  # in the header; _chunks reports the body's
         raise ParseError(f"invalid CSV file: {e} (line {reader.line_num})") from None
 
     # pop frees each column's parts before the next column is joined
@@ -184,11 +193,104 @@ def _csv_header(header, used):
     return header, use
 
 
-def _parse_floats(cells):
-    """float() of every cell, NaN where it fails (an empty cell included).
+def _chunks(fh, line0, header, use, labels):
+    """(row count, one value sequence per column of use) of each chunk of
+    the CSV body left in fh, after line0 lines of the file.
 
-    float() skips the whitespace str.strip() removes, so a cell parses
-    exactly as its stripped text does.
+    A categorical column's values are its raw cells, a numeric column's
+    a float array with NaN where a cell does not parse.
+    """
+    width = len(header)
+    usecols = [header.index(c) for c in use]
+    getters = list(zip(use, map(itemgetter, usecols)))
+    kinds = [object if c in labels else float for c in use]
+    if width - 1 not in usecols:  # then loadtxt refuses a short row
+        usecols.append(width - 1)
+        kinds.append(object)
+    dtype = np.dtype([(f"f{i}", k) for i, k in enumerate(kinds)])
+    try:
+        while lines := list(islice(fh, CHUNK_ROWS)):
+            text = "".join(lines)
+            if '"' in text:
+                reader = csv.reader(chain(lines, fh))
+                break
+            values = _loadtxt_values(lines, text, width, dtype, usecols, len(use))
+            if values is None:
+                reader = csv.reader(lines)
+                values = _row_values(reader, width, getters, labels)
+            yield len(lines), values
+            line0 += len(lines)
+        else:
+            return
+        while rows := list(islice(reader, CHUNK_ROWS)):
+            yield len(rows), _row_values(rows, width, getters, labels)
+    except csv.Error as e:  # a field past csv.field_size_limit(), as from an unclosed quote
+        raise ParseError(f"invalid CSV file: {e} (line {line0 + reader.line_num})") from None
+
+
+def _loadtxt_values(lines, text, width, dtype, usecols, n_used):
+    """The values of a chunk without quotes, parsed by np.loadtxt, or None
+    when the chunk is not clean.
+
+    Clean means no NUL (csv.reader refuses it before Python 3.11, and
+    numpy's str dtype drops it at the end of a string), no line past
+    csv.field_size_limit(), width - 1 commas a line on average, and
+    loadtxt taking every line as a row. loadtxt reads the last column
+    too, so a short row makes it raise, and a long row with no short one
+    breaks the comma count; it skips blank lines, which csv.reader
+    returns as rows.
+    """
+    limit = csv.field_size_limit()
+    if (
+        "\0" in text
+        or text.count(",") != (width - 1) * len(lines)
+        or len(text) > limit and max(map(len, lines)) > limit
+    ):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data": blank lines
+        try:
+            table = np.loadtxt(
+                lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1
+            )
+        except ValueError:
+            return None
+    if len(table) != len(lines):
+        return None
+    # a float field is copied, so that no part keeps the chunk's table alive
+    fields = [table[name] for name in dtype.names[:n_used]]
+    return [f.tolist() if f.dtype == object else f.copy() for f in fields]
+
+
+def _row_values(rows, width, getters, labels):
+    """The values of csv rows: a row that is not `width` cells long drops
+    out, categorical cells stay raw and numeric ones go through float()."""
+    whole = [row for row in rows if len(row) == width]
+    values = []
+    for c, cell_of in getters:
+        cells = list(map(cell_of, whole))
+        values.append(cells if c in labels else _parse_floats(cells))
+    return values
+
+
+def _interned(cells, label):
+    """Object array of the stripped cells, each stripped label the one
+    string the dict `label` holds for it; each distinct cell is stripped
+    once."""
+    canon = {}
+    for cell in set(cells):
+        text = cell.strip()
+        canon[cell] = label.setdefault(text, text)
+    return np.fromiter(map(canon.__getitem__, cells), dtype=object, count=len(cells))
+
+
+def _parse_floats(cells):
+    """float() of every stripped cell, NaN where it fails (an empty cell
+    included).
+
+    A cell that float() parses as it stands has the value of its stripped
+    text, so only the cells it refuses are stripped and tried again: on
+    ASCII text float() skips no separator \\x1c-\\x1f, str.strip() does.
     """
     try:
         return np.fromiter(map(float, cells), dtype=float, count=len(cells))
@@ -196,7 +298,7 @@ def _parse_floats(cells):
         out = np.empty(len(cells))
         for i, cell in enumerate(cells):
             try:
-                out[i] = float(cell)
+                out[i] = float(cell.strip())
             except ValueError:
                 out[i] = np.nan
         return out

@@ -425,6 +425,8 @@ class ParentFn:
         self.parent_names = tuple(parent_names)
         if (formula is None) == (cells is None):
             raise ModelError(f"node {node!r}: need exactly one of expr or cells")
+        if formula is not None and binning is not None:
+            raise ModelError(f"node {node!r}: binning applies to cells, not to expr")
         self.formula = formula
         self.cells = None
         if cells is not None:

@@ -426,6 +426,8 @@ MODEL_VALUE_CASES = {
     "parent_fn_empty": (_mech(4, "mean", {}), "node 'E': need exactly one of expr or cells"),
     "parent_fn_expr_and_cells": (_mech(4, "mean", {"expr": "C", "cells": {"b0": 0.0, "b1": 1.0}}),
                                  "node 'E': need exactly one of expr or cells"),
+    "parent_fn_expr_with_binning": (_mech(4, "mean", {"expr": "C", "binning": "junk"}),
+                                    "node 'E': binning applies to cells, not to expr"),
     "std_negative": (_mech(2, "std", -1.0), "node 'C': std must be >= 0"),
     "uniform_high_below_low": (_put(["nodes", 2, "mechanism"],
                                     {"kind": "root_uniform", "low": 1.0, "high": 0.0}),

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import tracemalloc
 
@@ -262,6 +263,31 @@ def test_read_csv_unterminated_quote_past_the_first_chunk_exits_2(tmp_path, monk
     data = b"A,Y\n" + b"a,1\nb,2\n" * 4 + b'a,"1\n' + b"b,2\n" * 40000
     err = _fit_error(tmp_path, capsys, data)
     assert err.startswith("error[E02]: invalid CSV file: field larger than field limit")
+
+
+def _csv_error_line(data):
+    """The line number a plain csv.reader over all of data reports when
+    it raises csv.Error."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    with pytest.raises(csv.Error):
+        for _ in reader:
+            pass
+    return reader.line_num
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b'a,"1\n' + b"b,2\n" * 40000, b"a," + b"1" * 140_000 + b"\nb,2\n"],
+    ids=["unterminated_quote", "long_unquoted_field"],
+)
+def test_read_csv_error_past_the_first_chunk_names_the_file_line(tmp_path, monkeypatch, capsys, bad):
+    # the row reader starts mid-file, after three clean chunks
+    monkeypatch.setattr(fit_module, "CHUNK_ROWS", 3)
+    data = b"A,Y\n" + b"a,1\nb,2\n" * 4 + b"a,3\n" + bad
+    err = _fit_error(tmp_path, capsys, data)
+    line = _csv_error_line(data)
+    assert line > 10
+    assert err == f"error[E02]: invalid CSV file: field larger than field limit (131072) (line {line})\n"
 
 
 def _traced(fn, *args, **kwargs):
