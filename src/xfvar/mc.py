@@ -4,15 +4,16 @@ Every estimator is one call of a single streaming kernel,
 per_batch_sums. Hybrids are named by int bitmasks over the noise
 columns: bit c set means column c is resampled. y(mask) is the outcome
 of the hybrid that takes the columns set in mask from E' and the rest
-from E, so y(0) is y(E) and y(every column) is y(E'). Per block of
-replicate pairs (E, E') of uniform noise, shape (m, n_noise) each, the
-kernel calls open_block(E, E', masks) once with the same masks, (0,
-every column, *hybrids), and reads the outcomes back from the iterator
-it returns, one hybrid's at a time. The providers decide how much of
-each hybrid they recompute: `sensitivity` transforms E and E' once and
-builds hybrids in value space, `scm` compiles the masks into a plan
-that computes each node value, mechanism stage and formula op once per
-key of its resampled ancestors. The kernel sums the rows of a small
+from E, so y(0) is y(E) and y(every column) is y(E'); these two
+baselines belong to the kernel. Per block of replicate pairs (E, E') of
+uniform noise, shape (m, n_noise) each, it calls open_block(E, E',
+masks) once with the same masks, 0, every column and each hybrid that
+is neither, and reads the outcomes back from the iterator it returns,
+one hybrid's at a time. The providers decide how much of each hybrid
+they recompute: `sensitivity` transforms E and E' once and builds
+hybrids in value space, `scm` compiles the masks into a plan that
+computes each node value, mechanism stage and formula op once per key
+of its resampled ancestors. The kernel sums the rows of a small
 per-estimator statistic per stderr batch.
 
 upper_estimate, lower_estimate and superset_estimate take the noise mask
@@ -56,8 +57,9 @@ BATCHES = 20
 # report interaction table keep this below the algebra's MAX_VARS.
 MAX_QUERY_VARS = 12
 
-# Outcome evaluations per estimate: 7-11 single-core minutes at the 40-65 ns
-# one took on a 2-CPU x86 host, 12x the largest default run (K = 12, 200 000).
+# Outcomes an estimate asks for, baselines included, (hybrids + 2) * samples:
+# 7-11 single-core minutes at the 40-65 ns one took on a 2-CPU x86 host,
+# 12x the largest default run (K = 12, 200 000).
 MC_BUDGET = 10**10
 
 
@@ -153,14 +155,15 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, cfg: EstimatorConfig):
     """The kernel: per-batch sums of the rows of a per-replicate statistic.
 
     open_block(E, E', masks) is called once per block, always with the
-    same masks = (0, every column, *hybrids), and returns an iterator
-    over y(mask) for those masks in that order: the outcome of the hybrid
-    that takes the noise columns set in mask from E'. stat(y0, y1, outs)
-    yields n_stats rows on every block, where y0 = y(0) is y(E), y1 =
-    y(every column) is y(E'), and outs is the iterator over the hybrids'
-    outcomes, each evaluated when stat asks for it. The kernel drops the
-    iterator before it opens the next block. Returns an (n_stats,
-    BATCHES) array of sums, with n_stats read off block 0's sums.
+    same masks: 0, every column, then each of hybrids that is neither.
+    It returns an iterator over y(mask) for those masks in that order:
+    the outcome of the hybrid that takes the noise columns set in mask
+    from E'. stat(y0, y1, outs) yields n_stats rows on every block,
+    where y0 = y(0) is y(E), y1 = y(every column) is y(E'), and outs
+    yields the outcome of each hybrid in turn when stat asks for it (y0
+    or y1 for a baseline). The kernel drops the iterator before it
+    opens the next block. Returns an (n_stats, BATCHES) array of sums,
+    with n_stats read off block 0's sums.
 
     Block 0 runs in the calling process before anything is forked, so
     whatever a provider does once (a plan compile, a lazy import) and
@@ -173,8 +176,8 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, cfg: EstimatorConfig):
     share itself: the earliest failing block raises, as in a serial
     run. No child outlives the call, on success or on any exception.
 
-    Raises DomainError before the first block past MC_BUDGET outcome
-    evaluations, and ModelError when twice a row's total is not finite:
+    Raises DomainError before the first block past MC_BUDGET outcomes
+    asked for, and ModelError when twice a row's total is not finite:
     finite outcomes whose squares (or whose differences' squares) overflow
     float64. The ratio steps that follow add at most two totals, so they
     stay finite.
@@ -183,7 +186,8 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, cfg: EstimatorConfig):
     evals = (len(hybrids) + 2) * m
     if evals > MC_BUDGET:
         raise DomainError(f"{evals} outcome evaluations exceed the Monte Carlo budget {MC_BUDGET}")
-    masks = (0, (1 << n_noise) - 1, *hybrids)
+    every = (1 << n_noise) - 1
+    masks = (0, every, *(h for h in hybrids if h not in (0, every)))
     starts = _batch_starts(m, BATCHES)
 
     def block_sums(block_index):
@@ -196,7 +200,9 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, cfg: EstimatorConfig):
         b1 = bisect_right(starts, g1 - 1) - 1
         bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
         outs = open_block(u[:, :, 0], u[:, :, 1], masks)  # freed on return
-        rows = stat(next(outs), next(outs), outs)
+        y0, y1 = next(outs), next(outs)
+        ys = (y0 if h == 0 else y1 if h == every else next(outs) for h in hybrids)
+        rows = stat(y0, y1, ys)
         return b0, np.array([np.add.reduceat(vals, bounds) for vals in rows])
 
     def add(b0, sums):
@@ -259,13 +265,13 @@ def _pooled_variance(sums, counts):
 
 
 def _ratio_stderr(num, den):
-    """Batch-means stderr of a ratio of per-batch statistics."""
+    """Batch-means stderr of a ratio of per-batch statistics, over the last axis."""
     if np.any(den <= 0):
         raise ZeroVarianceError(
             "a standard-error batch has non-positive variance; increase samples"
         )
     ratios = num / den
-    return float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
+    return np.std(ratios, axis=-1, ddof=1) / np.sqrt(ratios.shape[-1])
 
 
 def _pooled_ratio(acc, num, cfg: EstimatorConfig) -> Estimate:
@@ -281,7 +287,7 @@ def _pooled_ratio(acc, num, cfg: EstimatorConfig) -> Estimate:
     if vpool <= 0.0:
         raise ZeroVarianceError("outcome variance estimate is zero")
     counts = np.diff(_batch_starts(cfg.samples, BATCHES)).astype(float)
-    stderr = _ratio_stderr(num(acc, counts), _pooled_variance(acc, counts))
+    stderr = float(_ratio_stderr(num(acc, counts), _pooled_variance(acc, counts)))
     return Estimate(float(num(totals, m) / vpool), stderr, cfg.samples)
 
 
@@ -297,7 +303,8 @@ def pickfreeze_totals(open_block, n_noise, cols, cfg: EstimatorConfig) -> Totals
 
     Each block asks for 2**K + 1 outcomes: the two baselines plus one
     hybrid per nonempty subset, so K is capped by MAX_QUERY_VARS. What
-    one outcome costs is up to the provider behind open_block. The
+    one outcome costs is up to the provider behind open_block, which
+    evaluates y(E') once when the full set resamples every column. The
     subsets come with variable 0 toggling slowest, which shortens how
     long a provider that reuses values across hybrids keeps them; each
     subset's row sums on its own, so the order changes no bits.
@@ -305,7 +312,6 @@ def pickfreeze_totals(open_block, n_noise, cols, cfg: EstimatorConfig) -> Totals
     k = len(cols)
     if k > MAX_QUERY_VARS:
         raise DomainError(f"{k} query variables; at most {MAX_QUERY_VARS} are supported")
-    n_masks = 1 << k
     # sets[t], masks[t]: the t-th variable set and its noise mask, counting
     # with variable 0 toggling slowest: sets[t] is t bit-reversed, so the
     # kernel's row sets[s] is the set s
@@ -324,11 +330,9 @@ def pickfreeze_totals(open_block, n_noise, cols, cfg: EstimatorConfig) -> Totals
     denom = float(base.sum())
     if denom <= 0.0:
         raise ZeroVarianceError("outcome shows no variation across resampled noise")
-    totals = np.zeros(n_masks)
-    stderrs = np.zeros(n_masks)
-    for s in range(1, n_masks):
-        totals[s] = float(acc[s].sum()) / denom
-        stderrs[s] = _ratio_stderr(acc[s], base)
+    totals = acc.sum(axis=1) / denom
+    stderrs = _ratio_stderr(acc, base)
+    totals[0] = stderrs[0] = 0.0
     return TotalsTable(k, totals, stderrs)
 
 

@@ -799,6 +799,7 @@ class AdditiveNoise(Mechanism):
         self.residuals = np.sort(_floats(node, "residuals", residuals))
         if len(self.residuals) == 0:
             raise ModelError(f"node {node!r}: residual pool is empty")
+        _check_finite(node, "residuals", self.residuals)
 
     def sample(self, e, parents):
         return self.combine(self.mean(parents, len(e)), self._residual(e))
@@ -830,6 +831,8 @@ class HeteroGaussian(Mechanism):
         self.parent_names = tuple(parent_names)
         self.mean = mean
         self.std = std
+        if std.cells is not None and any(v < 0 for v in std.cells.values()):
+            raise ModelError(f"node {node!r}: std cells must be >= 0")
 
     def sample(self, e, parents):
         s = self._checked_std(self.std(parents, len(e)))
@@ -1284,15 +1287,15 @@ def estimate_counterfactual_measure(
     With include_outcome the outcome variable joins the algebra and its
     own atom absorbs the mass not explained by the other nodes; without
     it that mass stays on the empty atom. Each block of sample pairs
-    asks for 2**K + 1 outcomes for K query variables. HybridOutcomes
+    asks for 2**K + 1 outcomes for K query variables; HybridOutcomes
+    compiles 2**K masks, one more when the outcome is left out. It
     evaluates each node value, mechanism stage and formula op once per
     key: 2**|A| per block, A the query columns of its noise ancestry (a
     root or a noise stage two, a formula constant nothing), plus one
     when that ancestry holds the outcome's column and the outcome is
-    left out. A unit whose values
-    would stay alive past LIVE_VALUES at once runs instead for each
-    hybrid that reads it. Nothing outside the outcome's ancestry is
-    evaluated.
+    left out. A unit whose values would stay alive past LIVE_VALUES at
+    once runs instead for each hybrid that reads it. Nothing outside
+    the outcome's ancestry is evaluated.
     """
     query_names = [
         n for n in model.dag.names if include_outcome or n != model.outcome

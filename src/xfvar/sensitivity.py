@@ -61,26 +61,18 @@ def independent_outcomes(f, sampler: IndependentSampler):
     Variable j owns noise column j. open_block(E, E', masks) transforms
     both noise blocks once and yields f of each mask's hybrid, built in
     value space, which equals the transform of the noise hybrid because
-    every quantile acts on its own column. f runs once for the mask of
-    every column, y(E'), which the kernel asks for as its second outcome
-    and pickfreeze_totals again as its full query set.
+    every quantile acts on its own column. f runs once per mask; the
+    kernel passes each distinct hybrid once.
     """
-    every = (1 << sampler.k) - 1
 
     def open_block(e, ep, masks):
         x, xp = sampler.transform(e), sampler.transform(ep)
-        y_every = None
         for mask in masks:
-            if mask == every and y_every is not None:
-                yield y_every
-                continue
             out = np.asarray(f(mc.hybrid(x, xp, members(mask))), dtype=float)
             if out.shape != (x.shape[0],):
                 raise DomainError(
                     f"function must map (m, {sampler.k}) inputs to (m,) outputs, got {out.shape}"
                 )
-            if mask == every:
-                y_every = out
             yield out
 
     return open_block
@@ -117,9 +109,9 @@ def estimate_measure(f, sampler: IndependentSampler, cfg: EstimatorConfig, names
     """Full explanation measure over all variables of the sampler.
 
     Costs two input transforms and 2**K function calls per block of
-    sample pairs (of 2**K + 1 outcomes, y(E') comes twice), so K is
-    capped by mc.MAX_QUERY_VARS. The full-set total is exactly 1 by
-    construction; the remaining totals feed the inclusion-exclusion
+    sample pairs (the hybrid of every variable is the kernel's y(E')),
+    so K is capped by mc.MAX_QUERY_VARS. The full-set total is exactly
+    1 by construction; the remaining totals feed the inclusion-exclusion
     inversion.
     """
     names = tuple(names)

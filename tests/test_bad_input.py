@@ -437,6 +437,8 @@ MODEL_VALUE_CASES = {
                           "node 'A': empty categorical"),
     "empirical_empty": (_mech(1, "values", []), "node 'B': need a nonempty sample list"),
     "residuals_empty": (_mech(4, "residuals", []), "node 'E': residual pool is empty"),
+    "residuals_nan": (_mech(4, "residuals", [-1.0, math.nan, 1.0]),
+                      "node 'E': residuals must be finite"),
     "levels_empty": (_mech(3, "levels", []), "node 'D': need at least one quantile level"),
     "levels_outside_unit": (_mech(3, "levels", [0.0, 0.75]),
                             "node 'D': levels must lie strictly inside (0, 1)"),
@@ -448,6 +450,12 @@ MODEL_VALUE_CASES = {
                     "node 'D': cell '0' grid length 1 != 2 levels"),
     "grid_decreasing": (_put(["nodes", 3, "mechanism", "cells", "0"], [1.0, 0.0]),
                         "node 'D': cell '0' grid must be non-decreasing"),
+    # b2 lies past the one cut point, so no row reads the negative cell
+    "std_cell_negative": (_put(["nodes", 4, "mechanism"], {"kind": "hetero_gaussian",
+                               "mean": {"expr": "C"}, "std": {"cells": {"b0": 1.0, "b1": 1.0,
+                                                                        "b2": -1.0},
+                                                              "binning": [[0.0]]}}),
+                          "node 'E': std cells must be >= 0"),
     "stddev_negative_at_sampling": (_put(["nodes", 4, "mechanism"], {"kind": "hetero_gaussian",
                                          "mean": {"expr": "C"}, "std": {"expr": "C"}}),
                                     "node 'E': stddev went negative"),

@@ -290,6 +290,12 @@ def test_read_csv_error_past_the_first_chunk_names_the_file_line(tmp_path, monke
     assert err == f"error[E02]: invalid CSV file: field larger than field limit (131072) (line {line})\n"
 
 
+def test_read_csv_error_in_the_header_names_line_1(tmp_path, capsys):
+    data = b"A,Y," + b"x" * 140_000 + b"\na,1,0\n"
+    err = _fit_error(tmp_path, capsys, data)
+    assert err == "error[E02]: invalid CSV file: field larger than field limit (131072) (line 1)\n"
+
+
 def _traced(fn, *args, **kwargs):
     """(fn's result, the peak bytes tracemalloc saw it allocate)."""
     tracemalloc.start()

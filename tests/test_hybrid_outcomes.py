@@ -353,9 +353,8 @@ def test_formula_ops_cost_two_to_the_variables_they_read():
 
 @pytest.mark.usefixtures("one_worker")
 def test_function_runs_once_per_distinct_hybrid():
-    # the full measure asks for y(E') twice, as the kernel's second
-    # outcome and as the hybrid of the full query set: f runs 2**K times
-    # per block, not 2**K + 1
+    # the hybrid of the full query set is y(E'), which the kernel already
+    # holds: f runs 2**K times per block, not 2**K + 1
     calls = []
 
     def f(w):
@@ -365,6 +364,48 @@ def test_function_runs_once_per_distinct_hybrid():
     cfg = EstimatorConfig(samples=2 * 8192 + 5, seed=3)
     estimate_measure(f, MIXED, cfg, ("W1", "W2", "W3", "W4"))
     assert len(calls) == 3 * 2**MIXED.k
+
+
+@pytest.mark.usefixtures("one_worker")
+def test_lower_index_of_every_variable_runs_f_twice_per_block():
+    # its one hybrid keeps every column, so it is y(E)
+    calls = []
+
+    def f(w):
+        calls.append(len(w))
+        return _mixed_inputs(w)
+
+    cfg = EstimatorConfig(samples=2 * 8192 + 5, seed=3)
+    est = estimate_lower(f, MIXED, range(MIXED.k), cfg)
+    assert len(calls) == 3 * 2
+    ref = noise_space(lambda u: np.asarray(_mixed_inputs(MIXED.transform(u)), dtype=float))
+    assert _hex_est(est) == _hex_est(lower_estimate(ref, MIXED.k, 0b1111, cfg))
+
+
+def test_no_block_asks_for_a_mask_twice():
+    # at S = every column, lower's hybrid is y(E), and upper's, the last
+    # of superset's and the full measure's full set are y(E'); each
+    # estimate keeps the noise-space reference's bits
+    model = model_from_json(DAG)
+    n, every = model.n_nodes, (1 << model.n_nodes) - 1
+    cfg = EstimatorConfig(samples=1000, seed=5)
+    opened = []
+
+    def recording(e, ep, masks):
+        opened.append(list(masks))
+        return HybridOutcomes(model).open_block(e, ep, masks)
+
+    ref = noise_space(model.outcome_values)
+    for estimator in (upper_estimate, lower_estimate, superset_estimate):
+        got = estimator(recording, n, every, cfg)
+        assert _hex_est(got) == _hex_est(estimator(ref, n, every, cfg)), estimator.__name__
+    cols = [model.dag.index(name) for name in model.dag.names]
+    got, want = pickfreeze_totals(recording, n, cols, cfg), pickfreeze_totals(ref, n, cols, cfg)
+    assert got.total[every] == 1.0
+    assert got.total.tobytes() == want.total.tobytes()
+    assert got.stderr.tobytes() == want.stderr.tobytes()
+    assert len(opened) == 4
+    assert [len(set(masks)) for masks in opened] == [len(masks) for masks in opened]
 
 
 def random_masks(model, rs):

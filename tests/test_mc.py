@@ -75,6 +75,30 @@ def test_pickfreeze_totals_full_set_is_one():
         assert totals[s] == pytest.approx(1.0, abs=3 * stderrs[s] + 1e-3)
 
 
+def test_pickfreeze_totals_reduce_the_table_as_a_loop_over_subsets_does(monkeypatch):
+    # a kernel table at K = 12, reduced by the per-subset loop the
+    # table reduction replaced: every total and stderr keeps its bits
+    k = mc.MAX_QUERY_VARS
+    rs = np.random.default_rng(0)
+    kernel = rs.gamma(2.0, size=(1 << k, mc.BATCHES)) * rs.uniform(0.5, 2.0, size=(1 << k, 1))
+
+    def fake_kernel(open_block, n_noise, hybrids, stat, cfg):
+        assert len(hybrids) == (1 << k) - 1
+        return kernel
+
+    monkeypatch.setattr(mc, "per_batch_sums", fake_kernel)
+    table = pickfreeze_totals(None, k, range(k), EstimatorConfig(samples=1000))
+    # kernel row t holds the variable set t bit-reversed
+    rows = [kernel[int(format(s, f"0{k}b")[::-1], 2)] for s in range(1 << k)]
+    base = rows[0]
+    denom = float(base.sum())
+    assert table.total[0] == table.stderr[0] == 0.0
+    for s in range(1, 1 << k):
+        ratios = rows[s] / base
+        assert table.total[s] == float(rows[s].sum()) / denom, s
+        assert table.stderr[s] == float(np.std(ratios, ddof=1) / np.sqrt(len(ratios))), s
+
+
 def test_pickfreeze_totals_caps_query_variables():
     k = mc.MAX_QUERY_VARS + 1
     assert k == 13
