@@ -131,7 +131,7 @@ def cmd_fit(args) -> int:
     dag, outcome, categorical = read_dag(args.dag)
     data, warnings = read_csv(args.data, categorical=categorical, used=dag.names)
     cfg_kwargs = {"method": args.method, "min_cell": args.min_cell, "seed": args.seed}
-    if args.levels:
+    if args.levels is not None:
         try:
             cfg_kwargs["levels"] = tuple(float(x) for x in args.levels.split(","))
         except ValueError:

@@ -22,7 +22,8 @@ the rest of the file. Every cell gets the same bits on both paths:
 loadtxt strips the whitespace str.strip() strips and hands the rest to
 PyOS_string_to_double, which is where float() ends too, and it refuses
 everything float() parses differently (`_`, non-ASCII digits), sending
-that chunk to csv.reader.
+that chunk to csv.reader. A categorical column is coded as it is read:
+its rows hold integer codes into its sorted labels, each stored once.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ class FitConfig:
 
 @dataclass
 class Dataset:
-    """Rectangular, fully-observed columns: float arrays or string arrays."""
+    """Rectangular, fully-observed numeric columns; a categorical column
+    holds integer codes into labels[name], its sorted distinct labels."""
 
     columns: dict
     n: int
-    categorical: frozenset = frozenset()
-    _coded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
@@ -107,22 +108,6 @@ class Dataset:
             raise FitError(f"dataset has no column {name!r}")
         return self.columns[name]
 
-    def coded(self, name):
-        """(sorted labels, float row codes) of a categorical column, built once."""
-        if name not in self._coded:
-            cells = self.column(name).tolist()
-            labels = sorted(set(cells))
-            code = {lab: i for i, lab in enumerate(labels)}
-            codes = np.fromiter(map(code.__getitem__, cells), dtype=float, count=len(cells))
-            self._coded[name] = labels, codes
-        return self._coded[name]
-
-    def numeric(self, name):
-        """Numeric view: categorical columns map to their sorted-label codes."""
-        if name in self.categorical:
-            return self.coded(name)[1]
-        return self.column(name)
-
 
 def read_csv(path, categorical=(), used=None):
     """Ingest a UTF-8 CSV with a header row; a leading byte-order mark is
@@ -134,28 +119,29 @@ def read_csv(path, categorical=(), used=None):
     that are not UTF-8 and fields past the csv size limit are a ParseError.
 
     The body is read CHUNK_ROWS lines at a time, so memory holds the used
-    columns plus one chunk, and each distinct categorical label is stored
-    as one string that every row holding it shares. A clean chunk is
-    parsed in C by np.loadtxt (_loadtxt_values), any other by csv.reader
-    and float() per cell (_row_values); from the first chunk that holds a
-    quote on, csv.reader reads the rest of the file, since a quoted field
-    may span lines. Both paths give every cell the same value: loadtxt
-    strips the whitespace str.strip() strips and parses what is left with
-    PyOS_string_to_double, where float() ends too, and what it refuses
-    (`_`, non-ASCII digits, an empty cell) sends its chunk to the row path.
+    columns plus one chunk. A clean chunk is parsed in C by np.loadtxt
+    (_loadtxt_values), any other by csv.reader and float() per cell
+    (_row_values); from the first chunk that holds a quote on, csv.reader
+    reads the rest of the file, since a quoted field may span lines. Both
+    paths give every cell the same value: loadtxt strips the whitespace
+    str.strip() strips and parses what is left with PyOS_string_to_double,
+    where float() ends too, and what it refuses (`_`, non-ASCII digits, an
+    empty cell) sends its chunk to the row path. Categorical cells become
+    label ids as each chunk is read (_label_ids), and after the row filter
+    codes into the sorted labels the kept rows hold (_sorted_codes).
     """
     categorical = frozenset(categorical)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)  # it reads no line past the header
             header, use = _csv_header(next(reader, None), used)
-            labels = {c: {} for c in use if c in categorical}
-            parts = {c: [np.empty(0, dtype=object if c in labels else float)] for c in use}
+            ids = {c: {} for c in use if c in categorical}  # label -> id, first seen first
+            parts = {c: [np.empty(0, dtype=np.intp if c in ids else float)] for c in use}
             total = 0
-            for rows, values in _chunks(fh, reader.line_num, header, list(parts), labels):
+            for rows, values in _chunks(fh, reader.line_num, header, list(parts), ids):
                 total += rows
                 for c, v in zip(parts, values):
-                    parts[c].append(_interned(v, labels[c]) if c in labels else v)
+                    parts[c].append(_label_ids(v, ids[c]) if c in ids else v)
     except UnicodeDecodeError:  # offsets count within a chunk; read_text raises at the file's
         read_text(path, "CSV")
         raise
@@ -166,17 +152,21 @@ def read_csv(path, categorical=(), used=None):
     columns = {c: np.concatenate(parts.pop(c)) for c in list(parts)}
     keep = np.ones(len(columns[use[0]]) if use else 0, dtype=bool)
     for c, col in columns.items():
-        keep &= col != "" if c in labels else np.isfinite(col)  # float() parses "nan" and "inf"
+        # an empty cell is the label ""; float() parses "nan" and "inf"
+        keep &= col != ids[c].get("", -1) if c in ids else np.isfinite(col)
     n = int(keep.sum())
     if n < len(keep):
         columns = {c: v[keep] for c, v in columns.items()}
+    labels = {}
+    for c, label_ids in ids.items():
+        columns[c], labels[c] = _sorted_codes(columns[c], list(label_ids))
     dropped = total - n
     warnings = []
     if dropped:
         warnings.append(
             f"dropped {dropped} of {total} rows with missing, unparseable or non-finite cells"
         )
-    return Dataset(columns, n, categorical & frozenset(use)), warnings
+    return Dataset(columns, n, labels), warnings
 
 
 def _csv_header(header, used):
@@ -193,7 +183,7 @@ def _csv_header(header, used):
     return header, use
 
 
-def _chunks(fh, line0, header, use, labels):
+def _chunks(fh, line0, header, use, categorical):
     """(row count, one value sequence per column of use) of each chunk of
     the CSV body left in fh, after line0 lines of the file.
 
@@ -203,7 +193,7 @@ def _chunks(fh, line0, header, use, labels):
     width = len(header)
     usecols = [header.index(c) for c in use]
     getters = list(zip(use, map(itemgetter, usecols)))
-    kinds = [object if c in labels else float for c in use]
+    kinds = [object if c in categorical else float for c in use]
     if width - 1 not in usecols:  # then loadtxt refuses a short row
         usecols.append(width - 1)
         kinds.append(object)
@@ -217,13 +207,13 @@ def _chunks(fh, line0, header, use, labels):
             values = _loadtxt_values(lines, text, width, dtype, usecols, len(use))
             if values is None:
                 reader = csv.reader(lines)
-                values = _row_values(reader, width, getters, labels)
+                values = _row_values(reader, width, getters, categorical)
             yield len(lines), values
             line0 += len(lines)
         else:
             return
         while rows := list(islice(reader, CHUNK_ROWS)):
-            yield len(rows), _row_values(rows, width, getters, labels)
+            yield len(rows), _row_values(rows, width, getters, categorical)
     except csv.Error as e:  # a field past csv.field_size_limit(), as from an unclosed quote
         raise ParseError(f"invalid CSV file: {e} (line {line0 + reader.line_num})") from None
 
@@ -262,26 +252,32 @@ def _loadtxt_values(lines, text, width, dtype, usecols, n_used):
     return [f.tolist() if f.dtype == object else f.copy() for f in fields]
 
 
-def _row_values(rows, width, getters, labels):
+def _row_values(rows, width, getters, categorical):
     """The values of csv rows: a row that is not `width` cells long drops
     out, categorical cells stay raw and numeric ones go through float()."""
     whole = [row for row in rows if len(row) == width]
     values = []
     for c, cell_of in getters:
         cells = list(map(cell_of, whole))
-        values.append(cells if c in labels else _parse_floats(cells))
+        values.append(cells if c in categorical else _parse_floats(cells))
     return values
 
 
-def _interned(cells, label):
-    """Object array of the stripped cells, each stripped label the one
-    string the dict `label` holds for it; each distinct cell is stripped
-    once."""
-    canon = {}
-    for cell in set(cells):
-        text = cell.strip()
-        canon[cell] = label.setdefault(text, text)
-    return np.fromiter(map(canon.__getitem__, cells), dtype=object, count=len(cells))
+def _label_ids(cells, ids):
+    """Each stripped cell's id in ids, a label -> id dict that gives a new
+    label the next id; each distinct cell is stripped once."""
+    canon = {cell: ids.setdefault(cell.strip(), len(ids)) for cell in set(cells)}
+    return np.fromiter(map(canon.__getitem__, cells), dtype=np.intp, count=len(cells))
+
+
+def _sorted_codes(ids, names):
+    """(codes, labels) of a column of ids into names: the labels the rows
+    hold, sorted, and each row's position among them."""
+    counts = np.bincount(ids, minlength=len(names))
+    held = sorted(np.flatnonzero(counts).tolist(), key=names.__getitem__)
+    rank = np.zeros(len(names), dtype=np.intp)
+    rank[held] = np.arange(len(held))
+    return rank[ids], [names[i] for i in held]
 
 
 def _parse_floats(cells):
@@ -319,10 +315,10 @@ def parent_binning(data: Dataset, parents):
     """
     binning = []
     for p in parents:
-        if p in data.categorical:
+        if p in data.labels:
             binning.append(None)
             continue
-        col = data.numeric(p)
+        col = data.column(p)
         distinct = np.unique(col)
         if len(distinct) <= BINS:
             binning.append((distinct[:-1] + distinct[1:]) / 2.0)
@@ -338,24 +334,18 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
     Cells are ordered by discrete value and bin index, parent by parent,
     and each cell's rows are in data order.
     """
-    if node in data.categorical:
+    if node in data.labels:
         raise FitError(f"node {node!r} is categorical; only roots may be categorical")
-    y = data.numeric(node)
+    y = data.column(node)
     binning = parent_binning(data, parents)
-    codes, radices = [], []
-    for p, b in zip(parents, binning):
-        if b is None:
-            labels, code = data.coded(p)
-            codes.append(code.astype(np.intp))
-            radices.append(len(labels))
-        else:
-            codes.append(GuideTable(b, "right")(data.numeric(p)))
-            radices.append(len(b) + 1)
+    codes = [data.column(p) if b is None else GuideTable(b, "right")(data.column(p))
+             for p, b in zip(parents, binning)]
+    radices = [len(data.labels[p]) if b is None else len(b) + 1 for p, b in zip(parents, binning)]
     ids = cell_ids(node, codes, radices, data.n)
     _, first, inv, counts = np.unique(
         ids, return_index=True, return_inverse=True, return_counts=True
     )
-    # canon_value renders an integer code as it does Dataset.numeric's float code
+    # canon_value renders a label's integer code as fit_root's float value for that label
     keys = [cell_key(binning, [c[i] for c in codes]) for i in first]
     for key, cnt in zip(keys, counts):
         if cnt < cfg.min_cell:
@@ -394,10 +384,10 @@ def _residuals(y, rows, seed):
 def fit_root(data: Dataset, node):
     """Root mechanism from its column: label frequencies of a categorical
     column, else the empirical quantile of the sorted sample."""
-    if node not in data.categorical:
+    if node not in data.labels:
         return RootEmpirical(node, np.asarray(data.column(node), dtype=float))
-    labels, codes = data.coded(node)
-    probs = np.bincount(codes.astype(np.intp), minlength=len(labels)) / data.n
+    labels = data.labels[node]
+    probs = np.bincount(data.column(node), minlength=len(labels)) / data.n
     values = [float(i) for i in range(len(labels))]
     return RootCategorical(node, values=values, probs=probs.tolist(), labels=labels)
 
@@ -455,7 +445,7 @@ def fit_model(data: Dataset, dag: Dag, cfg: FitConfig, outcome: str) -> ScmModel
     via cfg.method."""
     if outcome not in dag.names:
         raise FitError(f"outcome {outcome!r} is not a DAG node")
-    if outcome in data.categorical:
+    if outcome in data.labels:
         raise FitError("outcome must be numeric")
     for n in dag.names:
         data.column(n)  # raises on missing columns

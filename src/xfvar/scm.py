@@ -833,6 +833,8 @@ class HeteroGaussian(Mechanism):
         self.std = std
         if std.cells is not None and any(v < 0 for v in std.cells.values()):
             raise ModelError(f"node {node!r}: std cells must be >= 0")
+        if std.formula is not None and not std.formula.variables and std.formula.evaluate({}) < 0:
+            raise ModelError(f"node {node!r}: std formula must be >= 0")
 
     def sample(self, e, parents):
         s = self._checked_std(self.std(parents, len(e)))
@@ -1068,10 +1070,12 @@ class HybridOutcomes:
     the noise columns the mechanisms read, each formula constant and the
     row count; the other units are each node's mechanism stages
     (Stages), the ops of their formulas, and the node's value, its
-    combine stage with the node checks (a root is its sample). A unit's
-    noise ancestry anc is the union of its arguments': a noise column's
-    is its own bit. Its value under a hybrid depends only on anc & mask
-    (the Hoeffding structure the measure rests on).
+    combine stage with the node checks (a root is its sample), which
+    also reads each parent no stage reads, so that every node the node
+    loop evaluates runs its checks. A unit's noise ancestry anc is the
+    union of its arguments': a noise column's is its own bit. Its value
+    under a hybrid depends only on anc & mask (the Hoeffding structure
+    the measure rests on).
 
     Every block of an estimate asks for the same masks, so the first
     compiles them into a plan: straight-line steps (fn, argument slots,
@@ -1097,6 +1101,7 @@ class HybridOutcomes:
         for i in model._outcome_order:
             mech = model.mechanisms[i]
             parents = [self.node_units[p] for p in model._parent_idx[i]]
+            first = len(self.fns)
             noise = self.rows  # a mechanism that reads no noise reads the row count
             if mech.uses_noise:
                 noise = self._unit(None, (), 1 << i)
@@ -1113,7 +1118,10 @@ class HybridOutcomes:
                 if stages.noise is not None:
                     noise = self._unit(stages.noise, (noise,))
                 combine, args = stages.combine, (*args, noise)
-            self.node_units[i] = self._unit(_checked_value(model, i, combine), (self.rows, *args))
+            # a parent no stage reads is an argument all the same
+            unread = sorted(set(parents).difference(args, *self.args[first:]))
+            value = _checked_value(model, i, combine, len(args))
+            self.node_units[i] = self._unit(value, (self.rows, *args, *unread))
         self._masks = self._plan = None
 
     def _unit(self, fn, args, anc=0):
@@ -1233,11 +1241,11 @@ def _outcomes(plan, slots):
             slots[s] = None
 
 
-def _checked_value(model, i, combine):
-    """Node i's value unit: f(n_rows, *stage values), combine's value
-    under the node checks."""
+def _checked_value(model, i, combine, n_stages):
+    """Node i's value unit: f(n_rows, *stage values, *unread parents),
+    combine's value of the n_stages stage values under the node checks."""
     checked = model._checked
-    return lambda n, *stages: checked(i, combine(*stages), n)
+    return lambda n, *stages: checked(i, combine(*stages[:n_stages]), n)
 
 
 def _unit_noise(model: ScmModel, v, what):

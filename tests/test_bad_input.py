@@ -456,6 +456,10 @@ MODEL_VALUE_CASES = {
                                                                         "b2": -1.0},
                                                               "binning": [[0.0]]}}),
                           "node 'E': std cells must be >= 0"),
+    # a std formula that reads no parent is checked when the model loads
+    "std_formula_negative": (_put(["nodes", 4, "mechanism"], {"kind": "hetero_gaussian",
+                                  "mean": {"expr": "C"}, "std": {"expr": "-1"}}),
+                             "node 'E': std formula must be >= 0"),
     "stddev_negative_at_sampling": (_put(["nodes", 4, "mechanism"], {"kind": "hetero_gaussian",
                                          "mean": {"expr": "C"}, "std": {"expr": "C"}}),
                                     "node 'E': stddev went negative"),

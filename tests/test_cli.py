@@ -737,11 +737,14 @@ def test_fit_custom_levels(tmp_path, capsys):
 
 
 def test_fit_bad_levels(tmp_path, capsys):
+    # an empty list is an error too, not the default levels
     csv, dag = _write_fit_inputs(tmp_path)
-    code = run_cli(
-        ["fit", "--data", str(csv), "--dag", str(dag), "--out", str(tmp_path / "m.json"), "--levels", "a,b"]
-    )
-    assert code == 2
+    out = tmp_path / "m.json"
+    for levels in ("a,b", ""):
+        code = run_cli(["fit", "--data", str(csv), "--dag", str(dag), "--out", str(out), "--levels", levels])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error[E02]: --levels must be comma-separated numbers, got {levels!r}\n"
 
 
 def test_cli_sets_every_config_field(monkeypatch, tmp_path):

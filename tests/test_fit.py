@@ -22,7 +22,7 @@ from xfvar.fit import (
     read_csv,
 )
 from xfvar.mc import EstimatorConfig
-from xfvar.scm import Dag, cell_key, counterfactual_total, empirical_quantile
+from xfvar.scm import Dag, cell_key, counterfactual_total, empirical_quantile, write_model
 
 
 def _write_csv(path, header, rows):
@@ -86,12 +86,18 @@ def test_read_csv_drops_non_finite_rows(tmp_path):
     assert data.n == 3
     assert list(data.column("a")) == [1.0, 5.0, 7.0]
     assert list(data.column("b")) == [2.0, 6.0, 8.0]
-    assert list(data.column("sex")) == ["F", "nan", "M"]
+    assert decoded(data, "sex") == ["F", "nan", "M"]
     assert warnings == ["dropped 3 of 6 rows with missing, unparseable or non-finite cells"]
 
 
+def decoded(data, name):
+    """The labels of a categorical column's rows."""
+    return [data.labels[name][i] for i in data.column(name).tolist()]
+
+
 def reference_read_csv(path, categorical=(), used=None):
-    """The row-by-row reader that read_csv's column-wise parse replaced."""
+    """The row-by-row reader that read_csv's column-wise parse replaced.
+    Its categorical columns hold the stripped cells, as strings."""
     categorical = frozenset(categorical)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -144,13 +150,14 @@ def reference_read_csv(path, categorical=(), used=None):
         warnings.append(
             f"dropped {dropped} of {len(rows)} rows with missing, unparseable or non-finite cells"
         )
-    return Dataset(columns, n, categorical & frozenset(use)), warnings
+    return Dataset(columns, n), warnings
 
 
 def reference_numeric_codes(col):
+    """Each string's rank among the column's sorted distinct strings."""
     labels = sorted(set(col.tolist()))
-    code = {lab: float(i) for i, lab in enumerate(labels)}
-    return np.array([code[v] for v in col.tolist()])
+    code = {lab: i for i, lab in enumerate(labels)}
+    return np.array([code[v] for v in col.tolist()], dtype=np.intp)
 
 
 DIRTY_CSV = (
@@ -185,15 +192,8 @@ def test_read_csv_matches_the_row_loop_on_a_dirty_file(tmp_path, categorical, us
     p.write_text(DIRTY_CSV, encoding="utf-8")
     got, got_warn = read_csv(p, categorical=categorical, used=used)
     want, want_warn = reference_read_csv(p, categorical=categorical, used=used)
-    assert got_warn == want_warn and len(got_warn) == 1
-    assert (got.n, got.categorical, list(got.columns)) == (want.n, want.categorical, list(want.columns))
-    for name, col in want.columns.items():
-        assert got.columns[name].dtype == col.dtype
-        if col.dtype == object:
-            assert got.columns[name].tolist() == col.tolist()
-            assert got.numeric(name).tobytes() == reference_numeric_codes(col).tobytes()
-        else:
-            assert got.columns[name].tobytes() == col.tobytes()
+    assert len(got_warn) == 1
+    assert_same_dataset(got, got_warn, want, want_warn)
 
 
 def test_read_csv_matches_the_row_loop_when_every_row_drops(tmp_path):
@@ -206,14 +206,19 @@ def test_read_csv_matches_the_row_loop_when_every_row_drops(tmp_path):
 
 
 def assert_same_dataset(got, got_warn, want, want_warn):
+    """read_csv's dataset against the reference's: numeric columns equal
+    bit for bit, and each categorical column codes the reference's
+    strings as their ranks among its sorted distinct strings."""
     assert got_warn == want_warn
-    assert (got.n, got.categorical, list(got.columns)) == (want.n, want.categorical, list(want.columns))
+    categorical = {name for name, col in want.columns.items() if col.dtype == object}
+    assert (got.n, set(got.labels), list(got.columns)) == (want.n, categorical, list(want.columns))
     for name, col in want.columns.items():
-        assert got.columns[name].dtype == col.dtype
-        if col.dtype == object:
-            assert got.columns[name].tolist() == col.tolist()
-            assert got.numeric(name).tobytes() == reference_numeric_codes(col).tobytes()
+        if name in categorical:
+            assert decoded(got, name) == col.tolist()
+            assert got.columns[name].dtype == np.intp
+            assert got.columns[name].tobytes() == reference_numeric_codes(col).tobytes()
         else:
+            assert got.columns[name].dtype == col.dtype
             assert got.columns[name].tobytes() == col.tobytes()
 
 
@@ -307,8 +312,7 @@ def _traced(fn, *args, **kwargs):
 
 def test_read_csv_holds_one_chunk_and_one_string_per_label(tmp_path, monkeypatch):
     # tracing slows each read about tenfold, so the file is small and the
-    # chunk shrinks with it; labels are longer than one character, which
-    # CPython would share anyway
+    # chunk shrinks with it
     monkeypatch.setattr(fit_module, "CHUNK_ROWS", 256)
     rows, labels = 10_000, (["female", "male"], ["asian", "black", "other", "white"])
     p = tmp_path / "big.csv"
@@ -324,8 +328,55 @@ def test_read_csv_holds_one_chunk_and_one_string_per_label(tmp_path, monkeypatch
     assert data.n == rows and not warnings
     for name, names in zip(cat, labels):
         col = data.column(name)
-        assert sorted(set(col.tolist())) == names
-        assert len({id(x) for x in col}) == len(names)
+        assert data.labels[name] == names
+        assert col.dtype == np.intp and sorted(set(col.tolist())) == list(range(len(names)))
+
+
+def reference_coded(data):
+    """The reference reader's dataset with each string column coded as
+    its ranks among its sorted distinct strings."""
+    columns, labels = dict(data.columns), {}
+    for name, col in data.columns.items():
+        if col.dtype == object:
+            columns[name] = reference_numeric_codes(col)
+            labels[name] = sorted(set(col.tolist()))
+    return Dataset(columns, data.n, labels)
+
+
+def test_fitted_models_match_a_reference_coding(tmp_path):
+    # S and R first appear out of sorted order; "  " is a blank label and
+    # "ghost" is held only by rows whose X drops them; X is dense, K few-valued
+    rng = np.random.default_rng(11)
+    n = 4000
+    s = ["zeta", " alpha", "mid "] + list(rng.choice(["alpha", "mid", "zeta"], n - 3))
+    r = ["w", "u", "v"] + list(rng.choice(["u", "v", "w"], n - 3))
+    x = rng.normal(size=n)
+    k = rng.integers(0, 3, n)
+    m = k + 0.5 * x + rng.normal(size=n)
+    y = np.round(x + m + rng.normal(size=n), 3)
+    cols = (s, r, x.tolist(), k.tolist(), m.tolist(), y.tolist())
+    lines = [",".join(map(str, row)) for row in zip(*cols)]
+    lines[5] = "  ,u,0.5,1,0.2,0.3"
+    lines[9] = "mid,ghost,nan,1,0.2,0.3"
+    lines[12] = "zeta,ghost,,2,0.1,0.4"
+    p = tmp_path / "d.csv"
+    p.write_text("S,R,X,K,M,Y\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    dag, outcome, categorical = dag_from_json({
+        "outcome": "Y",
+        "categorical": ["S", "R"],
+        "nodes": [{"name": "S"}, {"name": "R"}, {"name": "X"}, {"name": "K"},
+                  {"name": "M", "parents": ["S", "K", "X"]}, {"name": "Y", "parents": ["R", "M"]}],
+    })
+    got, got_warn = read_csv(p, categorical=categorical, used=dag.names)
+    want, want_warn = reference_read_csv(p, categorical=categorical, used=dag.names)
+    assert got.labels == {"S": ["alpha", "mid", "zeta"], "R": ["u", "v", "w"]}
+    assert got_warn == want_warn == ["dropped 3 of 4000 rows with missing, unparseable or non-finite cells"]
+    want = reference_coded(want)
+    for method in ("additive_empirical", "hetero_gaussian", "quantile_grid"):
+        cfg = FitConfig(method=method, min_cell=5)
+        write_model(fit_model(got, dag, cfg, outcome), tmp_path / "got.json")
+        write_model(fit_model(want, dag, cfg, outcome), tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes(), method
 
 
 def test_read_csv_ignores_unused_junk_column(tmp_path):
@@ -341,10 +392,9 @@ def test_read_csv_categorical_column(tmp_path):
     with open(p, "w") as fh:
         fh.write("sex,y\nF,1\nM,2\nF,3\n")
     data, _ = read_csv(p, categorical=("sex",), used=("sex", "y"))
-    codes = data.numeric("sex")
-    assert sorted(set(codes)) == [0.0, 1.0]
-    assert data.numeric("sex") is codes  # coded once per column
-    assert data.coded("sex")[0] == ["F", "M"]
+    assert data.labels == {"sex": ["F", "M"]}
+    codes = data.column("sex")
+    assert codes.dtype == np.intp and codes.tolist() == [0, 1, 0]
 
 
 def test_read_csv_missing_column(tmp_path):
@@ -384,10 +434,10 @@ def test_empirical_levels_left_continuous():
 
 def _unique_coded_cells(data, parents, binning):
     """(keys, rows) of each cell: categorical parents coded by np.unique
-    of their float codes, binned parents by np.searchsorted."""
+    of their codes as floats, binned parents by np.searchsorted."""
     codes, parts, radices = [], [], []
     for p, b in zip(parents, binning):
-        col = data.numeric(p)
+        col = np.asarray(data.column(p), dtype=float)
         if b is None:
             values, code = np.unique(col, return_inverse=True)
             codes.append(code)
@@ -411,13 +461,13 @@ def test_quantile_grid_cells_are_sorted_order_statistics():
     n = 3000
     # labels first appear as zeta, alpha, mid; they sort as alpha, mid, zeta
     labels = ["zeta", "alpha", "mid"] + list(rng.choice(["alpha", "mid", "zeta"], n - 3))
-    sex = np.array(labels, dtype=object)
+    codes = reference_numeric_codes(np.array(labels, dtype=object))
     x = rng.integers(0, 4, n).astype(float)  # few values: one bin each
     z = rng.normal(size=n)  # dense: equal-frequency bins
     ties = rng.choice([-0.0, 0.0, 1.0, -2.5], n // 2)
     y = np.concatenate([ties, np.round(rng.normal(size=n - n // 2), 1)])
     rng.shuffle(y)
-    data = Dataset({"S": sex, "X": x, "Z": z, "Y": y}, n, frozenset({"S"}))
+    data = Dataset({"S": codes, "X": x, "Z": z, "Y": y}, n, {"S": ["alpha", "mid", "zeta"]})
     cfg = FitConfig(min_cell=2, seed=3)
     parents = ("S", "X", "Z")
     mech = fit_quantile_grid(data, "Y", parents, cfg)
@@ -437,7 +487,7 @@ def test_fit_root_empirical_and_categorical():
     mech = fit_root(Dataset({"X": np.array([3.0, 1.0, 2.0, 1.0])}, 4), "X")
     assert mech.kind == "root_empirical"
     assert list(mech.values) == [1.0, 1.0, 2.0, 3.0]
-    data = Dataset({"S": np.array(["b", "a", "b"], dtype=object)}, 3, frozenset({"S"}))
+    data = Dataset({"S": np.array([1, 0, 1], dtype=np.intp)}, 3, {"S": ["a", "b"]})
     cat = fit_root(data, "S")
     assert cat.kind == "root_categorical"
     assert cat.labels == ("a", "b") and list(cat.probs) == [1 / 3, 2 / 3]
@@ -506,9 +556,9 @@ def test_min_cell_enforced():
 
 def test_categorical_node_cannot_be_child():
     data = Dataset(
-        {"A": np.array([0.0, 1.0] * 30), "B": np.array(["x", "y"] * 30)},
+        {"A": np.array([0.0, 1.0] * 30), "B": np.array([0, 1] * 30, dtype=np.intp)},
         60,
-        categorical=frozenset({"B"}),
+        labels={"B": ["x", "y"]},
     )
     dag = Dag(("A", "B"), ((), ("A",)))
     with pytest.raises(FitError):

@@ -19,6 +19,7 @@ import pytest
 
 from xfvar import mc, scm
 from xfvar.algebra import Provenance, measure_from_totals, members
+from xfvar.errors import ModelError
 from xfvar.mc import (
     EstimatorConfig,
     hybrid,
@@ -329,6 +330,20 @@ def test_deterministic_nodes_are_keyed_on_their_parents():
     assert block_evals(model, include_outcome=True) == {
         "A": [2], "B": [2], "C": [4, 4, 4], "Y": [4, 4, 4, 4, 4],
     }
+
+
+def test_a_parent_no_stage_reads_still_runs_its_node_checks():
+    # Y lists P as a parent but its formula reads none; the node loop
+    # evaluates P, whose std goes negative, so the plan must too
+    model = model_from_json({"outcome": "Y", "nodes": [
+        _node("A", [], {"kind": "root_gaussian"}),
+        _node("P", ["A"], {"kind": "hetero_gaussian", "mean": {"expr": "A"}, "std": {"expr": "A"}}),
+        _node("Y", ["P"], {"kind": "deterministic", "expr": "2"}),
+    ]})
+    e = np.random.default_rng(0).random((50, 3))
+    for outcomes in (model.outcome_values(e) for _ in "1"), HybridOutcomes(model).open_block(e, e, [0]):
+        with pytest.raises(ModelError, match="node 'P': stddev went negative"):
+            next(outcomes)
 
 
 @pytest.mark.usefixtures("one_worker")

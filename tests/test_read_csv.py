@@ -97,10 +97,10 @@ def _outcome(fn, path, categorical, used):
         return None, (type(e).__name__, str(e))
 
 
-def _one_string_per_label(data):
-    for name in data.categorical:
-        col = data.column(name).tolist()
-        assert len({id(x) for x in col}) == len(set(col)), name
+def _codes_into_sorted_labels(data):
+    for name, labels in data.labels.items():
+        assert data.column(name).dtype == np.intp, name
+        assert labels == sorted(set(labels)), name
 
 
 def test_read_csv_matches_the_row_loop_on_random_files(tmp_path, monkeypatch):
@@ -143,7 +143,7 @@ def test_read_csv_matches_the_row_loop_on_random_files(tmp_path, monkeypatch):
         assert got_err == want_err, where
         if want is not None:
             assert_same_dataset(*got, *want)
-            _one_string_per_label(got[0])
+            _codes_into_sorted_labels(got[0])
         histories.append("".join(paths))
     # both parsers ran, and row-path chunks sat between clean ones
     joined = "|".join(histories)
@@ -174,6 +174,6 @@ def test_a_clean_income_csv_never_takes_the_row_path(tmp_path, monkeypatch):
     want, want_warn = reference_read_csv(p, categorical=cat)
     assert_same_dataset(got, got_warn, want, want_warn)
     assert got.n == 3000 and not got_warn
-    _one_string_per_label(got)
-    # one string per label and a third of the reference's memory, in C
+    _codes_into_sorted_labels(got)
+    # each label stored once and a third of the reference's memory, in C
     test_fit.test_read_csv_holds_one_chunk_and_one_string_per_label(tmp_path, monkeypatch)
