@@ -128,8 +128,7 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dag, outcome, categorical = read_dag(args.dag)
-    data, warnings = read_csv(args.data, categorical=categorical, used=dag.names)
+    # arguments are checked before any file is read
     cfg_kwargs = {"method": args.method, "min_cell": args.min_cell, "seed": args.seed}
     if args.levels is not None:
         try:
@@ -137,6 +136,8 @@ def cmd_fit(args) -> int:
         except ValueError:
             raise DomainError(f"--levels must be comma-separated numbers, got {args.levels!r}") from None
     cfg = FitConfig(**cfg_kwargs)
+    dag, outcome, categorical = read_dag(args.dag)
+    data, warnings = read_csv(args.data, categorical=categorical, used=dag.names)
     model = fit_model(data, dag, cfg, outcome)
     write_model(model, args.out)
     for w in warnings:

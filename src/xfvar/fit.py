@@ -12,7 +12,8 @@ checks this on load).
 Parent handling: categorical parents and numeric parents with at most
 BINS distinct values form exact cells; other numeric parents are
 equal-frequency binned into BINS bins, and unseen values at sampling
-time fall into the nearest outer bin.
+time fall into the nearest outer bin. The rows of each cell come from
+one stable sort of the parents' codes.
 
 CSV input (read_csv) takes two paths per chunk of CHUNK_ROWS lines. A
 clean chunk (no quote, no NUL, every line a row of the header's width)
@@ -23,7 +24,9 @@ loadtxt strips the whitespace str.strip() strips and hands the rest to
 PyOS_string_to_double, which is where float() ends too, and it refuses
 everything float() parses differently (`_`, non-ASCII digits), sending
 that chunk to csv.reader. A categorical column is coded as it is read:
-its rows hold integer codes into its sorted labels, each stored once.
+its rows hold integer codes into its sorted labels, each stored once,
+in the narrowest unsigned dtype that holds them (one byte per row up to
+256 labels).
 """
 
 from __future__ import annotations
@@ -41,14 +44,12 @@ from .rng import aux_generator
 from .scm import (
     AdditiveNoise,
     Dag,
-    GuideTable,
     HeteroGaussian,
     ParentFn,
     QuantileTable,
     RootCategorical,
     RootEmpirical,
     ScmModel,
-    cell_ids,
     cell_key,
     empirical_quantile,
     graph_from_json,
@@ -90,7 +91,8 @@ class FitConfig:
 @dataclass
 class Dataset:
     """Rectangular, fully-observed numeric columns; a categorical column
-    holds integer codes into labels[name], its sorted distinct labels."""
+    holds integer codes into labels[name], its sorted distinct labels, in
+    the narrowest unsigned dtype that holds them."""
 
     columns: dict
     n: int
@@ -136,7 +138,7 @@ def read_csv(path, categorical=(), used=None):
             reader = csv.reader(fh)  # it reads no line past the header
             header, use = _csv_header(next(reader, None), used)
             ids = {c: {} for c in use if c in categorical}  # label -> id, first seen first
-            parts = {c: [np.empty(0, dtype=np.intp if c in ids else float)] for c in use}
+            parts = {c: [np.empty(0, dtype=np.uint8 if c in ids else float)] for c in use}
             total = 0
             for rows, values in _chunks(fh, reader.line_num, header, list(parts), ids):
                 total += rows
@@ -267,7 +269,7 @@ def _label_ids(cells, ids):
     """Each stripped cell's id in ids, a label -> id dict that gives a new
     label the next id; each distinct cell is stripped once."""
     canon = {cell: ids.setdefault(cell.strip(), len(ids)) for cell in set(cells)}
-    return np.fromiter(map(canon.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return np.fromiter(map(canon.__getitem__, cells), dtype=_code_dtype(len(ids)), count=len(cells))
 
 
 def _sorted_codes(ids, names):
@@ -275,9 +277,14 @@ def _sorted_codes(ids, names):
     hold, sorted, and each row's position among them."""
     counts = np.bincount(ids, minlength=len(names))
     held = sorted(np.flatnonzero(counts).tolist(), key=names.__getitem__)
-    rank = np.zeros(len(names), dtype=np.intp)
+    rank = np.zeros(len(names), dtype=_code_dtype(len(held)))
     rank[held] = np.arange(len(held))
     return rank[ids], [names[i] for i in held]
+
+
+def _code_dtype(count):
+    """The narrowest unsigned dtype that holds the codes 0 .. count - 1."""
+    return np.min_scalar_type(max(count - 1, 0))
 
 
 def _parse_floats(cells):
@@ -331,6 +338,11 @@ def parent_binning(data: Dataset, parents):
 def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
     """Shared setup: y, binning, cell keys and the rows of each cell.
 
+    A categorical parent's codes are its column, a binned parent's its
+    bin indices in the narrowest unsigned dtype. One stable np.lexsort of
+    the codes, first parent most significant, lists the rows cell by
+    cell (numpy radix-sorts 8- and 16-bit keys); a cell starts wherever
+    any code changes along it, and its key is read off its first row.
     Cells are ordered by discrete value and bin index, parent by parent,
     and each cell's rows are in data order.
     """
@@ -338,25 +350,27 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
         raise FitError(f"node {node!r} is categorical; only roots may be categorical")
     y = data.column(node)
     binning = parent_binning(data, parents)
-    codes = [data.column(p) if b is None else GuideTable(b, "right")(data.column(p))
-             for p, b in zip(parents, binning)]
-    radices = [len(data.labels[p]) if b is None else len(b) + 1 for p, b in zip(parents, binning)]
-    ids = cell_ids(node, codes, radices, data.n)
-    _, first, inv, counts = np.unique(
-        ids, return_index=True, return_inverse=True, return_counts=True
-    )
+    codes = [
+        data.column(p) if b is None
+        else np.searchsorted(b, data.column(p), "right").astype(_code_dtype(len(b) + 1))
+        for p, b in zip(parents, binning)
+    ]
+    order = np.lexsort(codes[::-1])
+    start = np.zeros(data.n, dtype=bool)
+    start[0] = True
+    for c in codes:
+        c = c[order]
+        start[1:] |= c[1:] != c[:-1]
+    first = np.flatnonzero(start)
+    counts = np.diff(first, append=data.n)
     # canon_value renders a label's integer code as fit_root's float value for that label
-    keys = [cell_key(binning, [c[i] for c in codes]) for i in first]
+    keys = [cell_key(binning, [c[i] for c in codes]) for i in order[first]]
     for key, cnt in zip(keys, counts):
         if cnt < cfg.min_cell:
             raise FitError(
                 f"node {node!r}: cell {key!r} has {cnt} rows (min_cell is {cfg.min_cell})"
             )
-    # the smallest unsigned dtype of the cell index lets a stable argsort
-    # radix-sort; a stable sort's permutation is the same in any dtype
-    inv = inv.astype(np.min_scalar_type(len(counts) - 1))
-    rows = np.split(np.argsort(inv, kind="stable"), np.cumsum(counts)[:-1])
-    return y, binning, keys, rows
+    return y, binning, keys, np.split(order, first[1:])
 
 
 def _residuals(y, rows, seed):

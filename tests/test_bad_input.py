@@ -592,6 +592,22 @@ def test_non_finite_levels_exit_5(tmp_path, capsys, method, levels):
 
 
 # ---------------------------------------------------------------------------
+# fit checks its arguments before it reads a file
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    (["--min-cell", "0"], "min_cell must be >= 2"),
+    (["--levels", "0.9,0.1"], "levels must be strictly increasing inside (0, 1)"),
+])
+def test_fit_argument_error_comes_before_the_csv_error(tmp_path, capsys, extra, fragment):
+    # the CSV alone exits 2: it is not UTF-8
+    argv = _fit_argv(tmp_path, GOOD_DAG, extra)
+    Path(argv[argv.index("--data") + 1]).write_bytes(b"A,Y\na,\xff1\n")
+    code = run_cli(argv)
+    assert_one_error(capsys, code, 5, fragment)
+
+
+# ---------------------------------------------------------------------------
 # JSON syntax errors report a UTF-8 byte offset
 
 # "é" is two bytes in UTF-8, so the stray comma is character 24 but byte 25

@@ -215,8 +215,9 @@ def assert_same_dataset(got, got_warn, want, want_warn):
     for name, col in want.columns.items():
         if name in categorical:
             assert decoded(got, name) == col.tolist()
-            assert got.columns[name].dtype == np.intp
-            assert got.columns[name].tobytes() == reference_numeric_codes(col).tobytes()
+            dtype = np.min_scalar_type(len(got.labels[name]) - 1)
+            assert got.columns[name].dtype == dtype
+            assert got.columns[name].tobytes() == reference_numeric_codes(col).astype(dtype).tobytes()
         else:
             assert got.columns[name].dtype == col.dtype
             assert got.columns[name].tobytes() == col.tobytes()
@@ -329,7 +330,33 @@ def test_read_csv_holds_one_chunk_and_one_string_per_label(tmp_path, monkeypatch
     for name, names in zip(cat, labels):
         col = data.column(name)
         assert data.labels[name] == names
-        assert col.dtype == np.intp and sorted(set(col.tolist())) == list(range(len(names)))
+        assert col.dtype == np.min_scalar_type(len(names) - 1)
+        assert sorted(set(col.tolist())) == list(range(len(names)))
+
+
+def test_fit_model_working_set_stays_under_24_bytes_a_row(tmp_path):
+    # the income DAG's shape: two categorical roots, a dense binned node on
+    # both and an outcome on all three; every code is one byte
+    rng = np.random.default_rng(5)
+    n = 50_000
+    sex, race = rng.integers(0, 2, n), rng.integers(0, 3, n)
+    x = np.round(rng.normal(size=n) + race, 4)
+    y = np.round(x + sex + rng.normal(size=n), 4)
+    p = tmp_path / "d.csv"
+    p.write_text("sex,race,x,y\n" + "".join(
+        f"{'FM'[a]},{'ABC'[b]},{c},{d}\n" for a, b, c, d in zip(sex, race, x.tolist(), y.tolist())
+    ), encoding="utf-8")
+    dag, outcome, categorical = dag_from_json({
+        "outcome": "y",
+        "categorical": ["sex", "race"],
+        "nodes": [{"name": "sex"}, {"name": "race"}, {"name": "x", "parents": ["sex", "race"]},
+                  {"name": "y", "parents": ["sex", "race", "x"]}],
+    })
+    data, _ = read_csv(p, categorical=categorical, used=dag.names)
+    fit_model(data, dag, FitConfig(), outcome)  # np.quantile's first call imports numpy.ma
+    model, peak = _traced(fit_model, data, dag, FitConfig(), outcome)
+    assert len(model.mechanisms[-1].cells) == 2 * 3 * BINS
+    assert peak < 24 * n, peak / n
 
 
 def reference_coded(data):
@@ -394,7 +421,20 @@ def test_read_csv_categorical_column(tmp_path):
     data, _ = read_csv(p, categorical=("sex",), used=("sex", "y"))
     assert data.labels == {"sex": ["F", "M"]}
     codes = data.column("sex")
-    assert codes.dtype == np.intp and codes.tolist() == [0, 1, 0]
+    assert codes.dtype == np.min_scalar_type(len(data.labels["sex"]) - 1)
+    assert codes.tolist() == [0, 1, 0]
+
+
+def test_read_csv_codes_past_255_labels_in_two_bytes(tmp_path):
+    # 300 labels, first seen in reverse sorted order
+    names = [f"L{i:03d}" for i in range(300)]
+    cells = names[::-1] + names[::7]
+    p = tmp_path / "d.csv"
+    p.write_text("c,y\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)), encoding="utf-8")
+    data, _ = read_csv(p, categorical=("c",))
+    assert data.labels == {"c": names}
+    assert data.column("c").dtype == np.uint16
+    assert decoded(data, "c") == cells
 
 
 def test_read_csv_missing_column(tmp_path):
@@ -467,20 +507,30 @@ def test_quantile_grid_cells_are_sorted_order_statistics():
     ties = rng.choice([-0.0, 0.0, 1.0, -2.5], n // 2)
     y = np.concatenate([ties, np.round(rng.normal(size=n - n // 2), 1)])
     rng.shuffle(y)
-    data = Dataset({"S": codes, "X": x, "Z": z, "Y": y}, n, {"S": ["alpha", "mid", "zeta"]})
+    # W has 300 labels, so uint16 codes; each S holds 100 of them, each on
+    # at least two rows, so every (W, S) cell is one W cell
+    w = np.empty(n, dtype=np.uint16)
+    for s in range(3):
+        held = np.flatnonzero(codes == s)
+        w[held] = 100 * s + rng.permutation(len(held)) % 100
+    data = Dataset(
+        {"S": codes, "W": w, "X": x, "Z": z, "Y": y},
+        n,
+        {"S": ["alpha", "mid", "zeta"], "W": [f"w{i:03d}" for i in range(300)]},
+    )
     cfg = FitConfig(min_cell=2, seed=3)
-    parents = ("S", "X", "Z")
-    mech = fit_quantile_grid(data, "Y", parents, cfg)
-    _, binning, keys, rows = fit_module._cell_groups(data, "Y", parents, cfg)
-    ref_keys, ref_rows = _unique_coded_cells(data, parents, binning)
-    assert keys == ref_keys and list(mech.cells) == ref_keys
-    assert [r.tobytes() for r in rows] == [r.tobytes() for r in ref_rows]
     levels = np.asarray(cfg.levels)
-    for key, r in zip(ref_keys, ref_rows):
-        want = empirical_quantile(np.sort(y[r]), levels)
-        assert mech.cells[key].tobytes() == want.tobytes(), key
-    zeros = [g for g in mech.cells.values() if (g == 0).any()]
-    assert any(np.signbit(g[g == 0]).any() for g in zeros)  # a -0.0 survives into a grid
+    for parents in (("S", "X", "Z"), ("W", "S")):
+        mech = fit_quantile_grid(data, "Y", parents, cfg)
+        _, binning, keys, rows = fit_module._cell_groups(data, "Y", parents, cfg)
+        ref_keys, ref_rows = _unique_coded_cells(data, parents, binning)
+        assert keys == ref_keys and list(mech.cells) == ref_keys
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in ref_rows]
+        for key, r in zip(ref_keys, ref_rows):
+            want = empirical_quantile(np.sort(y[r]), levels)
+            assert mech.cells[key].tobytes() == want.tobytes(), key
+        zeros = [g for g in mech.cells.values() if (g == 0).any()]
+        assert any(np.signbit(g[g == 0]).any() for g in zeros)  # a -0.0 survives into a grid
 
 
 def test_fit_root_empirical_and_categorical():

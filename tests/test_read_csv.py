@@ -99,7 +99,7 @@ def _outcome(fn, path, categorical, used):
 
 def _codes_into_sorted_labels(data):
     for name, labels in data.labels.items():
-        assert data.column(name).dtype == np.intp, name
+        assert data.column(name).dtype == np.min_scalar_type(len(labels) - 1), name
         assert labels == sorted(set(labels)), name
 
 
