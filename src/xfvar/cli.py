@@ -25,7 +25,7 @@ from .anova_oracle import exact_measure, hoeffding_decompose, indices_from_decom
 # perfbench/test_perfbench.py.
 from .anova_oracle import exact_contrast_var, exact_pickfreeze  # noqa: F401
 from .errors import DomainError, XfvarError
-from .fit import FitConfig, fit_model, read_csv, read_dag
+from .fit import _METHODS, FitConfig, fit_model, read_csv, read_dag
 from .mc import EstimatorConfig
 from .report import (
     RunReport,
@@ -213,11 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fit", help="fit mechanisms from CSV data")
     sp.add_argument("--data", required=True, help="CSV file with a header row")
     sp.add_argument("--dag", required=True, help="DAG file (nodes, parents, outcome)")
-    sp.add_argument(
-        "--method",
-        choices=("additive_empirical", "hetero_gaussian", "quantile_grid"),
-        default="quantile_grid",
-    )
+    sp.add_argument("--method", choices=tuple(_METHODS), default="quantile_grid")
     sp.add_argument("--levels", help="comma-separated quantile levels in (0,1)")
     sp.add_argument("--min-cell", type=int, default=20)
     sp.add_argument("--seed", type=_seed, default=0)

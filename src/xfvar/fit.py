@@ -75,7 +75,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("additive_empirical", "hetero_gaussian", "quantile_grid"):
+        if self.method not in _METHODS:
             raise FitError(f"unknown fit method {self.method!r}")
         lv = np.asarray(self.levels, dtype=float)
         if lv.ndim != 1 or len(lv) == 0:

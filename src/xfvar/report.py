@@ -73,8 +73,8 @@ def report_from_json(obj) -> RunReport:
 
     Raises ParseError naming the first malformed field: a missing key, a
     field of the wrong type, a variable name that is empty or holds '+'
-    (names join with '+' in subset keys), a missing or non-finite atom, a
-    negative atom stderr, or bad provenance.
+    (names join with '+' in subset keys), a missing or non-finite atom or
+    lower index, a negative atom stderr, or bad provenance.
     """
     if not isinstance(obj, dict):
         raise ParseError("report must be a JSON object")
@@ -97,18 +97,26 @@ def report_from_json(obj) -> RunReport:
         raise ParseError("report 'config' must be an object")
     if not isinstance(warnings, list):
         raise ParseError("report 'warnings' must be a list")
+    # oracle's table of normalized lower indices, one per nonempty subset
+    extra = {}
+    if "lower" in obj:
+        extra["lower"] = subset_table(names, _subset_table(obj, "lower", names, start=1), 1)
     measure = ExplanationMeasure(names, atoms, stderr, _provenance(obj["provenance"]))
-    return RunReport(measure, config=dict(config), warnings=tuple(warnings), outcome=obj.get("outcome"))
+    return RunReport(
+        measure, config=dict(config), warnings=tuple(warnings), outcome=obj.get("outcome"),
+        extra_tables=extra,
+    )
 
 
-def _subset_table(obj, field, names, least=None):
-    """Dense bitmask-indexed array of a per-subset table of the report;
-    with least, entries below it are rejected too."""
+def _subset_table(obj, field, names, least=None, start=0):
+    """Dense bitmask-indexed array of a per-subset table of the report,
+    holding the masks from start on; with least, entries below it are
+    rejected too."""
     table = obj[field]
     if not isinstance(table, dict):
         raise ParseError(f"report {field!r} must be an object")
     out = np.zeros(1 << len(names))
-    for s in range(len(out)):
+    for s in range(start, len(out)):
         key = subset_key(names, s)
         if key not in table:
             raise ParseError(f"report {field!r} is missing subset {key!r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import PROB_SUM_TOL, Provenance, measure_from_totals, members
 from .anova_oracle import ENUMERATION_BUDGET, DiscreteDomain
-from .errors import CycleError, DomainError, ModelError, NotReducibleError, read_json
+from .errors import CycleError, DomainError, FormulaEvalError, ModelError, NotReducibleError, read_json
 from .formula import Formula, parse_formula
 from .mc import Estimate, EstimatorConfig, pickfreeze_totals, range_tolerance, upper_estimate
 
@@ -232,28 +232,6 @@ def cell_key(binning, row) -> str:
     )
 
 
-def cell_ids(node, codes, radices, n_rows):
-    """Mixed-radix int64 cell ids of per-parent integer codes.
-
-    The first parent is the most significant digit, so ids sort like
-    the code rows do. Raises ModelError when the radix product does not
-    fit an int64.
-    """
-    size = 1
-    for r in radices:
-        size *= int(r)
-    if size > np.iinfo(np.int64).max:
-        raise ModelError(
-            f"node {node!r}: {' x '.join(str(int(r)) for r in radices)} parent cells "
-            "overflow int64 cell ids"
-        )
-    ids = np.zeros(n_rows, dtype=np.int64)
-    for c, r in zip(codes, radices):
-        ids *= int(r)
-        ids += c
-    return ids
-
-
 # Largest cell-id space (product of the parents' code counts) that gets a
 # dense id -> position table: 2**16 intp entries are 512 KiB.
 DENSE_CELL_IDS = 1 << 16
@@ -264,25 +242,30 @@ class CellIndex:
 
     binning holds one entry per parent: None for a discrete parent keyed
     by exact value, or an array of interior cut points for a binned
-    continuous parent keyed by bin index. Each parent maps to an integer
-    code: a binned parent to its bin index, the number of cut points at
-    or below the value, so values past either end take the outer bin; a
-    discrete parent to the rank of its value among the values the
-    table's keys name, or to one extra code when no key names it. The
-    codes combine into an int64 cell id (cell_ids). Keys no parent row
-    can produce, such as a non-canonical "1.0" or a bin past the last
-    one, get no id and never match.
-
-    keys lists the matchable keys in id order; rows() gives each parent
-    row's position in that list. Parent values arrive as a tuple of 1-D
+    continuous parent keyed by bin index. A key holds one "|"-joined part
+    per parent, so a table with no parents has the one key "". keys
+    lists the matchable keys in id order; rows() gives each parent row's
+    position in that list. Parent values arrive as a tuple of 1-D
     columns, one per parent.
 
-    Cost per row: one GuideTable search per parent, an exactness check
-    per discrete parent (rows whose value is not a key value exactly are
-    rendered once per distinct value), a multiply-add per parent for the
-    id, and one gather from a dense id -> position table when the id
-    space has at most DENSE_CELL_IDS cells; larger id spaces binary-search
-    the sorted ids instead.
+    Settled at load: each parent's code function (_codes) and code count
+    (_radices), the int64 bound on the id space they span, and the id of
+    every key. A binned parent's code function is GuideTable(cuts,
+    "right") itself, its bin index, so values past either end take the
+    outer bin; a discrete parent's (_discrete_code) gives the rank of
+    its value among the values the keys name, or one extra code when no
+    key names it. Keys no parent row can produce, such as a
+    non-canonical "1.0" or a bin past the last one, get no id and never
+    match.
+
+    On each call, per row: each parent's code function (one GuideTable
+    search, and for a discrete parent an exactness check; values that
+    are not a key value exactly are rendered once per distinct value),
+    a multiply-add per parent folding the codes into an int64 id
+    (Horner's rule, first parent most significant, so ids sort like the
+    code rows do), and one gather from a dense id -> position table when
+    the id space has at most DENSE_CELL_IDS cells; larger id spaces
+    binary-search the sorted ids instead.
     """
 
     def __init__(self, node, n_parents, binning, keys):
@@ -295,77 +278,56 @@ class CellIndex:
             None if b is None else _floats(node, f"binning of parent {j}", b)
             for j, b in enumerate(binning)
         )
+        split = [(k, k.split("|") if n_parents or k else []) for k in keys]
+        split = [(k, parts) for k, parts in split if len(parts) == n_parents]
+        # per parent: the code of each key part some value maps to
+        self._codes, self._radices, code_of = [], [], []
         for j, b in enumerate(self.binning):
-            if b is not None and not (np.isfinite(b).all() and (np.diff(b) >= 0).all()):
+            if b is None:
+                parsed = (_named_value(parts[j]) for _, parts in split)
+                named = np.unique([v for v in parsed if v is not None])
+                code_of.append({canon_value(v): i for i, v in enumerate(named)})
+                self._codes.append(_discrete_code(named, code_of[j]))
+                self._radices.append(len(named) + 1)
+            elif not (np.isfinite(b).all() and (np.diff(b) >= 0).all()):
                 raise ModelError(
                     f"node {node!r}: binning of parent {j} must be a list of finite, "
                     "non-decreasing cut points"
                 )
-        split = [(k, k.split("|") if n_parents else []) for k in keys]
-        split = [(k, parts) for k, parts in split if len(parts) == n_parents]
-        # per discrete parent: the values its key parts name, sorted, with
-        # a NaN sentinel at the end that no value compares equal to, and
-        # the code of each value's canonical rendering. Per parent, a
-        # search and the codes below its points: a discrete parent's
-        # search runs over its finite values, so its -inf values sit below.
-        self._values, self._code_of, self._radices, self._search = [], [], [], []
-        for j, b in enumerate(self.binning):
-            if b is None:
-                parsed = (_float_or_none(parts[j]) for _, parts in split)
-                named = np.unique([v for v in parsed if v is not None])
-                self._values.append(np.append(named, np.nan))
-                self._code_of.append({canon_value(v): i for i, v in enumerate(named)})
-                self._radices.append(len(named) + 1)
-                below = int(np.sum(named == -np.inf))
-                self._search.append((GuideTable(named[np.isfinite(named)], "left"), below))
             else:
-                self._values.append(None)
-                self._code_of.append(None)
+                code_of.append({"b%d" % i: i for i in range(len(b) + 1)})
+                self._codes.append(GuideTable(b, "right"))
                 self._radices.append(len(b) + 1)
-                self._search.append((GuideTable(b, "right"), 0))
+        n_ids = math.prod(self._radices)
+        if n_ids > np.iinfo(np.int64).max:
+            raise ModelError(
+                f"node {node!r}: {' x '.join(map(str, self._radices))} parent cells "
+                "overflow int64 cell ids"
+            )
         matchable, key_codes = [], []
         for key, parts in split:
-            row = [
-                self._code_of[j].get(part) if b is None else _bin_part(part, len(b) + 1)
-                for j, (b, part) in enumerate(zip(self.binning, parts))
-            ]
+            row = [c.get(part) for c, part in zip(code_of, parts)]
             if None not in row:
                 matchable.append(key)
                 key_codes.append(row)
-        ids = cell_ids(node, list(zip(*key_codes)), self._radices, len(matchable))
+        ids = self._fold(list(zip(*key_codes)), len(matchable))
         order = np.argsort(ids)
         self.keys = [matchable[i] for i in order]
         self._ids = np.append(ids[order], -1)  # -1: a sentinel no cell id equals
         # a small id space gets a dense id -> position table; a missing
         # cell's position is that of the -1 sentinel
         self._pos_of_id = None
-        n_ids = math.prod(self._radices)
         if n_ids <= DENSE_CELL_IDS:
             self._pos_of_id = np.full(n_ids, len(self.keys), dtype=np.intp)
             self._pos_of_id[self._ids[:-1]] = np.arange(len(self.keys))
 
-    def _parent_codes(self, parents):
-        codes = []
-        for j, (b, col) in enumerate(zip(self.binning, parents)):
-            search, below = self._search[j]
-            code = search(col)
-            if below:
-                code += below
-            if b is not None:
-                codes.append(code)
-                continue
-            values = self._values[j]
-            exact = values[code] == col
-            if not exact.all():
-                # render only the distinct values that are not exact key values
-                miss = ~exact
-                uniq, inv = np.unique(col[miss], return_inverse=True)
-                other = len(values) - 1
-                code[miss] = np.array(
-                    [self._code_of[j].get(canon_value(v), other) for v in uniq], dtype=np.intp
-                )[inv]
-            codes.append(code)
-        return codes
+    def _fold(self, codes, n_rows):
+        """Cell ids of per-parent codes by Horner's rule."""
+        ids = np.zeros(n_rows, dtype=np.int64)
+        for c, r in zip(codes, self._radices):
+            ids *= r
+            ids += c
+        return ids
 
     def rows(self, parents, n_rows):
         """Position in keys of each of the n_rows parent rows' cells.
@@ -373,8 +335,8 @@ class CellIndex:
         Raises ModelError naming the smallest unseen cell (rows ordered by
         discrete value and bin index, parent by parent).
         """
-        codes = self._parent_codes(parents)
-        ids = cell_ids(self.node, codes, self._radices, n_rows)
+        codes = [code(col) for code, col in zip(self._codes, parents)]
+        ids = self._fold(codes, n_rows)
         if self._pos_of_id is not None:
             pos = self._pos_of_id[ids]
             if not n_rows or pos.max() < len(self.keys):
@@ -398,20 +360,46 @@ class CellIndex:
         return [None if b is None else [float(x) for x in b] for b in self.binning]
 
 
-def _float_or_none(part):
+def _named_value(part):
+    """The discrete value a key part names, or None when no value renders
+    (canon_value) as exactly that part."""
     try:
-        return float(part)
+        v = float(part)
     except ValueError:
         return None
+    return v if canon_value(v) == part else None
 
 
-def _bin_part(part, n_bins):
-    """Bin index a b<i> key part names, or None when no value lands there."""
-    try:
-        i = int(part[1:])
-    except ValueError:
-        return None
-    return i if part == "b%d" % i and 0 <= i < n_bins else None
+def _discrete_code(named, code_of):
+    """Code function of a discrete parent whose keys name the sorted,
+    distinct values named, code_of mapping each one's canon_value to its
+    rank: a column's codes are the values' ranks, len(named) for a value
+    no key names.
+
+    A GuideTable over the finite named values, shifted past the -inf one,
+    finds the rank of every value that is a named value exactly; the
+    others are rendered, once per distinct value, so .12g matching and
+    the signed-zero merge hold.
+    """
+    search = GuideTable(named[np.isfinite(named)], "left")
+    below = int(np.sum(named == -np.inf))
+    values = np.append(named, np.nan)  # a NaN pad no value compares equal to
+    other = len(named)
+
+    def code(col):
+        c = search(col)
+        if below:
+            c += below
+        exact = values[c] == col
+        if not exact.all():
+            miss = ~exact
+            uniq, inv = np.unique(col[miss], return_inverse=True)
+            c[miss] = np.array(
+                [code_of.get(canon_value(v), other) for v in uniq], dtype=np.intp
+            )[inv]
+        return c
+
+    return code
 
 
 class ParentFn:
@@ -957,6 +945,15 @@ class ScmModel:
         object.__setattr__(
             self, "_parent_idx", tuple(tuple(idx[p] for p in ps) for ps in self.dag.parents)
         )
+        # a node with no noise ancestry is a constant: evaluated once here,
+        # on one row, a formula such as log(0) fails at load, not at a draw
+        const = {}
+        for i in self._order:
+            if not self.mechanisms[i].uses_noise and all(p in const for p in self._parent_idx[i]):
+                try:
+                    self._evaluate(np.zeros((1, self.n_nodes)), (i,), const)
+                except FormulaEvalError as err:
+                    raise ModelError(f"node {self.dag.names[i]!r}: {err}") from None
 
     @property
     def n_nodes(self) -> int:

@@ -19,7 +19,7 @@ import pytest
 from xfvar import mc, rng
 from xfvar.cli import main
 from xfvar.errors import ModelError
-from xfvar.scm import Dag
+from xfvar.scm import Dag, read_model
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -235,6 +235,10 @@ REPORT_CASES = {
     "provenance_bad_kind": (_put(["provenance", "kind"], "magic"), "'provenance' must be"),
     "provenance_bad_samples": (_put(["provenance", "samples"], "many"), "'provenance' must be"),
     "config_not_an_object": (_put(["config"], []), "'config' must be an object"),
+    "lower_not_an_object": (_put(["lower"], [0.5]), "'lower' must be an object"),
+    "lower_missing": (_drop("lower", "W1+W2"), "'lower' is missing subset 'W1+W2'"),
+    "lower_nan": (_put(["lower", "W2"], math.nan), "'lower' entry 'W2' must be a finite number"),
+    "lower_not_numeric": (_put(["lower", "W1"], "0.5"), "'lower' entry 'W1' must be a finite number"),
 }
 
 
@@ -679,4 +683,34 @@ def test_constant_division_by_zero_exits_2(tmp_path, capsys, recwarn, command, e
     p.write_text(json.dumps(model))
     code = run_cli(command[:1] + ["--model", str(p)] + command[1:])
     assert_one_file_error(capsys, code, f"formula {expr!r} produced a non-finite value")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# Nodes with no noise ancestry are evaluated when the model loads
+
+
+@pytest.mark.parametrize(
+    "constants, node, expr",
+    [
+        ([_node("C", [], {"kind": "deterministic", "expr": "log(0)"})], "C", "log(0)"),
+        ([_node("B", [], {"kind": "deterministic", "expr": "1e300"}),
+          _node("C", ["B"], {"kind": "deterministic", "expr": "B*B"})], "C", "B*B"),
+    ],
+    ids=["parentless", "constant_parent"],
+)
+def test_non_finite_constant_node_fails_at_load(tmp_path, capsys, recwarn, constants, node, expr):
+    model = {"outcome": "Y", "nodes": [
+        _node("X", [], {"kind": "root_rademacher"}),
+        *constants,
+        _node("Y", ["X", "C"], {"kind": "deterministic", "expr": "X + C"}),
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    fragment = f"node {node!r}: formula {expr!r} produced a non-finite value"
+    with pytest.raises(ModelError, match=re.escape(fragment)):
+        read_model(p)
+    for command in (["counterfactual", "--samples", "200"], ["oracle"]):
+        code = run_cli(command[:1] + ["--model", str(p)] + command[1:])
+        assert_one_file_error(capsys, code, fragment)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -203,6 +203,33 @@ def test_unseen_cell_message_names_the_smallest_missing_row():
     _check(qt, fn, np.full(3, 0.5), _parents([7.0, 1.0 + 1e-14, 3.5], [0.0, -0.5, -2.0]))
 
 
+@pytest.mark.parametrize("cells", [{"": 1.5, "x": 9.0}, {"x": 9.0, "": 1.5}])
+def test_table_with_no_parents_matches_only_the_empty_key(cells):
+    fn = ParentFn("S", (), cells=cells)
+    assert fn((), 3).tolist() == [1.5, 1.5, 1.5]
+    assert fn.to_json() == {"cells": {"": 1.5, "x": 9.0}}
+
+
+def test_table_with_no_parents_and_no_empty_key_has_no_cell(tmp_path, capsys):
+    with pytest.raises(ModelError, match="'S': no cell for parent values ''"):
+        ParentFn("S", (), cells={"x": 9.0})((), 3)
+    model = {"outcome": "Y", "nodes": [{"name": "Y", "parents": [], "mechanism": {
+        "kind": "hetero_gaussian", "mean": {"cells": {"x": 1.5}}, "std": {"expr": "1"}}}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    assert main(["counterfactual", "--model", str(path), "--samples", "200"]) == 2
+    assert "node 'Y': no cell for parent values ''" in capsys.readouterr().err
+
+
+def test_non_canonical_key_does_not_hide_its_canonical_neighbour():
+    # "1.0000000000001" renders as "1", so no value reaches it; the
+    # value 1.0 still finds the key "1"
+    fn = ParentFn("T", ("D",), cells={"1": 5.0, "1.0000000000001": 6.0})
+    d = np.array([1.0, 1.0000000000001, 1.0 + 1e-14])
+    assert fn((d,), 3).tolist() == [5.0, 5.0, 5.0]
+    assert_same(lambda: fn((d,), 3), lambda: reference_parent_fn(fn, (d,), 3))
+
+
 def test_cell_id_overflow_rejected_at_load():
     names = tuple(f"P{i}" for i in range(7))
     cells = {"|".join([str(i)] * 7): [float(i)] for i in range(600)}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ def test_serialize_parse_serialize_is_byte_identical(tmp_path):
     write_report(rep, p1)
     write_report(report_from_json(json.loads(p1.read_text())), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_oracle_report_round_trips_byte_for_byte():
+    # oracle's extra "lower" table is read back, so nothing is dropped
+    path = Path(__file__).parent / "data" / "model1_report.json"
+    rep = read_report(path)
+    assert list(rep.extra_tables) == ["lower"]
+    assert dumps_report(rep) == path.read_text()
 
 
 def test_read_report_requires_complete_atoms(tmp_path):
