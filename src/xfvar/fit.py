@@ -44,6 +44,7 @@ from .rng import aux_generator
 from .scm import (
     AdditiveNoise,
     Dag,
+    GuideTable,
     HeteroGaussian,
     ParentFn,
     QuantileTable,
@@ -339,7 +340,8 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
     """Shared setup: y, binning, cell keys and the rows of each cell.
 
     A categorical parent's codes are its column, a binned parent's its
-    bin indices in the narrowest unsigned dtype. One stable np.lexsort of
+    bin indices from GuideTable(cuts, "right"), the lookup CellIndex
+    samples with, in the narrowest unsigned dtype. One stable np.lexsort of
     the codes, first parent most significant, lists the rows cell by
     cell (numpy radix-sorts 8- and 16-bit keys); a cell starts wherever
     any code changes along it, and its key is read off its first row.
@@ -347,12 +349,12 @@ def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):
     and each cell's rows are in data order.
     """
     if node in data.labels:
-        raise FitError(f"node {node!r} is categorical; only roots may be categorical")
+        raise _categorical_non_root(node)
     y = data.column(node)
     binning = parent_binning(data, parents)
     codes = [
         data.column(p) if b is None
-        else np.searchsorted(b, data.column(p), "right").astype(_code_dtype(len(b) + 1))
+        else GuideTable(b, "right")(data.column(p)).astype(_code_dtype(len(b) + 1))
         for p, b in zip(parents, binning)
     ]
     order = np.lexsort(codes[::-1])
@@ -481,7 +483,11 @@ def fit_model(data: Dataset, dag: Dag, cfg: FitConfig, outcome: str) -> ScmModel
 
 
 def dag_from_json(obj):
-    """Parse a DAG config: nodes, parents, outcome, categorical columns."""
+    """Parse a DAG config: nodes, parents, outcome, categorical columns.
+
+    A cycle (CycleError, from Dag) and a categorical node with parents
+    (FitError) are refused here, before any CSV is read.
+    """
     dag, outcome, _ = graph_from_json(obj, "DAG", ("name",))
     categorical = json_list(obj.get("categorical", []), "DAG 'categorical'")
     categorical = frozenset(str(c) for c in categorical)
@@ -490,7 +496,14 @@ def dag_from_json(obj):
         raise ModelError(f"categorical lists unknown columns: {', '.join(sorted(unknown))}")
     if outcome in categorical:
         raise ModelError("outcome cannot be categorical")
+    for n, ps in zip(dag.names, dag.parents):
+        if ps and n in categorical:
+            raise _categorical_non_root(n)
     return dag, outcome, categorical
+
+
+def _categorical_non_root(node):
+    return FitError(f"node {node!r} is categorical; only roots may be categorical")
 
 
 def read_dag(path):

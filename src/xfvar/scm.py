@@ -55,10 +55,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dag:
-    """Node names with per-node parent lists, in declaration order."""
+    """Node names with per-node parent lists, in declaration order, and
+    the names in topological order (topo_order); a cycle raises
+    CycleError here, so every Dag is acyclic."""
 
     names: tuple
     parents: tuple
+    order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(str(n) for n in self.names)
@@ -81,8 +84,7 @@ class Dag:
             for p in ps:
                 if p not in known:
                     raise ModelError(f"node {n!r} has unknown parent {p!r}")
-            if n in ps:
-                raise CycleError([n])
+        object.__setattr__(self, "order", tuple(topo_order(self)))
 
     def index(self, name: str) -> int:
         try:
@@ -252,9 +254,10 @@ class CellIndex:
     (_radices), the int64 bound on the id space they span, and the id of
     every key. A binned parent's code function is GuideTable(cuts,
     "right") itself, its bin index, so values past either end take the
-    outer bin; a discrete parent's (_discrete_code) gives the rank of
-    its value among the values the keys name, or one extra code when no
-    key names it. Keys no parent row can produce, such as a
+    outer bin; a discrete parent's (_discrete_code) gives its value's
+    position among the values the keys name, finite ones first in
+    increasing order and then -inf, inf and nan, or one extra code when
+    no key names it. Keys no parent row can produce, such as a
     non-canonical "1.0" or a bin past the last one, get no id and never
     match.
 
@@ -286,6 +289,7 @@ class CellIndex:
             if b is None:
                 parsed = (_named_value(parts[j]) for _, parts in split)
                 named = np.unique([v for v in parsed if v is not None])
+                named = np.concatenate((named[np.isfinite(named)], named[~np.isfinite(named)]))
                 code_of.append({canon_value(v): i for i, v in enumerate(named)})
                 self._codes.append(_discrete_code(named, code_of[j]))
                 self._radices.append(len(named) + 1)
@@ -371,25 +375,22 @@ def _named_value(part):
 
 
 def _discrete_code(named, code_of):
-    """Code function of a discrete parent whose keys name the sorted,
-    distinct values named, code_of mapping each one's canon_value to its
-    rank: a column's codes are the values' ranks, len(named) for a value
-    no key names.
+    """Code function of a discrete parent whose keys name the distinct
+    values named, the finite ones first in increasing order, code_of
+    mapping each one's canon_value to its position: a column's codes are
+    the values' positions, len(named) for a value no key names.
 
-    A GuideTable over the finite named values, shifted past the -inf one,
-    finds the rank of every value that is a named value exactly; the
-    others are rendered, once per distinct value, so .12g matching and
-    the signed-zero merge hold.
+    A GuideTable over the finite named values finds the position of
+    every finite value that is a named value exactly; the others are
+    rendered, once per distinct value, so .12g matching, the signed-zero
+    merge and the non-finite values hold.
     """
     search = GuideTable(named[np.isfinite(named)], "left")
-    below = int(np.sum(named == -np.inf))
     values = np.append(named, np.nan)  # a NaN pad no value compares equal to
     other = len(named)
 
     def code(col):
         c = search(col)
-        if below:
-            c += below
         exact = values[c] == col
         if not exact.all():
             miss = ~exact
@@ -415,6 +416,11 @@ class ParentFn:
             raise ModelError(f"node {node!r}: need exactly one of expr or cells")
         if formula is not None and binning is not None:
             raise ModelError(f"node {node!r}: binning applies to cells, not to expr")
+        if formula is not None and not formula.variables:
+            try:  # a constant: log(0) fails at load, naming the node
+                formula.evaluate({})
+            except FormulaEvalError as err:
+                raise ModelError(f"node {node!r}: {err}") from None
         self.formula = formula
         self.cells = None
         if cells is not None:
@@ -622,16 +628,12 @@ class RootCategorical(Mechanism):
             raise ModelError(f"node {node!r}: probs must be nonnegative and sum to 1")
         if self.labels is not None and len(self.labels) != len(self.values):
             raise ModelError(f"node {node!r}: labels length must match values")
-        self._cum = np.cumsum(self.probs)
-        self._cum[-1] = 1.0
-        # the last entry dips below the one before when the sum overshot
-        # 1; the running maximum is sorted and, for every e <= 1 or NaN,
-        # gives the index searchsorted gives on _cum
-        self._search = GuideTable(np.maximum.accumulate(self._cum), "left")
+        # the inner cumulative sums: the count of those below e is e's
+        # category, and NaN or e past every sum takes the last
+        self._search = GuideTable(np.cumsum(self.probs)[:-1], "left")
 
     def sample(self, e, parents):
-        idx = self._search(e)
-        return self.values[np.clip(idx, 0, len(self.values) - 1)]
+        return self.values[self._search(e)]
 
     def discrete_law(self):
         # a value listed twice is one support point (numpy equality, so
@@ -685,12 +687,12 @@ class QuantileTable(Mechanism):
     grid it is clamped flat at the end values.
 
     Cost per sampled row: the cell lookup of CellIndex.rows, one
-    GuideTable search of the levels (one pass for the default 50
-    levels) and a handful of gathers and arithmetic, whatever the number
-    of levels or cells. The lookup is a parent stage and the search a
-    noise stage (stages), so in a block HybridOutcomes runs the lookup
-    once per key of the parents' noise ancestry, 8 for three queried
-    roots, and the search twice.
+    GuideTable search of the levels past the first (one pass for the
+    default 50 levels) and a handful of gathers and arithmetic,
+    whatever the number of levels or cells. The lookup is a parent
+    stage and the search a noise stage (stages), so in a block
+    HybridOutcomes runs the lookup once per key of the parents' noise
+    ancestry, 8 for three queried roots, and the search twice.
     """
 
     kind = "quantile_table"
@@ -730,7 +732,7 @@ class QuantileTable(Mechanism):
             slope = np.diff(grid, axis=1) / np.diff(self.levels)
         self._grid = grid.ravel()
         self._slope = np.pad(slope, ((0, 0), (0, 1))).ravel()
-        self._search = GuideTable(self.levels, "right")
+        self._search = GuideTable(self.levels[1:], "right")
 
     def sample(self, e, parents):
         return self.combine(self._cell_offsets(parents, len(e)), self._level(e))
@@ -743,12 +745,12 @@ class QuantileTable(Mechanism):
         return self.index.rows(parents, n_rows) * len(self.levels)
 
     def _level(self, e):
-        """Noise stage: each row's level index j, its offset d = e - levels[j]
-        and where the value is the grid value g0 itself."""
+        """Noise stage: each row's level index j (the count of levels past
+        the first at or below e, so 0 below the first level and L - 1 for
+        NaN), its offset d = e - levels[j] and where the value is the grid
+        value g0 itself."""
         levels = self.levels
         j = self._search(e)
-        j -= 1
-        np.maximum(j, 0, out=j)
         d = e - levels[j]
         return j, d, (d <= 0) | (e >= levels[-1])
 
@@ -934,7 +936,7 @@ class ScmModel:
                     raise ModelError(f"node {n!r}: root mechanism cannot have parents")
             elif tuple(mech.parent_names) != ps:
                 raise ModelError(f"node {n!r}: mechanism parents {mech.parent_names} != {ps}")
-        order = topo_order(self.dag)  # raises CycleError on cycles
+        order = self.dag.order
         anc = ancestral_closure(self.dag, [self.outcome])
         idx = {n: i for i, n in enumerate(self.dag.names)}
         # node indices: every node and the outcome's ancestry in topological
@@ -1383,7 +1385,10 @@ def model_from_json(obj) -> ScmModel:
     fitted = json_list(obj.get("fitted", []), "model 'fitted'")
     if not all(isinstance(flag, str) for flag in fitted):
         raise ModelError("model 'fitted' must be a list of strings")
-    return ScmModel(dag, tuple(mechs), outcome, name=obj.get("name"), fitted=tuple(fitted))
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ModelError("model 'name' must be a string")
+    return ScmModel(dag, tuple(mechs), outcome, name=name, fitted=tuple(fitted))
 
 
 def read_model(path) -> ScmModel:

@@ -359,3 +359,34 @@ def test_provenance_json_roundtrip():
 def test_clause_rejects_out_of_range_atoms():
     with pytest.raises(ValueError):
         Clause(2, frozenset({4}))
+
+
+_M1 = _measure(M1_ATOMS)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TotalsTable(0, np.zeros(1)), "var_count must be in 1..16, got 0"),
+        (lambda: TotalsTable(17, np.zeros(2)), "var_count must be in 1..16, got 17"),
+        (lambda: clause_var(2, 2), "variable index 2 out of range for 2 variables"),
+        (lambda: TotalsTable(2, np.zeros(4), np.zeros(3)), "stderr array must have shape (4,)"),
+        (lambda: _measure(M1_ATOMS, names=("W", "W")), "variable names must be unique"),
+        (lambda: _measure([0.0, 1.0], names=("A", "B")), "atom_mass must have shape (4,)"),
+        (lambda: _measure(M1_ATOMS, stderr=np.zeros(2)), "atom_stderr must have shape (4,)"),
+        (lambda: measure_from_totals(TotalsTable(2, np.zeros(4)), ("A",)),
+         "names length must match totals.var_count"),
+        (lambda: measure_query(_M1, clause_var(3, 0)), "clause has 3 variables, measure has 2"),
+        (lambda: measure_interaction(_M1, 4), "subset mask out of range"),
+        (lambda: clip_negative_atoms(_measure([0.0, -0.5, 0.0, 0.0])),
+         "cannot renormalize: no positive atom mass"),
+        (lambda: measure_validate(_M1, -1.0), "tol must be nonnegative"),
+    ],
+    ids=["var_count_zero", "var_count_past_max", "clause_index", "stderr_shape", "names_unique",
+         "atom_mass_shape", "atom_stderr_shape", "totals_names", "query_width", "interaction_mask",
+         "clip_no_positive_mass", "validate_tol"],
+)
+def test_library_guards(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert type(exc.value) is ValueError and str(exc.value) == message

@@ -326,3 +326,21 @@ def test_decomposition_memory_at_the_budget_edge():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteDomain([[]], [[]]),
+         "variable 0: support and probabilities must match and be non-empty"),
+        (lambda: hoeffding_decompose(lambda w: w, rademacher_domain(2)),
+         "function must map (n, K) points to (n,) values, got shape (4, 2)"),
+        (lambda: hoeffding_decompose(lambda w: w[:, 0] / 0.0, rademacher_domain(2)),
+         "function returned a non-finite value on the domain"),
+    ],
+    ids=["empty_support", "function_shape", "function_not_finite"],
+)
+def test_library_guards(build, message):
+    with pytest.raises(DomainError) as exc, np.errstate(divide="ignore"):
+        build()
+    assert type(exc.value) is DomainError and str(exc.value) == message

@@ -392,6 +392,7 @@ MODEL_CASES = {
                                    "node 'B': values must be finite"),
     "labels_a_number": (_mech(0, "labels", 5), "node 'A': labels must be a list"),
     "fitted_a_number": (_put(["fitted"], 5), "model 'fitted' must be a list"),
+    "name_an_object": (_put(["name"], {"a": [1, 2]}), "model 'name' must be a string"),
     "variables_a_number": (_put(["variables"], 5), "'variables' must be a list"),
 }
 
@@ -524,6 +525,26 @@ def test_malformed_dag_exits_2(tmp_path, capsys, case):
     edit, fragment = DAG_CASES[case]
     code = run_cli(_fit_argv(tmp_path, edit(copy.deepcopy(GOOD_DAG))))
     assert_one_file_error(capsys, code, fragment)
+
+
+DAG_REFUSED_CASES = {
+    "cycle": ({"outcome": "Y", "nodes": [{"name": "A", "parents": ["Y"]},
+                                         {"name": "Y", "parents": ["A"]}]},
+              3, "cycle detected: A -> Y -> A"),
+    "categorical_non_root": ({"outcome": "Y", "categorical": ["A", "B"],
+                              "nodes": [{"name": "A"}, {"name": "B", "parents": ["A"]},
+                                        {"name": "Y", "parents": ["B"]}]},
+                             5, "node 'B' is categorical; only roots may be categorical"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAG_REFUSED_CASES))
+def test_dag_error_comes_before_the_csv_error(tmp_path, capsys, case):
+    # the CSV alone exits 2: it is not UTF-8
+    dag, code, fragment = DAG_REFUSED_CASES[case]
+    argv = _fit_argv(tmp_path, dag)
+    Path(argv[argv.index("--data") + 1]).write_bytes(b"A,Y\na,\xff1\n")
+    assert_one_error(capsys, run_cli(argv), code, fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -713,4 +734,32 @@ def test_non_finite_constant_node_fails_at_load(tmp_path, capsys, recwarn, const
     for command in (["counterfactual", "--samples", "200"], ["oracle"]):
         code = run_cli(command[:1] + ["--model", str(p)] + command[1:])
         assert_one_file_error(capsys, code, fragment)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# Mean and std formulas that read no parent are evaluated when the model loads
+
+
+@pytest.mark.parametrize(
+    "mechanism, expr",
+    [
+        ({"kind": "hetero_gaussian", "mean": {"expr": "log(0)"}, "std": {"expr": "1"}}, "log(0)"),
+        ({"kind": "additive_noise", "mean": {"expr": "1/0"}, "residuals": [0.0]}, "1/0"),
+        ({"kind": "hetero_gaussian", "mean": {"expr": "X"}, "std": {"expr": "log(0)"}}, "log(0)"),
+    ],
+    ids=["hetero_mean", "additive_mean", "hetero_std"],
+)
+def test_non_finite_constant_formula_fails_at_load(tmp_path, capsys, recwarn, mechanism, expr):
+    model = {"outcome": "Y", "nodes": [
+        _node("X", [], {"kind": "root_rademacher"}),
+        _node("Y", ["X"], mechanism),
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    fragment = f"node 'Y': formula {expr!r} produced a non-finite value"
+    with pytest.raises(ModelError, match=re.escape(fragment)):
+        read_model(p)
+    code = run_cli(["counterfactual", "--model", str(p), "--samples", "200"])
+    assert_one_file_error(capsys, code, fragment)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -331,7 +331,8 @@ def test_nan_noise_gives_the_searchsorted_bytes(levels):
 def test_root_categorical_with_tied_cum_values():
     # zero-probability categories repeat a cum value; none may be drawn
     cat = RootCategorical("C", [10.0, 11.0, 12.0, 13.0, 14.0], [0.25, 0.0, 0.5, 0.0, 0.25])
-    cum = cat._cum
+    cum = np.cumsum(cat.probs)
+    cum[-1] = 1.0
     e = _edge_keys(cum, np.concatenate([SPECIAL, np.arange(17) / 16]))
     e = np.concatenate([e[(e >= 0) & (e <= 1)], [np.nan]])
     e = np.concatenate([e, np.random.default_rng(14).random(10000)])
@@ -344,9 +345,11 @@ def test_root_categorical_with_tied_cum_values():
 def test_root_categorical_whose_probs_sum_past_one():
     # the cumulative sum overshoots 1 before the last entry is set to 1
     cat = RootCategorical("C", [0.0, 1.0, 2.0], [0.6, 0.4 + 5e-10, 0.0])
-    e = np.concatenate([_edge_keys(cat._cum, [0.0, 1.0, 0.6, 0.99]), [np.nan]])
+    cum = np.cumsum(cat.probs)
+    cum[-1] = 1.0
+    e = np.concatenate([_edge_keys(cum, [0.0, 1.0, 0.6, 0.99]), [np.nan]])
     e = e[~(e > 1)]
-    want = cat.values[np.clip(np.searchsorted(cat._cum, e, side="left"), 0, 2)]
+    want = cat.values[np.clip(np.searchsorted(cum, e, side="left"), 0, 2)]
     assert cat.sample(e, ()).tobytes() == want.tobytes()
 
 

@@ -641,3 +641,30 @@ def test_fold_split_is_seeded():
     from xfvar.scm import model_to_json
 
     assert model_to_json(m1) == model_to_json(m2)
+
+
+def _categorical_chain():
+    # B is categorical and has a parent: dag_from_json refuses such a DAG file
+    codes = np.arange(40, dtype=np.uint8) % 2
+    data = Dataset({"A": codes, "B": codes, "Y": np.arange(40.0)}, 40,
+                   labels={"A": ["a", "b"], "B": ["c", "d"]})
+    return fit_model(data, Dag(("A", "B", "Y"), ((), ("A",), ("B",))), FitConfig(), "Y")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FitConfig(levels=()), "levels must be a nonempty list"),
+        (lambda: Dataset({"A": np.zeros(3)}, 2), "column 'A' has 3 rows, expected 2"),
+        (lambda: Dataset({"A": np.zeros(2)}, 2).column("Z"), "dataset has no column 'Z'"),
+        (lambda: fit_model(Dataset({"A": np.zeros(2)}, 2), Dag(("A",), ((),)), FitConfig(), "Z"),
+         "outcome 'Z' is not a DAG node"),
+        (_categorical_chain, "node 'B' is categorical; only roots may be categorical"),
+    ],
+    ids=["config_levels_empty", "dataset_column_length", "dataset_missing_column",
+         "model_outcome", "categorical_non_root"],
+)
+def test_library_guards(build, message):
+    with pytest.raises(FitError) as exc:
+        build()
+    assert type(exc.value) is FitError and str(exc.value) == message

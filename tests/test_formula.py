@@ -82,3 +82,16 @@ def test_division_of_arrays_is_operator_truediv():
 def test_source_is_kept():
     f = parse_formula("a + 2 * b", ("a", "b"))
     assert f.source == "a + 2 * b"
+
+
+@pytest.mark.parametrize(
+    "text, env, name",
+    [("x + 1", {}, "x"), ("x * y", {"x": 1.0}, "y")],
+    ids=["no_binding", "one_of_two_bound"],
+)
+def test_unbound_variable_rejected_at_evaluation(text, env, name):
+    f = parse_formula(text, ("x", "y"))
+    with pytest.raises(FormulaEvalError) as exc:
+        f.evaluate(env)
+    assert type(exc.value) is FormulaEvalError
+    assert str(exc.value) == f"no value bound for variable {name!r}"

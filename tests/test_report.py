@@ -129,3 +129,13 @@ def test_nan_rejected():
     rep = RunReport(m, config={})
     with pytest.raises(ValueError):
         dumps_report(rep)
+
+
+def test_format_table_exact_measure_with_warnings():
+    m = ExplanationMeasure(("A", "B"), np.array([0.0, 0.25, 0.25, 0.5]), None, EXACT)
+    text = format_table(RunReport(m, config={}, warnings=("first", "second")))
+    lines = text.splitlines()
+    assert lines[1] == "estimate:  exact enumeration"
+    # an exact measure has no stderr column
+    assert f"{'A+B':<8}  {0.5:9.3f}" in lines and "+-" not in text
+    assert lines[-5:] == [f"{'B':<8}  {0.5:9.3f}", "", "warning: first", "", "warning: second"]

@@ -75,9 +75,9 @@ def test_topo_order_stable_tiebreak():
 
 
 def test_topo_order_cycle_reported():
-    dag = Dag(("A", "B", "C"), (("B",), ("A",), ()))
+    # Dag runs topo_order itself, so a cyclic Dag cannot be built
     with pytest.raises(CycleError) as exc:
-        topo_order(dag)
+        Dag(("A", "B", "C"), (("B",), ("A",), ()))
     assert "A" in str(exc.value) and "B" in str(exc.value)
 
 
@@ -348,3 +348,30 @@ def test_deterministic_constant_formula_broadcasts():
     m = ScmModel(dag, mechs, "Y")
     vals = m.forward(np.array([[0.7, 0.1], [0.2, 0.9]]))
     assert list(vals["Y"]) == [2.0, 0.0]
+
+
+def _model_with_wrong_parents():
+    dag = Dag(("A", "B", "Y"), ((), (), ("A",)))
+    y = Deterministic("Y", ("B",), parse_formula("B", ("B",)))
+    return ScmModel(dag, (RootRademacher("A"), RootRademacher("B"), y), "Y")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Dag(("A", "B"), ((),)), "need one parent list per node"),
+        (lambda: ancestral_closure(Dag(("A",), ((),)), ("Z",)), "unknown node 'Z'"),
+        (lambda: ScmModel(Dag(("A",), ((),)), (RootRademacher("A"),), "Z"),
+         "outcome 'Z' is not a node"),
+        (lambda: ScmModel(Dag(("A", "Y"), ((), ("A",))), (RootRademacher("A"),), "Y"),
+         "need one mechanism per node"),
+        (_model_with_wrong_parents, "node 'Y': mechanism parents ('B',) != ('A',)"),
+    ],
+    ids=["dag_parent_lists", "closure_unknown_node", "model_outcome", "model_mechanism_count",
+         "model_mechanism_parents"],
+)
+def test_library_guards(build, message):
+    # checks a model file never reaches: read_model builds these from one node list
+    with pytest.raises(ModelError) as exc:
+        build()
+    assert type(exc.value) is ModelError and str(exc.value) == message

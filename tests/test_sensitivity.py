@@ -148,3 +148,25 @@ def test_sigmoid_nn3_definition():
     w = np.array([[0.1, -0.2, 0.4], [0.0, 0.0, 0.0]])
     want = expit(-10 * (w[:, 0] + w[:, 1])) + expit(-10 * (w[:, 1] + w[:, 2]))
     assert np.allclose(f(w), want, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IndependentSampler(()), "need at least one input variable"),
+        (lambda: IndependentSampler((RootUniform("U"),) * 17),
+         "at most 16 input variables supported"),
+        (lambda: estimate_measure(_linear, standard_normal_sampler(2), CFG, ("W1",)),
+         "got 1 names for 2 variables"),
+        (lambda: interaction_contrast(_linear, [0.0, 0.0], [0.0], ()),
+         "w and w2 must have the same length"),
+        (lambda: interaction_contrast(_linear, [0.0, 0.0], [1.0, 1.0], (2,)),
+         "subset indices must lie in [0, 2)"),
+    ],
+    ids=["sampler_empty", "sampler_too_wide", "measure_names", "contrast_lengths",
+         "contrast_subset"],
+)
+def test_library_guards(build, message):
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert type(exc.value) is DomainError and str(exc.value) == message
