@@ -182,25 +182,27 @@ def parse_clause(text: str, names) -> Clause:
 # Subset-lattice transforms (dense arrays indexed by bitmask)
 
 
-def _bit_pairs(n: int, superset: bool):
-    """Per bit, in increasing bit order, the (dst, src) bitmask arrays of
-    one lattice pass over a dense array of length n: dst runs over the
-    masks that have the bit (subset direction) or lack it (superset
-    direction), and src = dst ^ bit."""
-    idx = np.arange(n)
-    bit = 1
-    while bit < n:
-        lacks = (idx & bit) == 0
-        dst = idx[lacks if superset else ~lacks]
-        yield dst, dst ^ bit
-        bit <<= 1
+def _halves(values: np.ndarray, k: int):
+    """Views of a dense 2**K array: the entries whose masks lack bit k and
+    those whose masks have it, with mask and mask | 1 << k in matching
+    positions."""
+    v = values.reshape(-1, 2, 1 << k)
+    return v[:, 0], v[:, 1]
 
 
 def _zeta(values, superset: bool, sign: float) -> np.ndarray:
-    """out[dst] += sign * out[src] over every bit's pairs."""
+    """One pass per bit, in increasing bit order: has += sign * lacks
+    (subset direction) or lacks += sign * has (superset direction)."""
     out = np.array(values, dtype=float, copy=True)
-    for dst, src in _bit_pairs(out.shape[0], superset):
-        out[dst] += sign * out[src]
+    n = out.shape[0]
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"lattice array length must be a power of two, got {n}")
+    for k in range(n.bit_length() - 1):
+        lacks, has = _halves(out, k)
+        if superset:
+            lacks += sign * has
+        else:
+            has += sign * lacks
     return out
 
 
@@ -223,8 +225,7 @@ def mass_meeting(within: np.ndarray) -> np.ndarray:
     """out[S] = mass of the atoms meeting S, from within = subset_zeta of
     the atom masses: the mass inside the full set less that inside S's
     complement."""
-    full = within.shape[0] - 1
-    return within[full] - within[full ^ np.arange(full + 1)]
+    return within[-1] - within[::-1]
 
 
 def popcount(masks) -> np.ndarray:
@@ -440,9 +441,7 @@ def measure_from_totals(
     stderr = None
     flags = provenance.flags
     if totals.stderr is not None:
-        sq = superset_zeta(totals.stderr**2)
-        comp = full ^ np.arange(n)
-        stderr = np.sqrt(sq[comp])
+        stderr = np.sqrt(superset_zeta(totals.stderr**2)[::-1])
         if "approximate-atom-stderr" not in flags:
             flags = flags + ("approximate-atom-stderr",)
     prov = Provenance(provenance.kind, provenance.samples, provenance.seed, flags)
@@ -493,22 +492,16 @@ def measure_marginalize(m: ExplanationMeasure, drop: str) -> ExplanationMeasure:
     (same approximate caveat as measure_from_totals).
     """
     k = m.name_index(drop)
-    v = m.var_count
-    if v == 1:
+    if m.var_count == 1:
         raise ValueError("cannot marginalize the only variable")
-    bit = 1 << k
-    low = (1 << k) - 1
-    idx = np.arange(1 << v)
-    folded = (idx & low) | ((idx & ~((bit << 1) - 1)) >> 1)
-    n_new = 1 << (v - 1)
-    mass = np.zeros(n_new)
-    np.add.at(mass, folded, m.atom_mass)
+    # each sum starts from 0.0, so two -0.0 atoms fold to 0.0
+    lacks, has = _halves(m.atom_mass, k)
+    mass = (0.0 + lacks + has).ravel()
     stderr = None
     if m.atom_stderr is not None:
-        sq = np.zeros(n_new)
+        lacks, has = _halves(m.atom_stderr, k)
         with np.errstate(over="ignore"):  # a stderr past 1e154 read from a file
-            np.add.at(sq, folded, m.atom_stderr**2)
-        stderr = np.sqrt(sq)
+            stderr = np.sqrt(0.0 + lacks**2 + has**2).ravel()
     names = m.names[:k] + m.names[k + 1 :]
     return ExplanationMeasure(names, mass, stderr, m.provenance)
 
@@ -570,10 +563,11 @@ def measure_validate(m: ExplanationMeasure, tol: float) -> ValidationReport:
     # best[S] = max of total over subsets of S, with an argmax witness
     best = total.copy()
     witness = np.arange(n)
-    for has, src in _bit_pairs(n, False):
-        better = best[src] > best[has]
-        best[has[better]] = best[src[better]]
-        witness[has[better]] = witness[src[better]]
+    for k in range(m.var_count):
+        (b0, b1), (w0, w1) = _halves(best, k), _halves(witness, k)
+        better = b0 > b1
+        b1[better] = b0[better]
+        w1[better] = w0[better]
     violations = []
     for s in range(n):
         excess = best[s] - total[s]

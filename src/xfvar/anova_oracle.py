@@ -56,7 +56,8 @@ class DiscreteDomain:
         for k, (v, p) in enumerate(zip(self.values, self.probs)):
             if v.ndim != 1 or v.size == 0 or v.shape != p.shape:
                 raise DomainError(f"variable {k}: support and probabilities must match and be non-empty")
-            if len(np.unique(v)) != v.size:
+            # return_counts keeps np.unique off its hash path, which imports numpy.ma
+            if len(np.unique(v, return_counts=True)[0]) != v.size:
                 raise DomainError(f"variable {k}: support values must be unique")
             if np.any(p < 0) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
                 raise DomainError(f"variable {k}: probabilities must be >= 0 and sum to 1")

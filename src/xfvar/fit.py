@@ -382,8 +382,8 @@ def _residuals(y, rows, seed):
 
     rows holds each cell's row indices in increasing order.
     """
-    rank = np.empty(len(y), dtype=np.intp)
-    rank[aux_generator(seed, "folds").permutation(len(y))] = np.arange(len(y))
+    rank = np.empty(len(y), dtype=_code_dtype(len(y)))
+    rank[aux_generator(seed, "folds").permutation(len(y))] = np.arange(len(y), dtype=rank.dtype)
     resid = np.empty_like(y)
     for r in rows:
         r = r[np.argsort(rank[r], kind="stable")]

@@ -288,7 +288,9 @@ class CellIndex:
         for j, b in enumerate(self.binning):
             if b is None:
                 parsed = (_named_value(parts[j]) for _, parts in split)
-                named = np.unique([v for v in parsed if v is not None])
+                # return_counts keeps np.unique off its hash path, which
+                # imports numpy.ma; the sorted path merges NaNs the same way
+                named = np.unique([v for v in parsed if v is not None], return_counts=True)[0]
                 named = np.concatenate((named[np.isfinite(named)], named[~np.isfinite(named)]))
                 code_of.append({canon_value(v): i for i, v in enumerate(named)})
                 self._codes.append(_discrete_code(named, code_of[j]))

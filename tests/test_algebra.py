@@ -104,6 +104,17 @@ def _ref_superset_pass(values, sign):
     return out
 
 
+def _ref_marginalize(values, k):
+    """Fold bit k out of a dense 2**K array by scattering each entry into
+    its folded index with np.add.at."""
+    idx = np.arange(len(values))
+    low = (1 << k) - 1
+    folded = (idx & low) | ((idx >> (k + 1)) << k)
+    out = np.zeros(len(values) // 2)
+    np.add.at(out, folded, values)
+    return out
+
+
 def _hex(a):
     return [float(x).hex() for x in a]
 
@@ -135,6 +146,30 @@ def test_lattice_transforms_match_the_per_bit_loops_bit_for_bit(k):
     want = within[full] - within[full ^ np.arange(n)]
     want[0] = 0.0
     assert _hex(totals_from_measure(m).total) == _hex(want)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_marginalize_matches_the_add_at_fold_bit_for_bit(k):
+    n = 1 << k
+    rng = np.random.default_rng(200 + k)
+    atoms = rng.normal(size=n)
+    atoms[rng.choice(n, size=n // 2, replace=False)] = rng.choice([-0.0, 0.0], size=n // 2)
+    stderr = rng.uniform(0.0, 0.01, size=n)
+    stderr[rng.choice(n, size=n // 4, replace=False)] = 1e200
+    m = _measure(atoms, tuple(f"V{i}" for i in range(k)), stderr)
+    for drop in range(k):
+        out = measure_marginalize(m, f"V{drop}")
+        with np.errstate(over="ignore"):
+            want_se = np.sqrt(_ref_marginalize(stderr**2, drop))
+        assert _hex(out.atom_mass) == _hex(_ref_marginalize(atoms, drop))
+        assert _hex(out.atom_stderr) == _hex(want_se)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+@pytest.mark.parametrize("transform", [subset_zeta, superset_zeta, superset_mobius])
+def test_lattice_transforms_reject_a_length_that_is_not_a_power_of_two(transform, n):
+    with pytest.raises(ValueError, match=f"power of two, got {n}"):
+        transform(np.ones(n))
 
 
 def test_submask_walk_parity_and_members_match_brute_force():

@@ -1,7 +1,11 @@
-"""scipy.special loads on first use, and the deferred calls keep their bits.
+"""Modules that load on first use stay unloaded by commands that never use
+them, and the deferred calls keep their bits.
 
 Only two functions import scipy: `scm.gauss_quantile` (ndtri) and
 `formula.sigmoid` (expit). Commands that need neither never load it.
+`numpy.ma` loads only when a numpy function imports it, such as
+`np.unique` on its hash path; `oracle`, and `counterfactual` over cell
+tables, avoid that path.
 """
 
 import ast
@@ -29,14 +33,14 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
-def _scipy_loaded_after(argv=None):
+def _loaded_after(argv, *modules):
     """Import xfvar.cli in a fresh interpreter and run main(argv) if argv
-    is given; (exit code, whether scipy.special is loaded)."""
+    is given; (exit code, which of modules are then in sys.modules)."""
     script = (
         "import sys\n"
         "from xfvar.cli import main\n"
         f"code = 0 if {argv!r} is None else main({argv!r})\n"
-        "print('scipy.special' in sys.modules)\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
         "sys.exit(code)\n"
     )
     proc = subprocess.run(
@@ -45,11 +49,11 @@ def _scipy_loaded_after(argv=None):
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
-    return proc.returncode, proc.stdout.splitlines()[-1] == "True"
+    return proc.returncode, ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def test_import_cli_leaves_scipy_unloaded():
-    assert _scipy_loaded_after() == (0, False)
+    assert _loaded_after(None, "scipy.special") == (0, [])
 
 
 @pytest.mark.parametrize(
@@ -61,27 +65,47 @@ def test_import_cli_leaves_scipy_unloaded():
     ids=["oracle", "venn"],
 )
 def test_commands_without_gaussian_or_sigmoid_leave_scipy_unloaded(argv):
-    assert _scipy_loaded_after(argv) == (0, False)
+    assert _loaded_after(argv, "scipy.special") == (0, [])
 
 
 def test_error_exit_leaves_scipy_unloaded(tmp_path):
-    code, loaded = _scipy_loaded_after(["oracle", "--model", str(tmp_path / "missing.json")])
+    code, loaded = _loaded_after(["oracle", "--model", str(tmp_path / "missing.json")], "scipy.special")
     assert code == 2 and not loaded
+
+
+def _write_model(path, nodes):
+    path.write_text(json.dumps({
+        "variables": [n["name"] for n in nodes],
+        "outcome": nodes[-1]["name"],
+        "nodes": nodes,
+    }))
+    return path
 
 
 def test_gaussian_counterfactual_loads_scipy(tmp_path):
     # positive control: the probe above does see a load when one happens
-    model = tmp_path / "gauss.json"
-    model.write_text(json.dumps({
-        "variables": ["A", "Y"],
-        "outcome": "Y",
-        "nodes": [
-            {"name": "A", "parents": [], "mechanism": {"kind": "root_gaussian"}},
-            {"name": "Y", "parents": ["A"], "mechanism": {"kind": "deterministic", "expr": "2*A"}},
-        ],
-    }))
+    model = _write_model(tmp_path / "gauss.json", [
+        {"name": "A", "parents": [], "mechanism": {"kind": "root_gaussian"}},
+        {"name": "Y", "parents": ["A"], "mechanism": {"kind": "deterministic", "expr": "2*A"}},
+    ])
     argv = ["counterfactual", "--model", str(model), "--samples", "1000", "--out", str(tmp_path / "r.json")]
-    assert _scipy_loaded_after(argv) == (0, True)
+    assert _loaded_after(argv, "scipy.special") == (0, ["scipy.special"])
+
+
+def test_oracle_leaves_numpy_ma_unloaded():
+    assert _loaded_after(["oracle", "--model", str(DATA / "model1.json")], "numpy.ma") == (0, [])
+
+
+def test_cell_table_counterfactual_leaves_numpy_ma_and_scipy_unloaded(tmp_path):
+    model = _write_model(tmp_path / "cells.json", [
+        {"name": "A", "parents": [], "mechanism": {
+            "kind": "root_categorical", "values": [0.0, 1.0, 2.0], "probs": [0.25, 0.5, 0.25]}},
+        {"name": "Y", "parents": ["A"], "mechanism": {
+            "kind": "quantile_table", "levels": [0.25, 0.75],
+            "cells": {"0": [0.0, 1.0], "1": [1.0, 2.0], "2": [2.0, 4.0]}}},
+    ])
+    argv = ["counterfactual", "--model", str(model), "--samples", "1000", "--out", str(tmp_path / "r.json")]
+    assert _loaded_after(argv, "numpy.ma", "scipy.special") == (0, [])
 
 
 def test_formula_sigmoid_bits_match_expit():
