@@ -319,7 +319,7 @@ def parent_binning(data: Dataset, parents):
     sampling time (fitted parents can emit values between the observed
     ones). With at most BINS distinct values each value gets its own
     bin, cut at midpoints, which reproduces exact discrete cells; denser
-    columns are equal-frequency binned.
+    columns are equal-frequency binned (equal_frequency_cuts).
     """
     binning = []
     for p in parents:
@@ -327,13 +327,51 @@ def parent_binning(data: Dataset, parents):
             binning.append(None)
             continue
         col = data.column(p)
-        distinct = np.unique(col)
+        distinct = _distinct(col)
         if len(distinct) <= BINS:
             binning.append((distinct[:-1] + distinct[1:]) / 2.0)
         else:
-            qs = np.quantile(col, [i / BINS for i in range(1, BINS)])
-            binning.append(np.unique(qs))
+            binning.append(_distinct(equal_frequency_cuts(col)))
     return tuple(binning)
+
+
+def _distinct(col):
+    """np.unique(col) of a finite column, by the same sort and mask as its
+    sorted path; np.unique without a return_* flag imports numpy.ma, and
+    return_counts would add two arrays as long as the result."""
+    s = np.sort(col)
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
+
+
+def equal_frequency_cuts(col):
+    """np.quantile(col, [1/BINS, ..., (BINS-1)/BINS]) of a finite column,
+    bit for bit, by the arithmetic of its default 'linear' method (numpy
+    2's _quantile, _get_indexes and _lerp), without the numpy.ma import
+    that np.quantile brings.
+
+    Virtual index (n-1)*q; the order statistics at its floor and the next
+    index, both the last one from n-1 on, found by one np.partition at
+    the same sorted index set as numpy's, so tied values (-0.0 and 0.0)
+    land alike; gamma is the virtual index less the floor index, and
+    the lerp adds gamma's share of the difference to the lower value,
+    or from gamma >= 0.5 subtracts the rest from the upper one.
+    """
+    n = len(col)
+    virtual = (n - 1) * np.array([i / BINS for i in range(1, BINS)])
+    lo = np.floor(virtual)
+    hi = lo + 1
+    past = virtual >= n - 1
+    lo[past] = hi[past] = -1
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    arr = np.partition(col, _distinct(np.concatenate(([0, -1], lo, hi))))
+    below, above, gamma = arr[lo], arr[hi], virtual - lo
+    diff = above - below
+    out = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def _cell_groups(data: Dataset, node, parents, cfg: FitConfig):

@@ -25,14 +25,17 @@ toggling slowest; it squares only differences of outcomes.
 
 Noise follows the counter-based stream contract of `rng`: a block of
 rng.BLOCK_LEN pairs is a pure function of (seed, block), so blocks may
-run in any process. The calling process runs block 0, then splits the
-rest into contiguous shares, one per CPU it may use (os.sched_getaffinity),
-and forks a child for every share but the first, which it runs itself.
-Each child sends back its blocks' partial sums, and the parent adds
-every block's partial sums in block order, so results depend on
-(seed, samples) alone, bit for bit, whatever the number of processes.
-Where os.fork or os.sched_getaffinity is missing, or another Python
-thread is alive, the same code runs every share in the calling process.
+run in any process. The calling process splits the blocks into
+contiguous shares of about equal rows, one per CPU it may use
+(os.sched_getaffinity), opens block 0 and reads its y(E) (so a
+provider's plan compile and lazy imports happen once, before anything
+forks), forks a child for every share but the first and runs the
+first, which starts at block 0, itself. Each child sends back its
+blocks' partial sums, and the parent adds every block's partial sums in
+block order, so results depend on (seed, samples) alone, bit for bit,
+whatever the number of processes. Where os.fork or
+os.sched_getaffinity is missing, or another Python thread is alive,
+the same code runs every share in the calling process.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import pickle
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,12 +107,14 @@ def _max_workers() -> int:
 
 
 def _shares(n_blocks: int, m: int, workers: int) -> list:
-    """Blocks 1 .. n_blocks - 1 of m replicates in `workers` contiguous
-    ranges of about equal rows: share w starts at the first block past
-    w / workers of the rows after block 0. None is empty while workers
-    < n_blocks, since only the last block is short."""
-    rest = m - rng.BLOCK_LEN
-    starts = [1 + -(-w * rest // (workers * rng.BLOCK_LEN)) for w in range(workers)]
+    """Blocks 0 .. n_blocks - 1 of m replicates in `workers` (at most
+    n_blocks) contiguous ranges of about m / workers rows: share w starts
+    at the block boundary nearest w / workers of the rows, or at block w
+    if that is later. Share 0 starts at block 0, and none is empty: only
+    the last block is short, so the boundaries are a block or more apart
+    unless workers == n_blocks, where each share is one block."""
+    step = workers * rng.BLOCK_LEN
+    starts = [max(w, (2 * w * m + step) // (2 * step)) for w in range(workers)]
     return [range(a, b) for a, b in zip(starts, starts[1:] + [n_blocks])]
 
 
@@ -165,16 +171,20 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, cfg: EstimatorConfig):
     opens the next block. Returns an (n_stats, BATCHES) array of sums,
     with n_stats read off block 0's sums.
 
-    Block 0 runs in the calling process before anything is forked, so
-    whatever a provider does once (a plan compile, a lazy import) and
-    every error it raises on the first block happen there. The other
-    blocks run in contiguous shares, one per process (_max_workers, at
-    most one per remaining block); forked children send their blocks'
-    partial sums back, and the parent adds every block's sums in block
-    order, so the float operations and their order are the serial
-    loop's. A child that fails sends nothing, and the parent runs its
-    share itself: the earliest failing block raises, as in a serial
-    run. No child outlives the call, on success or on any exception.
+    The blocks run in contiguous shares of about equal rows, one per
+    process (_max_workers, at most one per block). Block 0 is drawn and
+    opened, and its y(E) read, before anything is forked, so whatever a
+    provider does once (HybridOutcomes compiles its plan when it opens a
+    mask list the first time; scipy.special loads on the first Gaussian
+    quantile) happens once, and the children inherit it; the rest of
+    block 0 runs in the parent's share, which starts there. Forked
+    children send their blocks' partial sums back, and the parent adds
+    every block's sums in block order, so the float operations and their
+    order are the serial loop's. The parent runs its own share before it
+    reads any child's, and a child that fails sends nothing, so the
+    parent runs that child's share itself: the earliest failing block
+    raises, as in a serial run. No child outlives the call, on success
+    or on any exception.
 
     Raises DomainError before the first block past MC_BUDGET outcomes
     asked for, and ModelError when twice a row's total is not finite:
@@ -190,35 +200,48 @@ def per_batch_sums(open_block, n_noise, hybrids, stat, cfg: EstimatorConfig):
     masks = (0, every, *(h for h in hybrids if h not in (0, every)))
     starts = _batch_starts(m, BATCHES)
 
-    def block_sums(block_index):
+    def opened(block_index):
+        """open_block over the block's noise."""
+        g0 = block_index * rng.BLOCK_LEN
+        u = rng.uniform_block(cfg.seed, block_index, n_noise)[: m - g0]
+        return open_block(u[:, :, 0], u[:, :, 1], masks)
+
+    def block_sums(block_index, outs=None):
         """The first batch a block touches, and the (n_stats, batches
-        touched) sums of the statistic's rows over the block."""
+        touched) sums of the statistic's rows over the block; outs is
+        the block's iterator when it is already open."""
         g0 = block_index * rng.BLOCK_LEN
         g1 = min(g0 + rng.BLOCK_LEN, m)
-        u = rng.uniform_block(cfg.seed, block_index, n_noise)[: g1 - g0]
         b0 = bisect_right(starts, g0) - 1
         b1 = bisect_right(starts, g1 - 1) - 1
         bounds = np.maximum(starts[b0 : b1 + 1] - g0, 0)
-        outs = open_block(u[:, :, 0], u[:, :, 1], masks)  # freed on return
+        if outs is None:
+            outs = opened(block_index)  # freed on return
         y0, y1 = next(outs), next(outs)
         ys = (y0 if h == 0 else y1 if h == every else next(outs) for h in hybrids)
         rows = stat(y0, y1, ys)
         return b0, np.array([np.add.reduceat(vals, bounds) for vals in rows])
 
+    acc = None
+
     def add(b0, sums):
+        nonlocal acc
+        if acc is None:
+            acc = np.zeros((len(sums), BATCHES))
         acc[:, b0 : b0 + sums.shape[1]] += sums
 
     n = rng.n_blocks(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        b0, sums = block_sums(0)
-        acc = np.zeros((len(sums), BATCHES))
-        add(b0, sums)
-        shares = _shares(n, m, max(1, min(_max_workers(), n - 1)))
+        shares = _shares(n, m, min(_max_workers(), n))
+        first = opened(0)
+        first = chain((next(first),), first)  # y(E) of block 0, before the fork
         children = []  # (pid, pipe) per forked share; None once reaped, or if no fork
         try:
             for blocks in shares[1:]:
                 children.append(_fork_share(blocks, block_sums))
-            for b in shares[0]:
+            add(*block_sums(0, first))
+            del first
+            for b in shares[0][1:]:
                 add(*block_sums(b))
             for i, blocks in enumerate(shares[1:]):
                 parts = None

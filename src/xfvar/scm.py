@@ -261,14 +261,17 @@ class CellIndex:
     non-canonical "1.0" or a bin past the last one, get no id and never
     match.
 
-    On each call, per row: each parent's code function (one GuideTable
-    search, and for a discrete parent an exactness check; values that
-    are not a key value exactly are rendered once per distinct value),
-    a multiply-add per parent folding the codes into an int64 id
-    (Horner's rule, first parent most significant, so ids sort like the
-    code rows do), and one gather from a dense id -> position table when
-    the id space has at most DENSE_CELL_IDS cells; larger id spaces
-    binary-search the sorted ids instead.
+    A lookup is three kinds of part, which rows() runs in turn and the
+    HybridOutcomes plan runs as units of their own: each parent's code
+    function (one GuideTable search, and for a discrete parent an
+    exactness check; values that are not a key value exactly are
+    rendered once per distinct value); a Horner step per parent after
+    the first (fold), ids * radix + code in int64, first parent most
+    significant, so ids sort like the code rows do and the id of the
+    leading parents depends on their values alone; and positions(),
+    one gather from a dense id -> position table when the id space has
+    at most DENSE_CELL_IDS cells, a binary search of the sorted ids
+    otherwise.
     """
 
     def __init__(self, node, n_parents, binning, keys):
@@ -316,7 +319,7 @@ class CellIndex:
             if None not in row:
                 matchable.append(key)
                 key_codes.append(row)
-        ids = self._fold(list(zip(*key_codes)), len(matchable))
+        ids = self.ids([np.array(c, dtype=np.int64) for c in zip(*key_codes)], len(matchable))
         order = np.argsort(ids)
         self.keys = [matchable[i] for i in order]
         self._ids = np.append(ids[order], -1)  # -1: a sentinel no cell id equals
@@ -327,38 +330,52 @@ class CellIndex:
             self._pos_of_id = np.full(n_ids, len(self.keys), dtype=np.intp)
             self._pos_of_id[self._ids[:-1]] = np.arange(len(self.keys))
 
-    def _fold(self, codes, n_rows):
-        """Cell ids of per-parent codes by Horner's rule."""
-        ids = np.zeros(n_rows, dtype=np.int64)
-        for c, r in zip(codes, self._radices):
-            ids *= r
-            ids += c
+    def fold(self, j, ids, code):
+        """Horner step j: the ids of parents 0..j from the ids of parents
+        0..j-1 and parent j's codes."""
+        out = np.multiply(ids, self._radices[j], dtype=np.int64)
+        out += code
+        return out
+
+    def ids(self, codes, n_rows):
+        """Cell ids of n_rows rows from each parent's codes; 0 with no parents."""
+        if not codes:
+            return np.zeros(n_rows, dtype=np.int64)
+        ids = codes[0]
+        for j in range(1, len(codes)):
+            ids = self.fold(j, ids, codes[j])
         return ids
 
-    def rows(self, parents, n_rows):
-        """Position in keys of each of the n_rows parent rows' cells.
+    def shown(self, parents, codes):
+        """What names a row in the unseen-cell message, per parent: its
+        value when discrete, its bin index when binned."""
+        return [p if b is None else c for b, p, c in zip(self.binning, parents, codes)]
 
-        Raises ModelError naming the smallest unseen cell (rows ordered by
-        discrete value and bin index, parent by parent).
+    def positions(self, ids, *shown):
+        """Position in keys of each cell id.
+
+        Raises ModelError naming the smallest unseen cell, from shown
+        (rows ordered by discrete value and bin index, parent by parent).
         """
-        codes = [code(col) for code, col in zip(self._codes, parents)]
-        ids = self._fold(codes, n_rows)
         if self._pos_of_id is not None:
-            pos = self._pos_of_id[ids]
-            if not n_rows or pos.max() < len(self.keys):
+            pos = self._pos_of_id.take(ids)
+            if not len(ids) or pos.max() < len(self.keys):
                 return pos
         else:
             pos = np.searchsorted(self._ids[:-1], ids)
         found = self._ids[pos] == ids
         if not found.all():
             miss = ~found
-            cols = [
-                p[miss] if b is None else c[miss] for b, p, c in zip(self.binning, parents, codes)
-            ]
+            cols = [c[miss] for c in shown]
             first = np.lexsort(cols[::-1])[0] if cols else 0
             key = cell_key(self.binning, [c[first] for c in cols])
             raise ModelError(f"node {self.node!r}: no cell for parent values {key!r}")
         return pos
+
+    def rows(self, parents, n_rows):
+        """Position in keys of each of the n_rows parent rows' cells."""
+        codes = [code(col) for code, col in zip(self._codes, parents)]
+        return self.positions(self.ids(codes, n_rows), *self.shown(parents, codes))
 
     def to_json(self):
         if all(b is None for b in self.binning):
@@ -405,8 +422,21 @@ def _discrete_code(named, code_of):
     return code
 
 
+class CellLookup(NamedTuple):
+    """values[position of each parent row's cell in index.keys]: the
+    parent stage of a cell table, called with a tuple of 1-D parent
+    columns and the row count."""
+
+    index: CellIndex
+    values: np.ndarray
+
+    def __call__(self, parents, n_rows):
+        return self.values.take(self.index.rows(parents, n_rows))
+
+
 class ParentFn:
-    """Scalar function of a node's parents: a formula or a cell table.
+    """Scalar function of a node's parents: a formula or a cell table,
+    whose lookup is a CellLookup.
 
     Called with a tuple of 1-D parent columns and the row count.
     """
@@ -424,19 +454,20 @@ class ParentFn:
             except FormulaEvalError as err:
                 raise ModelError(f"node {node!r}: {err}") from None
         self.formula = formula
-        self.cells = None
+        self.cells = self.index = self.lookup = None
         if cells is not None:
             if not isinstance(cells, dict):
                 raise ModelError(f"node {node!r}: cells must be an object")
             self.cells = {str(k): _float(node, f"cell {k!r}", v) for k, v in cells.items()}
             _check_finite(node, "cell values", list(self.cells.values()))
             self.index = CellIndex(node, len(self.parent_names), binning, self.cells)
-            self._values = np.array([self.cells[k] for k in self.index.keys], dtype=float)
+            values = np.array([self.cells[k] for k in self.index.keys], dtype=float)
+            self.lookup = CellLookup(self.index, values)
 
     def __call__(self, parents, n_rows):
         if self.formula is not None:
             return self.formula.evaluate(dict(zip(self.parent_names, parents)))
-        return self._values[self.index.rows(parents, n_rows)]
+        return self.lookup(parents, n_rows)
 
     def to_json(self):
         if self.formula is not None:
@@ -512,9 +543,12 @@ class Stages(NamedTuple):
 
         combine(*[post(fn(parents, len(e))) for fn, post in parents], noise(e))
 
-    Each parent stage fn maps the parent columns and the row count to
-    an array, and post, when not None, checks or converts its value;
-    HybridOutcomes evaluates a ParentFn's formula op by op. noise maps
+    Each parent stage fn, a ParentFn or a CellLookup, maps the parent
+    columns and the row count to an array, and post, when not None,
+    checks or converts its value. HybridOutcomes splits each parent
+    stage into units of its own: a formula op by op, a cell lookup into
+    a code per parent, a Horner fold per parent after the first and a
+    gather, so each part is keyed on the parents it reads. noise maps
     the noise column to what combine reads of it; None passes the column
     itself, or len(e) for a mechanism that reads no noise (uses_noise
     False), so its stages are keyed on its parents alone. Each stage
@@ -688,13 +722,18 @@ class QuantileTable(Mechanism):
     Between grid levels the value is linearly interpolated; outside the
     grid it is clamped flat at the end values.
 
-    Cost per sampled row: the cell lookup of CellIndex.rows, one
+    Cost per sampled row: the cell lookup (CellIndex: a code per
+    parent, a multiply-add per parent after the first, one gather), one
     GuideTable search of the levels past the first (one pass for the
     default 50 levels) and a handful of gathers and arithmetic,
     whatever the number of levels or cells. The lookup is a parent
-    stage and the search a noise stage (stages), so in a block
-    HybridOutcomes runs the lookup once per key of the parents' noise
-    ancestry, 8 for three queried roots, and the search twice.
+    stage whose values are each row's cell offset in the flat tables,
+    and the search a noise stage (stages). In a block HybridOutcomes
+    runs each part of the lookup once per key of its own noise
+    ancestry: a parent's code and the fold of the leading parents for
+    the keys of those parents alone, the last fold and the gather for
+    those of every parent (8 for three queried roots); the search runs
+    twice.
     """
 
     kind = "quantile_table"
@@ -735,16 +774,14 @@ class QuantileTable(Mechanism):
         self._grid = grid.ravel()
         self._slope = np.pad(slope, ((0, 0), (0, 1))).ravel()
         self._search = GuideTable(self.levels[1:], "right")
+        # parent stage: the offset of each row's cell in the flat tables
+        self._offsets = CellLookup(self.index, np.arange(len(self.index.keys)) * len(self.levels))
 
     def sample(self, e, parents):
-        return self.combine(self._cell_offsets(parents, len(e)), self._level(e))
+        return self.combine(self._offsets(parents, len(e)), self._level(e))
 
     def stages(self):
-        return Stages(((self._cell_offsets, None),), self._level, self.combine)
-
-    def _cell_offsets(self, parents, n_rows):
-        """Parent stage: the offset of each row's cell in the flat tables."""
-        return self.index.rows(parents, n_rows) * len(self.levels)
+        return Stages(((self._offsets, None),), self._level, self.combine)
 
     def _level(self, e):
         """Noise stage: each row's level index j (the count of levels past
@@ -762,8 +799,10 @@ class QuantileTable(Mechanism):
         # slope*(e - x0) + g0 from the segment's left end (x0, g0) between
         j, d, flat = level
         at = offsets + j
-        g0 = self._grid[at]
-        out = self._slope[at] * d + g0
+        g0 = self._grid.take(at)
+        out = self._slope.take(at)
+        out *= d
+        out += g0
         np.copyto(out, g0, where=flat)
         return out
 
@@ -1070,7 +1109,8 @@ class HybridOutcomes:
     The model compiles once into units in evaluation order. Leaves are
     the noise columns the mechanisms read, each formula constant and the
     row count; the other units are each node's mechanism stages
-    (Stages), the ops of their formulas, and the node's value, its
+    (Stages), split into the ops of their formulas and the code, fold
+    and gather parts of their cell lookups, and the node's value, its
     combine stage with the node checks (a root is its sample), which
     also reads each parent no stage reads, so that every node the node
     loop evaluates runs its checks. A unit's noise ancestry anc is the
@@ -1086,8 +1126,9 @@ class HybridOutcomes:
     LIVE_VALUES at once runs instead for each hybrid that reads it.
 
     Memory: a block holds at most LIVE_VALUES values of each unit at
-    once, of at most 17 bytes a row each (8 for a float column; the
-    QuantileTable level stage holds an index, an offset and a flag):
+    once, of at most 17 bytes a row each (8 for a float column and for
+    a cell lookup's codes and ids; the QuantileTable level stage holds
+    an index, an offset and a flag):
     4.5 MB per unit at rng.BLOCK_LEN rows, whatever the masks. The
     noise columns are views of E and E'.
     """
@@ -1135,14 +1176,16 @@ class HybridOutcomes:
         return len(self.fns) - 1
 
     def _parent_stage(self, fn, parents):
-        """The unit of a parent stage fn(parent columns, n_rows); a
-        ParentFn's formula becomes one unit per op."""
-        formula = getattr(fn, "formula", None)
-        if formula is None:
-            return self._unit(lambda n, *ps, fn=fn: fn(ps, n), (self.rows, *parents))
+        """The unit of a parent stage fn(parent columns, n_rows), split
+        into units that the plan keys apart: a ParentFn's formula gives
+        one unit per op, a cell lookup (a cell-table ParentFn's or a
+        CellLookup) the units of _lookup."""
+        lookup = fn if isinstance(fn, CellLookup) else fn.lookup
+        if lookup is not None:
+            return self._lookup(lookup, parents)
         at = dict(zip(fn.parent_names, parents))
         slots = []
-        for op, arg in formula.program:
+        for op, arg in fn.formula.program:
             if op == "var":
                 slots.append(at[arg])
             elif op == "num":
@@ -1151,6 +1194,22 @@ class HybridOutcomes:
             else:
                 slots.append(self._unit(op, [slots[a] for a in arg]))
         return slots[-1]
+
+    def _lookup(self, lookup, parents):
+        """The units of a cell lookup: one code unit per parent, which
+        reads that parent's value alone; a Horner fold unit per parent
+        after the first, so the ids of the leading parents are keyed on
+        their ancestry alone (a table with no parents has the id 0 on
+        every row); and the gather of values by id, which also reads
+        what the unseen-cell message shows of each parent."""
+        index = lookup.index
+        codes = [self._unit(code, (p,)) for code, p in zip(index._codes, parents)]
+        ids = codes[0] if codes else self._unit(lambda n: index.ids((), n), (self.rows,))
+        for j in range(1, len(codes)):
+            ids = self._unit(lambda ids, c, j=j: index.fold(j, ids, c), (ids, codes[j]))
+        shown = index.shown(parents, codes)
+        gather = lambda ids, *shown: lookup.values.take(index.positions(ids, *shown))
+        return self._unit(gather, (ids, *shown))
 
     def _runs(self, masks):
         """runs[t]: the units the hybrid of masks[t] computes, descending.

@@ -8,10 +8,12 @@ same ModelError message.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from xfvar import mc, rng
 from xfvar.cli import main
 from xfvar.errors import ModelError
 from xfvar.scm import (
@@ -21,6 +23,7 @@ from xfvar.scm import (
     QuantileTable,
     RootCategorical,
     canon_value,
+    model_from_json,
 )
 
 
@@ -219,6 +222,63 @@ def test_table_with_no_parents_and_no_empty_key_has_no_cell(tmp_path, capsys):
     path.write_text(json.dumps(model))
     assert main(["counterfactual", "--model", str(path), "--samples", "200"]) == 2
     assert "node 'Y': no cell for parent values ''" in capsys.readouterr().err
+
+
+# S takes 0, 1 or 2 and B's bin is b0 below 0, b1 up to 0.9999999 and b2
+# above. The block_0 tables lack the cells 1|b1 and 2|b0, which block 0's
+# base draws reach. The last_block tables hold every b0 and b1 cell, and
+# only B = 1, set on one row of the last block, reaches a b2 cell: at two
+# workers that block is in the child's share.
+UNSEEN_KEYS = {
+    "block_0": ("0|b0", "0|b1", "1|b0", "2|b1"),
+    "last_block": tuple(f"{s}|b{b}" for s in range(3) for b in range(2)),
+}
+
+
+def _unseen_table(kind, keys):
+    binning = [None, [0.0, 0.9999999]]
+    if kind == "quantile_table":
+        return {"kind": kind, "levels": [0.25, 0.75], "binning": binning,
+                "cells": {k: [float(i), i + 1.0] for i, k in enumerate(keys)}}
+    return {"kind": kind, "std": {"expr": "1"},
+            "mean": {"cells": {k: float(i) for i, k in enumerate(keys)}, "binning": binning}}
+
+
+@pytest.mark.parametrize("where", UNSEEN_KEYS)
+@pytest.mark.parametrize("kind", ["quantile_table", "hetero_gaussian"])
+def test_unseen_cell_in_the_plan_gives_the_node_loop_message(kind, where, tmp_path, capsys,
+                                                             monkeypatch):
+    obj = {"outcome": "Y", "nodes": [
+        {"name": "S", "parents": [], "mechanism": {
+            "kind": "root_categorical", "values": [0.0, 1.0, 2.0], "probs": [0.3, 0.3, 0.4]}},
+        {"name": "B", "parents": [], "mechanism": {"kind": "root_uniform", "low": -1.0, "high": 1.0}},
+        {"name": "X", "parents": ["S", "B"], "mechanism": _unseen_table(kind, UNSEEN_KEYS[where])},
+        {"name": "Y", "parents": ["X", "B"], "mechanism": {"kind": "deterministic", "expr": "X + B"}},
+    ]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    samples = 2 * rng.BLOCK_LEN + 100
+    block = 0
+    if where == "last_block":
+        block, draw = 2, rng.uniform_block
+
+        def spiked(seed, block_index, n_vars):
+            out = draw(seed, block_index, n_vars)
+            if block_index == block:
+                out[7, 1, 0] = 1.0 - 1e-9
+            return out
+
+        monkeypatch.setattr(rng, "uniform_block", spiked)
+    # the node loop on the block's base noise, which the plan's first hybrid reads
+    with pytest.raises(ModelError) as info:
+        noise = rng.uniform_block(4, block, 4)[: samples - block * rng.BLOCK_LEN, :, 0]
+        model_from_json(obj).outcome_values(noise)
+    assert "no cell for parent values" in str(info.value)
+    argv = ["counterfactual", "--model", str(path), "--samples", str(samples), "--seed", "4"]
+    for workers in (1, 2) if hasattr(os, "fork") else (1,):
+        monkeypatch.setattr(mc, "_max_workers", lambda: workers)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error[E02]: {info.value}\n"
 
 
 def test_non_canonical_key_does_not_hide_its_canonical_neighbour():

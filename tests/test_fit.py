@@ -15,6 +15,7 @@ from xfvar.fit import (
     Dataset,
     FitConfig,
     dag_from_json,
+    equal_frequency_cuts,
     fit_model,
     fit_quantile_grid,
     fit_root,
@@ -353,7 +354,7 @@ def test_fit_model_working_set_stays_under_24_bytes_a_row(tmp_path):
                   {"name": "y", "parents": ["sex", "race", "x"]}],
     })
     data, _ = read_csv(p, categorical=categorical, used=dag.names)
-    fit_model(data, dag, FitConfig(), outcome)  # np.quantile's first call imports numpy.ma
+    fit_model(data, dag, FitConfig(), outcome)  # one-time imports stay out of the traced peak
     model, peak = _traced(fit_model, data, dag, FitConfig(), outcome)
     assert len(model.mechanisms[-1].cells) == 2 * 3 * BINS
     assert peak < 24 * n, peak / n
@@ -464,6 +465,27 @@ def test_parent_binning_quantile_for_many_values():
     data = Dataset({"p": rng.normal(size=500), "y": np.zeros(500)}, 500)
     binning = parent_binning(data, ("p",))
     assert len(binning[0]) == BINS - 1  # interior cuts
+
+
+def _cut_columns():
+    """Columns for equal_frequency_cuts: random draws, ties, signed zeros,
+    huge and tiny magnitudes, and the shortest lengths."""
+    rs = np.random.default_rng(21)
+    for n in (1, 2, 3, 10, 11, 12, 57, 1000, 4099):
+        yield rs.normal(size=n)
+        yield np.round(rs.normal(11.0, 1.6, n))  # many ties, as in an education column
+        yield rs.integers(-2, 3, n) * rs.choice([-0.0, 0.0, 1.0], n)  # -0.0 next to 0.0
+        yield rs.choice([-1.7e308, -1e300, -0.0, 0.0, 5e-324, 1e300, 1.7e308], n)
+        yield rs.normal(size=n) * 10.0 ** rs.integers(-300, 300, n)
+
+
+def test_equal_frequency_cuts_match_np_quantile_bits():
+    levels = [i / BINS for i in range(1, BINS)]
+    for col in _cut_columns():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.quantile(col, levels)
+            got = equal_frequency_cuts(col)
+        assert got.tobytes() == want.tobytes(), (len(col), got, want)
 
 
 def test_empirical_levels_left_continuous():

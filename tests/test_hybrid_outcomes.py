@@ -20,6 +20,7 @@ import pytest
 from xfvar import mc, scm
 from xfvar.algebra import Provenance, measure_from_totals, members
 from xfvar.errors import ModelError
+from xfvar.fit import FitConfig, dag_from_json, fit_model, read_csv
 from xfvar.mc import (
     EstimatorConfig,
     hybrid,
@@ -99,7 +100,10 @@ DAG = {
 # Evaluations per block of each unit with every node queried, as the
 # per-call memo that the compiled plan replaced made them: each stage and
 # formula op of a node in evaluation order, then its value; "Y" is the
-# outcome's count, one per outcome. No unit may run more often now.
+# outcome's count, one per outcome. No unit may run more often now. T's
+# cell lookup, one stage (4) under the memo, is now a code unit per parent
+# (A, C), the fold of C's code into A's and the gather; each is bounded
+# by the whole lookup's 4.
 DAG_EVALS = {
     "A": [2],
     "B": [2],
@@ -107,7 +111,7 @@ DAG_EVALS = {
     "L": [2, 2, 2, 2, 2, 2, 2, 2, 4],
     "R": [4, 2, 4, 4, 2, 8],
     "J": [32, 4, 32, 32, 32],
-    "T": [4, 2, 8],
+    "T": [4, 4, 4, 4, 2, 8],
     "Y": [2, 2, 2, 2, 8, "Y", "Y", "Y", 2, "Y"],
 }
 
@@ -330,6 +334,51 @@ def test_deterministic_nodes_are_keyed_on_their_parents():
     assert block_evals(model, include_outcome=True) == {
         "A": [2], "B": [2], "C": [4, 4, 4], "Y": [4, 4, 4, 4, 4],
     }
+
+
+def _fitted_income(tmp_path):
+    """A quantile_grid fit of the benchmark's income shape: categorical
+    sex (2 labels) and race (3), a dense education binned on both, and
+    log_income on all three."""
+    rs = np.random.default_rng(8)
+    n = 3000
+    sex, race = rs.integers(0, 2, n), rs.integers(0, 3, n)
+    edu = np.round(11.0 + race + 0.5 * sex + rs.normal(0.0, 1.6, n))
+    y = 9.5 + 0.1 * edu + 0.2 * sex + rs.normal(0.0, 0.5, n)
+    path = tmp_path / "income.csv"
+    path.write_text("sex,race,education,log_income\n" + "".join(
+        f"{'FM'[a]},{'ABC'[b]},{c:.0f},{d:.5f}\n" for a, b, c, d in zip(sex, race, edu, y)))
+    dag, outcome, categorical = dag_from_json({
+        "outcome": "log_income",
+        "categorical": ["sex", "race"],
+        "nodes": [{"name": "sex"}, {"name": "race"},
+                  {"name": "education", "parents": ["sex", "race"]},
+                  {"name": "log_income", "parents": ["sex", "race", "education"]}],
+    })
+    data, _ = read_csv(path, categorical=categorical, used=dag.names)
+    return fit_model(data, dag, FitConfig(min_cell=2), outcome)
+
+
+@pytest.mark.usefixtures("one_worker")
+def test_cell_lookups_code_each_parent_once_per_key_of_its_ancestry(tmp_path):
+    # each table's units: a code per parent, a fold per parent after the
+    # first, the gather, the level search and the value. sex and race
+    # have 2 keys per block, education 8, and the (sex, race) fold 4, so
+    # a table no longer codes a parent for the keys of the others
+    model = _fitted_income(tmp_path)
+    assert [m.kind for m in model.mechanisms[2:]] == ["quantile_table"] * 2
+    assert model.mechanisms[3].index.binning[2] is not None  # education is binned
+    got = block_evals(model, include_outcome=True)
+    assert got == once_per_key(model, include_outcome=True)
+    assert got == {
+        "sex": [2],
+        "race": [2],
+        "education": [2, 2, 4, 4, 2, 8],
+        "log_income": [2, 2, 8, 4, 8, 8, 2, 16],
+    }
+    # the whole lookup was one stage keyed on every parent: 4 and 8 runs
+    for name, n_lookup, whole in (("education", 4, 4), ("log_income", 6, 8)):
+        assert max(got[name][:n_lookup]) <= whole, name
 
 
 def test_a_parent_no_stage_reads_still_runs_its_node_checks():

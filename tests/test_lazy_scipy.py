@@ -108,6 +108,25 @@ def test_cell_table_counterfactual_leaves_numpy_ma_and_scipy_unloaded(tmp_path):
     assert _loaded_after(argv, "numpy.ma", "scipy.special") == (0, [])
 
 
+def test_fit_with_a_dense_numeric_parent_leaves_numpy_ma_unloaded(tmp_path):
+    # X has more than BINS distinct values, so fit cuts it at equal-frequency
+    # quantiles
+    rs = np.random.default_rng(3)
+    g = rs.choice(["a", "b"], size=400)
+    x = np.round(rs.normal(size=400), 3)
+    rows = "".join(f"{gi},{xi},{xi + rs.normal():.4f}\n" for gi, xi in zip(g, x))
+    (tmp_path / "d.csv").write_text("G,X,Y\n" + rows)
+    (tmp_path / "dag.json").write_text(json.dumps({"outcome": "Y", "categorical": ["G"], "nodes": [
+        {"name": "G", "parents": []}, {"name": "X", "parents": ["G"]},
+        {"name": "Y", "parents": ["G", "X"]}]}))
+    out = tmp_path / "m.json"
+    argv = ["fit", "--data", str(tmp_path / "d.csv"), "--dag", str(tmp_path / "dag.json"),
+            "--min-cell", "2", "--out", str(out)]
+    assert _loaded_after(argv, "numpy.ma") == (0, [])
+    y = json.loads(out.read_text())["nodes"][2]["mechanism"]
+    assert y["binning"][0] is None and len(y["binning"][1]) == 9
+
+
 def test_formula_sigmoid_bits_match_expit():
     x = np.array([-np.inf, -800.0, -3.5, -1e-300, 0.0, 0.25, 7.0, 800.0, np.inf])
     got = formula.parse_formula("sigmoid(x)", ["x"]).evaluate({"x": x})

@@ -1,12 +1,14 @@
 """Blocks run in forked processes give the serial bytes, the serial errors,
 and leave no process behind.
 
-mc.per_batch_sums runs block 0 in the calling process, then splits the
-other blocks into contiguous shares, one per worker, and forks a child
-for every share but the first. The tests force the worker count through
-the kernel's private mc._max_workers and compare each result with the
-one-worker run, which is the serial loop. SAMPLES spans four blocks, so
-three workers get one block each.
+mc.per_batch_sums splits the blocks into contiguous shares of about
+equal rows, one per worker, opens block 0 and reads its y(E), forks a
+child for every share but the first and runs the first, which starts at
+block 0, itself. The tests force the worker count through the kernel's
+private mc._max_workers and compare each result with the one-worker run,
+which is the serial loop. SAMPLES spans four blocks, the last one short:
+two workers run two blocks each, and three run block 0, block 1, and
+blocks 2 and 3.
 """
 
 import json
@@ -78,18 +80,18 @@ def run(argv, capsys):
 def test_shares_are_contiguous_nonempty_and_even_by_rows(workers):
     for m in range(rng.BLOCK_LEN + 1, 20 * rng.BLOCK_LEN, 997):
         n = rng.n_blocks(m)
-        w = max(1, min(workers, n - 1))
+        w = min(workers, n)
         shares = mc._shares(n, m, w)
         assert len(shares) == w
-        assert [b for share in shares for b in share] == list(range(1, n))
+        assert [b for share in shares for b in share] == list(range(n))
         rows = [min(s.stop * rng.BLOCK_LEN, m) - s.start * rng.BLOCK_LEN for s in shares]
         assert min(rows) > 0
-        assert all(abs(r - (m - rng.BLOCK_LEN) / w) < rng.BLOCK_LEN for r in rows), (m, w, rows)
+        assert all(abs(r - m / w) < rng.BLOCK_LEN for r in rows), (m, w, rows)
 
 
 def test_one_block_left_runs_in_this_process():
-    assert mc._shares(1, 100, 1) == [range(1, 1)]
-    assert mc._shares(2, rng.BLOCK_LEN + 1, 1) == [range(1, 2)]
+    assert mc._shares(1, 100, 1) == [range(0, 1)]
+    assert mc._shares(2, rng.BLOCK_LEN + 1, 1) == [range(0, 2)]
 
 
 def test_a_live_thread_keeps_every_block_in_this_process():
@@ -203,8 +205,9 @@ def kernel(opened, act=lambda b: None):
         b = int(e[0, 0])
         if os.getpid() == PARENT:
             opened.append(b)
-        act(b)
-        for mask in masks:
+        for i, mask in enumerate(masks):
+            if i == 1:  # past y(E), which the kernel reads of block 0 before it forks
+                act(b)
             yield e[:, 0] * (1 + mask) + np.arange(len(e))
 
     def stat(y0, y1, outs):
@@ -215,7 +218,7 @@ def kernel(opened, act=lambda b: None):
     return mc.per_batch_sums(open_block, 1, [1], stat, EstimatorConfig(SAMPLES)).tobytes()
 
 
-@pytest.mark.parametrize("workers, here", [(1, [0, 1, 2, 3]), (2, [0, 1, 2]), (3, [0, 1])])
+@pytest.mark.parametrize("workers, here", [(1, [0, 1, 2, 3]), (2, [0, 1]), (3, [0])])
 def test_children_run_the_later_shares(workers, here, marked, monkeypatch):
     force_workers(monkeypatch, 1)
     want = kernel([])
@@ -305,8 +308,12 @@ def test_a_failed_fork_runs_the_share_here(marked, monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_keyboard_interrupt_in_the_parent_kills_the_children(workers, marked, monkeypatch):
+    # raised in the last block of the parent's share: block 1 at two
+    # workers, block 0 at three
+    last = mc._shares(LAST + 1, SAMPLES, workers)[0][-1]
+
     def act(b):
-        if os.getpid() == PARENT and b == 1:
+        if os.getpid() == PARENT and b == last:
             raise KeyboardInterrupt
         if os.getpid() != PARENT:
             time.sleep(60)

@@ -117,7 +117,8 @@ def test_plan_matches_the_node_loop_on_random_models(monkeypatch):
     not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="forks workers (Linux)"
 )
 def test_full_measure_is_byte_equal_at_one_and_two_workers(monkeypatch):
-    # three blocks: block 0 here, and at two workers one child runs block 2
+    # three blocks: at two workers this process runs block 0 and one child
+    # runs blocks 1 and 2
     rs = np.random.default_rng(SEED + 1)
     cfg = EstimatorConfig(samples=2 * rng.BLOCK_LEN + 300, seed=int(rs.integers(100)))
     ran = 0
