@@ -160,20 +160,23 @@ def parse_clause(text: str, names) -> Clause:
             c = c & parse_factor()
         return c
 
-    def parse_factor():
+    def parse_factor():  # every recursion of the grammar passes here
+        toks.descend()
         if toks.accept("~"):
-            return ~parse_factor()
-        if toks.accept("("):
+            c = ~parse_factor()
+        elif toks.accept("("):
             c = parse_expr()
             toks.expect(")")
-            return c
-        tok = toks.next()
-        kind, value, off = tok
-        if kind != "name":
-            toks.fail(tok)
-        if value not in index:
-            raise ParseError(f"unknown variable {value!r}", off)
-        return clause_var(var_count, index[value])
+        else:
+            tok = toks.next()
+            kind, value, off = tok
+            if kind != "name":
+                toks.fail(tok)
+            if value not in index:
+                raise ParseError(f"unknown variable {value!r}", off)
+            c = clause_var(var_count, index[value])
+        toks.depth -= 1
+        return c
 
     return toks.finish(parse_expr())
 

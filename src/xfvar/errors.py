@@ -43,13 +43,16 @@ def read_text(path, what):
 
 def read_json(path, what):
     """Load a UTF-8 JSON file; bytes that are not UTF-8 and syntax errors
-    are a ParseError at their byte offset."""
+    are a ParseError at their byte offset, and nesting past the
+    interpreter's recursion limit a ParseError without one."""
     text = read_text(path, what)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         offset = len(text[: e.pos].encode("utf-8"))
         raise ParseError(f"invalid {what} file: {e.msg}", offset) from None
+    except RecursionError:
+        raise ParseError(f"invalid {what} file: nesting too deep") from None
 
 
 class CycleError(XfvarError):

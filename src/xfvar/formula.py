@@ -12,7 +12,9 @@ Grammar (standard infix, whitespace-insensitive):
 unary so w^-2 works. Functions: exp, log, abs, sigmoid, sqrt (1 arg),
 min, max (2 args). Evaluation is over numpy arrays or scalars and must
 produce finite values. The parser emits each formula as a flat program
-of ops (Formula.program), which scm.HybridOutcomes also runs op by op.
+of ops (Formula.program), which run_program evaluates; scm writes every
+node of a causal model as one such program, which its node loop runs
+and scm.HybridOutcomes expands op by op.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ class Tokens:
     character of `ops`) or end; offsets count bytes of the UTF-8 source.
     """
 
+    # nesting levels a parser may enter (descend): at most five frames of
+    # recursive descent each, they stay well inside Python's recursion limit
+    max_depth = 100
+
     def __init__(self, text, ops):
         self.toks = []
         off = 0
@@ -85,6 +91,7 @@ class Tokens:
             off += len(lit.encode("utf-8"))
         self.toks.append(("end", "", off))
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -114,6 +121,13 @@ class Tokens:
             raise ParseError("unexpected end of input", off)
         raise ParseError(f"unexpected token {value!r}", off)
 
+    def descend(self):
+        """Enter a nesting level (the caller leaves it with depth -= 1);
+        ParseError at the next token past max_depth."""
+        if self.depth == self.max_depth:
+            raise ParseError("expression nests too deeply", self.peek()[2])
+        self.depth += 1
+
     def finish(self, result):
         """Return result if every token was consumed, else fail on the next one."""
         if self.peek()[0] != "end":
@@ -125,13 +139,12 @@ class Tokens:
 class Formula:
     """A parsed expression; `variables` lists the names it references.
 
-    program is the expression as a flat list in evaluation order: entry
-    k is ("var", name), ("num", value) or (fn, args), the callable fn
-    applied to the values of the earlier entries whose indices args
-    lists. The last entry checks that the value is finite and returns it.
-    Each op is the ufunc or operator the expression names, applied to
-    the same operands in the same order as a recursive walk of the
-    expression, so the program's values are that walk's, bit for bit.
+    program is the expression as a flat tuple of ops in evaluation
+    order (run_program), whose last op checks that the value is finite
+    and returns it. Each op is the ufunc or operator the expression
+    names, applied to the same operands in the same order as a recursive
+    walk of the expression, so the program's values are that walk's, bit
+    for bit.
     """
 
     source: str
@@ -140,22 +153,33 @@ class Formula:
 
     def evaluate(self, env):
         """Evaluate against {name: array-or-scalar}; raises on non-finite output."""
-        vals = []
-        with np.errstate(all="ignore"):
-            for op, arg in self.program:
-                if op == "var":
-                    try:
-                        vals.append(env[arg])
-                    except KeyError:
-                        raise FormulaEvalError(f"no value bound for variable {arg!r}") from None
-                elif op == "num":
-                    vals.append(arg)
-                else:
-                    vals.append(op(*[vals[a] for a in arg]))
-        return vals[-1]
+        return run_program(self.program, env)
 
     def __str__(self):
         return self.source
+
+
+def run_program(program, env, noise=None, n_rows=None):
+    """The value of the last op of program, a tuple of ops in evaluation
+    order, with numpy's floating-point warnings silenced. Op k is a leaf,
+    ("var", name) for env[name], ("num", value) for value, ("noise", None)
+    for noise or ("rows", None) for n_rows, or (fn, args): the callable fn
+    of the values of the earlier ops whose indices args lists."""
+    vals = []
+    with np.errstate(all="ignore"):
+        for op, arg in program:
+            if not isinstance(op, str):
+                vals.append(op(*[vals[a] for a in arg]))
+            elif op == "var":
+                try:
+                    vals.append(env[arg])
+                except KeyError:
+                    raise FormulaEvalError(f"no value bound for variable {arg!r}") from None
+            elif op == "num":
+                vals.append(arg)
+            else:
+                vals.append(noise if op == "noise" else n_rows)
+    return vals[-1]
 
 
 def _finite_check(source):
@@ -196,10 +220,11 @@ def parse_formula(text: str, allowed_names) -> Formula:
             node = emit(_BINARY[op], (node, parse_unary()))
         return node
 
-    def parse_unary():
-        if toks.accept("-"):
-            return emit(operator.neg, (parse_unary(),))
-        return parse_power()
+    def parse_unary():  # every recursion of the grammar passes here
+        toks.descend()
+        node = emit(operator.neg, (parse_unary(),)) if toks.accept("-") else parse_power()
+        toks.depth -= 1
+        return node
 
     def parse_power():
         node = parse_primary()

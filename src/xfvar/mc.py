@@ -12,8 +12,8 @@ is neither, and reads the outcomes back from the iterator it returns,
 one hybrid's at a time. The providers decide how much of each hybrid
 they recompute: `sensitivity` transforms E and E' once and builds
 hybrids in value space, `scm` compiles the masks into a plan that
-computes each node value, mechanism stage and formula op once per key
-of its resampled ancestors. The kernel sums the rows of a small
+computes each op of each node's program once per key of its resampled
+ancestors. The kernel sums the rows of a small
 per-estimator statistic per stderr batch.
 
 upper_estimate, lower_estimate and superset_estimate take the noise mask

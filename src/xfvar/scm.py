@@ -20,14 +20,13 @@ import json
 from bisect import bisect_left
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import PROB_SUM_TOL, Provenance, measure_from_totals, members
 from .anova_oracle import ENUMERATION_BUDGET, DiscreteDomain
 from .errors import CycleError, DomainError, FormulaEvalError, ModelError, NotReducibleError, read_json
-from .formula import Formula, parse_formula
+from .formula import Formula, parse_formula, run_program
 from .mc import Estimate, EstimatorConfig, pickfreeze_totals, range_tolerance, upper_estimate
 
 __all__ = [
@@ -246,9 +245,8 @@ class CellIndex:
     by exact value, or an array of interior cut points for a binned
     continuous parent keyed by bin index. A key holds one "|"-joined part
     per parent, so a table with no parents has the one key "". keys
-    lists the matchable keys in id order; rows() gives each parent row's
-    position in that list. Parent values arrive as a tuple of 1-D
-    columns, one per parent.
+    lists the matchable keys in id order, and program() looks up each
+    parent row's position in that list.
 
     Settled at load: each parent's code function (_codes) and code count
     (_radices), the int64 bound on the id space they span, and the id of
@@ -261,8 +259,9 @@ class CellIndex:
     non-canonical "1.0" or a bin past the last one, get no id and never
     match.
 
-    A lookup is three kinds of part, which rows() runs in turn and the
-    HybridOutcomes plan runs as units of their own: each parent's code
+    program() writes a lookup as ops of its own, so the node loop and
+    the HybridOutcomes plan run the same parts, the plan each once per
+    key of the noise ancestry of what it reads: each parent's code
     function (one GuideTable search, and for a discrete parent an
     exactness check; values that are not a key value exactly are
     rendered once per distinct value); a Horner step per parent after
@@ -319,7 +318,9 @@ class CellIndex:
             if None not in row:
                 matchable.append(key)
                 key_codes.append(row)
-        ids = self.ids([np.array(c, dtype=np.int64) for c in zip(*key_codes)], len(matchable))
+        ids = np.zeros(len(matchable), dtype=np.int64)
+        for j, codes in enumerate(zip(*key_codes)):
+            ids = self.fold(j, ids, np.array(codes, dtype=np.int64))
         order = np.argsort(ids)
         self.keys = [matchable[i] for i in order]
         self._ids = np.append(ids[order], -1)  # -1: a sentinel no cell id equals
@@ -336,20 +337,6 @@ class CellIndex:
         out = np.multiply(ids, self._radices[j], dtype=np.int64)
         out += code
         return out
-
-    def ids(self, codes, n_rows):
-        """Cell ids of n_rows rows from each parent's codes; 0 with no parents."""
-        if not codes:
-            return np.zeros(n_rows, dtype=np.int64)
-        ids = codes[0]
-        for j in range(1, len(codes)):
-            ids = self.fold(j, ids, codes[j])
-        return ids
-
-    def shown(self, parents, codes):
-        """What names a row in the unseen-cell message, per parent: its
-        value when discrete, its bin index when binned."""
-        return [p if b is None else c for b, p, c in zip(self.binning, parents, codes)]
 
     def positions(self, ids, *shown):
         """Position in keys of each cell id.
@@ -372,10 +359,27 @@ class CellIndex:
             raise ModelError(f"node {self.node!r}: no cell for parent values {key!r}")
         return pos
 
-    def rows(self, parents, n_rows):
-        """Position in keys of each of the n_rows parent rows' cells."""
-        codes = [code(col) for code, col in zip(self._codes, parents)]
-        return self.positions(self.ids(codes, n_rows), *self.shown(parents, codes))
+    def program(self, names, values):
+        """values[position in keys of each row's cell] as a program
+        (formula.run_program) over the parents named names: per parent a
+        var and its code; a fold per parent after the first (with no
+        parents, a rows leaf and the id 0 on every row); and the gather,
+        which also reads what the unseen-cell message shows of each
+        parent, its value when discrete and its bin index when binned."""
+        ops, codes, shown = [], [], []
+        for name, code, b in zip(names, self._codes, self.binning):
+            ops += [("var", name), (code, (len(ops),))]
+            codes.append(len(ops) - 1)
+            shown.append(len(ops) - 1 - (b is None))
+        if not codes:
+            ops += [("rows", None), (lambda n: np.zeros(n, dtype=np.int64), (len(ops),))]
+            codes.append(len(ops) - 1)
+        ids = codes[0]
+        for j in range(1, len(codes)):
+            ops.append((lambda ids, code, j=j: self.fold(j, ids, code), (ids, codes[j])))
+            ids = len(ops) - 1
+        gather = lambda ids, *shown: values.take(self.positions(ids, *shown))
+        return (*ops, (gather, (ids, *shown)))
 
     def to_json(self):
         if all(b is None for b in self.binning):
@@ -422,21 +426,11 @@ def _discrete_code(named, code_of):
     return code
 
 
-class CellLookup(NamedTuple):
-    """values[position of each parent row's cell in index.keys]: the
-    parent stage of a cell table, called with a tuple of 1-D parent
-    columns and the row count."""
-
-    index: CellIndex
-    values: np.ndarray
-
-    def __call__(self, parents, n_rows):
-        return self.values.take(self.index.rows(parents, n_rows))
-
-
 class ParentFn:
-    """Scalar function of a node's parents: a formula or a cell table,
-    whose lookup is a CellLookup.
+    """Scalar function of a node's parents, a formula or a cell table,
+    written as a program (formula.run_program) over the parent names:
+    the formula's own, or the table's CellIndex lookup of its cell
+    values.
 
     Called with a tuple of 1-D parent columns and the row count.
     """
@@ -454,7 +448,7 @@ class ParentFn:
             except FormulaEvalError as err:
                 raise ModelError(f"node {node!r}: {err}") from None
         self.formula = formula
-        self.cells = self.index = self.lookup = None
+        self.cells = self.index = None
         if cells is not None:
             if not isinstance(cells, dict):
                 raise ModelError(f"node {node!r}: cells must be an object")
@@ -462,12 +456,12 @@ class ParentFn:
             _check_finite(node, "cell values", list(self.cells.values()))
             self.index = CellIndex(node, len(self.parent_names), binning, self.cells)
             values = np.array([self.cells[k] for k in self.index.keys], dtype=float)
-            self.lookup = CellLookup(self.index, values)
+            self.program = self.index.program(self.parent_names, values)
+        else:
+            self.program = formula.program
 
     def __call__(self, parents, n_rows):
-        if self.formula is not None:
-            return self.formula.evaluate(dict(zip(self.parent_names, parents)))
-        return self.lookup(parents, n_rows)
+        return run_program(self.program, dict(zip(self.parent_names, parents)), n_rows=n_rows)
 
     def to_json(self):
         if self.formula is not None:
@@ -537,28 +531,20 @@ def _floats(node, what, v):
         raise ModelError(f"node {node!r}: {what} must be finite") from None
 
 
-class Stages(NamedTuple):
-    """How a mechanism's sample splits into the stages HybridOutcomes
-    computes apart, each once per key of its own noise ancestry:
+def _program(combine, *stages):
+    """combine of the last ops of stages, each a program, as one program:
+    the stages' ops in turn, then combine."""
+    ops, ends = [], []
+    for stage in stages:
+        at = len(ops)
+        ops += [(op, a if isinstance(op, str) else tuple(k + at for k in a)) for op, a in stage]
+        ends.append(len(ops) - 1)
+    return (*ops, (combine, tuple(ends)))
 
-        combine(*[post(fn(parents, len(e))) for fn, post in parents], noise(e))
 
-    Each parent stage fn, a ParentFn or a CellLookup, maps the parent
-    columns and the row count to an array, and post, when not None,
-    checks or converts its value. HybridOutcomes splits each parent
-    stage into units of its own: a formula op by op, a cell lookup into
-    a code per parent, a Horner fold per parent after the first and a
-    gather, so each part is keyed on the parents it reads. noise maps
-    the noise column to what combine reads of it; None passes the column
-    itself, or len(e) for a mechanism that reads no noise (uses_noise
-    False), so its stages are keyed on its parents alone. Each stage
-    applies the ufuncs of sample to the same operands in the same order,
-    so the split changes no value's bits.
-    """
-
-    parents: tuple
-    noise: object
-    combine: object
+def _on_noise(fn):
+    """The program fn(noise column)."""
+    return (("noise", None), (fn, (0,)))
 
 
 class Mechanism:
@@ -566,21 +552,33 @@ class Mechanism:
 
     sample(e, parents) takes the noise column e and a tuple of 1-D
     parent columns of the same length, in parent_names order; roots get
-    an empty tuple. stages() returns its Stages split, or None when
-    sample is one stage (every root). Discrete roots also report their
-    law as (values, probs) through discrete_law(); every other mechanism
-    returns None there.
+    an empty tuple. program is the whole node as one program
+    (formula.run_program) over the noise and rows leaves and the parent
+    names, its last op making the node's value: by default one op that
+    calls sample, else the ops sample runs (run), which HybridOutcomes
+    computes each once per key of its own noise ancestry. Discrete
+    roots also report their law as (values, probs) through
+    discrete_law(); every other mechanism returns None there.
     """
 
     kind = None
     is_root = False
     uses_noise = True
+    parent_names = ()
 
     def sample(self, e, parents):
         raise NotImplementedError
 
-    def stages(self):
-        return None
+    @property
+    def program(self):
+        # built at each read: a mechanism that held its program would hold
+        # its own bound methods, a reference cycle only the collector frees
+        ops = (("noise", None), *(("var", p) for p in self.parent_names))
+        return (*ops, (lambda e, *parents: self.sample(e, parents), tuple(range(len(ops)))))
+
+    def run(self, program, e, parents):
+        """program's value on the noise column e and the parent columns."""
+        return run_program(program, dict(zip(self.parent_names, parents)), e, len(e))
 
     def discrete_law(self):
         return None
@@ -619,6 +617,8 @@ class RootUniform(Mechanism):
         _check_finite(node, "low and high", [self.low, self.high])
         if not (self.high >= self.low):
             raise ModelError(f"node {node!r}: need high >= low")
+        if not math.isfinite(self.high - self.low):
+            raise ModelError(f"node {node!r}: high - low must be finite")
 
     def sample(self, e, parents):
         return self.low + (self.high - self.low) * e
@@ -726,14 +726,13 @@ class QuantileTable(Mechanism):
     parent, a multiply-add per parent after the first, one gather), one
     GuideTable search of the levels past the first (one pass for the
     default 50 levels) and a handful of gathers and arithmetic,
-    whatever the number of levels or cells. The lookup is a parent
-    stage whose values are each row's cell offset in the flat tables,
-    and the search a noise stage (stages). In a block HybridOutcomes
-    runs each part of the lookup once per key of its own noise
-    ancestry: a parent's code and the fold of the leading parents for
-    the keys of those parents alone, the last fold and the gather for
-    those of every parent (8 for three queried roots); the search runs
-    twice.
+    whatever the number of levels or cells. The program is the lookup
+    of each row's cell offset in the flat tables (_offsets), the search
+    on the noise leaf (_level) and combine. In a block HybridOutcomes
+    runs each op of the lookup once per key of its own noise ancestry:
+    a parent's code and the fold of the leading parents for the keys of
+    those parents alone, the last fold and the gather for those of
+    every parent (8 for three queried roots); the search runs twice.
     """
 
     kind = "quantile_table"
@@ -774,20 +773,21 @@ class QuantileTable(Mechanism):
         self._grid = grid.ravel()
         self._slope = np.pad(slope, ((0, 0), (0, 1))).ravel()
         self._search = GuideTable(self.levels[1:], "right")
-        # parent stage: the offset of each row's cell in the flat tables
-        self._offsets = CellLookup(self.index, np.arange(len(self.index.keys)) * len(self.levels))
+        offsets = np.arange(len(self.index.keys)) * len(self.levels)
+        self._offsets = self.index.program(self.parent_names, offsets)
+
+    @property
+    def program(self):
+        return _program(self.combine, self._offsets, _on_noise(self._level))
 
     def sample(self, e, parents):
-        return self.combine(self._offsets(parents, len(e)), self._level(e))
-
-    def stages(self):
-        return Stages(((self._offsets, None),), self._level, self.combine)
+        return self.run(self.program, e, parents)
 
     def _level(self, e):
-        """Noise stage: each row's level index j (the count of levels past
-        the first at or below e, so 0 below the first level and L - 1 for
-        NaN), its offset d = e - levels[j] and where the value is the grid
-        value g0 itself."""
+        """Each row's level index j (the count of levels past the first at
+        or below e, so 0 below the first level and L - 1 for NaN), its
+        offset d = e - levels[j] and where the value is the grid value g0
+        itself."""
         levels = self.levels
         j = self._search(e)
         d = e - levels[j]
@@ -832,11 +832,12 @@ class AdditiveNoise(Mechanism):
             raise ModelError(f"node {node!r}: residual pool is empty")
         _check_finite(node, "residuals", self.residuals)
 
-    def sample(self, e, parents):
-        return self.combine(self.mean(parents, len(e)), self._residual(e))
+    @property
+    def program(self):
+        return _program(self.combine, self.mean.program, _on_noise(self._residual))
 
-    def stages(self):
-        return Stages(((self.mean, None),), self._residual, self.combine)
+    def sample(self, e, parents):
+        return self.run(self.program, e, parents)
 
     def _residual(self, e):
         return empirical_quantile(self.residuals, e)
@@ -867,14 +868,13 @@ class HeteroGaussian(Mechanism):
         if std.formula is not None and not std.formula.variables and std.formula.evaluate({}) < 0:
             raise ModelError(f"node {node!r}: std formula must be >= 0")
 
-    def sample(self, e, parents):
-        s = self._checked_std(self.std(parents, len(e)))
-        return self.combine(s, self.mean(parents, len(e)), gauss_quantile(e))
+    @property
+    def program(self):
+        std = _program(self._checked_std, self.std.program)
+        return _program(self.combine, std, self.mean.program, _on_noise(gauss_quantile))
 
-    def stages(self):
-        return Stages(
-            ((self.std, self._checked_std), (self.mean, None)), gauss_quantile, self.combine
-        )
+    def sample(self, e, parents):
+        return self.run(self.program, e, parents)
 
     def _checked_std(self, s):
         s = np.asarray(s, dtype=float)
@@ -901,11 +901,12 @@ class Deterministic(Mechanism):
         self.formula = formula
         self.value = ParentFn(node, parent_names, formula=formula)
 
-    def sample(self, e, parents):
-        return self.combine(self.value(parents, len(e)), len(e))
+    @property
+    def program(self):
+        return _program(self.combine, self.value.program, (("rows", None),))
 
-    def stages(self):
-        return Stages(((self.value, None),), None, self.combine)
+    def sample(self, e, parents):
+        return self.run(self.program, e, parents)
 
     def combine(self, out, n_rows):
         """The formula's value, a constant spread over n_rows rows."""
@@ -1106,17 +1107,16 @@ class HybridOutcomes:
     of each mask: the one that takes the noise columns set in mask from
     E' (the mc kernel's evaluator).
 
-    The model compiles once into units in evaluation order. Leaves are
-    the noise columns the mechanisms read, each formula constant and the
-    row count; the other units are each node's mechanism stages
-    (Stages), split into the ops of their formulas and the code, fold
-    and gather parts of their cell lookups, and the node's value, its
-    combine stage with the node checks (a root is its sample), which
-    also reads each parent no stage reads, so that every node the node
-    loop evaluates runs its checks. A unit's noise ancestry anc is the
-    union of its arguments': a noise column's is its own bit. Its value
-    under a hybrid depends only on anc & mask (the Hoeffding structure
-    the measure rests on).
+    The model compiles once into units in evaluation order, one per op
+    of each node's program (Mechanism.program). Leaves are the noise
+    columns the mechanisms read, each formula constant and the row
+    count; a var op is its parent's value unit. The last op of a program
+    is the node's value, under the node checks, and also reads each
+    parent no op reads, so that every node the node loop evaluates runs
+    its checks. A unit's noise ancestry anc is the union of its
+    arguments': a noise column's is its own bit. Its value under a
+    hybrid depends only on anc & mask (the Hoeffding structure the
+    measure rests on).
 
     Every block of an estimate asks for the same masks, so the first
     compiles them into a plan: straight-line steps (fn, argument slots,
@@ -1127,8 +1127,8 @@ class HybridOutcomes:
 
     Memory: a block holds at most LIVE_VALUES values of each unit at
     once, of at most 17 bytes a row each (8 for a float column and for
-    a cell lookup's codes and ids; the QuantileTable level stage holds
-    an index, an offset and a flag):
+    a cell lookup's codes and ids; the QuantileTable level op holds an
+    index, an offset and a flag):
     4.5 MB per unit at rng.BLOCK_LEN rows, whatever the masks. The
     noise columns are views of E and E'.
     """
@@ -1148,19 +1148,19 @@ class HybridOutcomes:
             if mech.uses_noise:
                 noise = self._unit(None, (), 1 << i)
                 self.noise.append((noise, i))
-            stages = mech.stages()
-            if stages is None:  # sample is one stage
-                combine = lambda e, *ps, sample=mech.sample: sample(e, ps)
-                args = (noise, *parents)
-            else:
-                args = []
-                for f, post in stages.parents:
-                    u = self._parent_stage(f, parents)
-                    args.append(u if post is None else self._unit(post, (u,)))
-                if stages.noise is not None:
-                    noise = self._unit(stages.noise, (noise,))
-                combine, args = stages.combine, (*args, noise)
-            # a parent no stage reads is an argument all the same
+            at = dict(zip(model.dag.parents[i], parents))
+            *ops, (combine, last) = mech.program
+            slots = []  # the unit of each op
+            for op, arg in ops:
+                if not isinstance(op, str):
+                    slots.append(self._unit(op, [slots[a] for a in arg]))
+                elif op == "num":
+                    slots.append(self._unit(None, ()))
+                    self.consts.append((slots[-1], arg))
+                else:
+                    slots.append(at[arg] if op == "var" else noise if op == "noise" else self.rows)
+            args = [slots[a] for a in last]
+            # a parent no op reads is an argument all the same
             unread = sorted(set(parents).difference(args, *self.args[first:]))
             value = _checked_value(model, i, combine, len(args))
             self.node_units[i] = self._unit(value, (self.rows, *args, *unread))
@@ -1174,42 +1174,6 @@ class HybridOutcomes:
         self.args.append(tuple(args))
         self.anc.append(anc)
         return len(self.fns) - 1
-
-    def _parent_stage(self, fn, parents):
-        """The unit of a parent stage fn(parent columns, n_rows), split
-        into units that the plan keys apart: a ParentFn's formula gives
-        one unit per op, a cell lookup (a cell-table ParentFn's or a
-        CellLookup) the units of _lookup."""
-        lookup = fn if isinstance(fn, CellLookup) else fn.lookup
-        if lookup is not None:
-            return self._lookup(lookup, parents)
-        at = dict(zip(fn.parent_names, parents))
-        slots = []
-        for op, arg in fn.formula.program:
-            if op == "var":
-                slots.append(at[arg])
-            elif op == "num":
-                slots.append(self._unit(None, ()))
-                self.consts.append((slots[-1], arg))
-            else:
-                slots.append(self._unit(op, [slots[a] for a in arg]))
-        return slots[-1]
-
-    def _lookup(self, lookup, parents):
-        """The units of a cell lookup: one code unit per parent, which
-        reads that parent's value alone; a Horner fold unit per parent
-        after the first, so the ids of the leading parents are keyed on
-        their ancestry alone (a table with no parents has the id 0 on
-        every row); and the gather of values by id, which also reads
-        what the unseen-cell message shows of each parent."""
-        index = lookup.index
-        codes = [self._unit(code, (p,)) for code, p in zip(index._codes, parents)]
-        ids = codes[0] if codes else self._unit(lambda n: index.ids((), n), (self.rows,))
-        for j in range(1, len(codes)):
-            ids = self._unit(lambda ids, c, j=j: index.fold(j, ids, c), (ids, codes[j]))
-        shown = index.shown(parents, codes)
-        gather = lambda ids, *shown: lookup.values.take(index.positions(ids, *shown))
-        return self._unit(gather, (ids, *shown))
 
     def _runs(self, masks):
         """runs[t]: the units the hybrid of masks[t] computes, descending.
@@ -1301,11 +1265,11 @@ def _outcomes(plan, slots):
             slots[s] = None
 
 
-def _checked_value(model, i, combine, n_stages):
-    """Node i's value unit: f(n_rows, *stage values, *unread parents),
-    combine's value of the n_stages stage values under the node checks."""
+def _checked_value(model, i, combine, n_args):
+    """Node i's value unit: f(n_rows, *args, *unread parents), combine's
+    value of its n_args args under the node checks."""
     checked = model._checked
-    return lambda n, *stages: checked(i, combine(*stages[:n_stages]), n)
+    return lambda n, *args: checked(i, combine(*args[:n_args]), n)
 
 
 def _unit_noise(model: ScmModel, v, what):
@@ -1357,9 +1321,9 @@ def estimate_counterfactual_measure(
     it that mass stays on the empty atom. Each block of sample pairs
     asks for 2**K + 1 outcomes for K query variables; HybridOutcomes
     compiles 2**K masks, one more when the outcome is left out. It
-    evaluates each node value, mechanism stage and formula op once per
-    key: 2**|A| per block, A the query columns of its noise ancestry (a
-    root or a noise stage two, a formula constant nothing), plus one
+    evaluates each op of each node's program once per key: 2**|A| per
+    block, A the query columns of its noise ancestry (a root or an op
+    on a noise leaf two, a formula constant nothing), plus one
     when that ancestry holds the outcome's column and the outcome is
     left out. A unit whose values would stay alive past LIVE_VALUES at
     once runs instead for each hybrid that reads it. Nothing outside

@@ -437,6 +437,10 @@ MODEL_VALUE_CASES = {
     "uniform_high_below_low": (_put(["nodes", 2, "mechanism"],
                                     {"kind": "root_uniform", "low": 1.0, "high": 0.0}),
                                "node 'C': need high >= low"),
+    # every draw of low + (high - low) * e would be non-finite
+    "uniform_range_overflows": (_put(["nodes", 2, "mechanism"],
+                                     {"kind": "root_uniform", "low": -1e308, "high": 1e308}),
+                                "node 'C': high - low must be finite"),
     "categorical_empty": (_put(["nodes", 0, "mechanism"],
                                {"kind": "root_categorical", "values": [], "probs": []}),
                           "node 'A': empty categorical"),
@@ -655,6 +659,29 @@ def _json_argv(tmp_path, kind, data=BAD_JSON.encode("utf-8")):
 def test_json_syntax_error_at_byte_offset(tmp_path, capsys, kind):
     code = run_cli(_json_argv(tmp_path, kind))
     assert_one_file_error(capsys, code, f"invalid {kind} file: Expecting value (at byte offset 25)")
+
+
+# json.dumps cannot write these files, so they are not rows of the
+# *_CASES tables above
+@pytest.mark.parametrize("kind", ["model", "DAG", "report"])
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, kind):
+    code = run_cli(_json_argv(tmp_path, kind, b"[" * 100_000))
+    assert_one_file_error(capsys, code, f"invalid {kind} file: nesting too deep")
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "A" + ")" * 3000,
+    "-" * 3000 + "A",
+    "^".join(["A"] * 3000),
+], ids=["parentheses", "minus", "power"])
+def test_formula_nested_past_the_parser_limit_exits_2(tmp_path, capsys, expr):
+    model = {"outcome": "Y", "nodes": [
+        _node("A", [], {"kind": "root_rademacher"}),
+        _node("Y", ["A"], {"kind": "deterministic", "expr": expr}),
+    ]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    assert_one_file_error(capsys, run_cli(["oracle", "--model", str(p)]), "expression nests too deeply")
 
 
 def test_json_file_not_utf8_exits_2(tmp_path, capsys):

@@ -357,7 +357,7 @@ def _searchsorted_sample(qt, e, parents):
     """QuantileTable.sample with the level search done by np.searchsorted."""
     levels = qt.levels
     j = np.maximum(np.searchsorted(levels, e, side="right") - 1, 0)
-    at = qt.index.rows(parents, len(e)) * len(levels) + j
+    at = qt.run(qt._offsets, e, parents) + j
     g0 = qt._grid[at]
     d = e - levels[j]
     out = qt._slope[at] * d + g0

@@ -381,6 +381,25 @@ def test_cell_lookups_code_each_parent_once_per_key_of_its_ancestry(tmp_path):
         assert max(got[name][:n_lookup]) <= whole, name
 
 
+def test_parentless_cell_tables_match_noise_space_bits():
+    # a table with no parents has the one key "": its lookup is the rows
+    # leaf, an op that gives every row the id 0, and the gather
+    model = model_from_json({"outcome": "Y", "nodes": [
+        _node("H", [], {"kind": "hetero_gaussian", "mean": {"cells": {"": 1.5}},
+                        "std": {"cells": {"": 0.5}}}),
+        _node("N", [], {"kind": "additive_noise", "mean": {"cells": {"": 1.5}},
+                        "residuals": [-1.0, 0.0, 2.0]}),
+        _node("Y", ["H", "N"], {"kind": "deterministic", "expr": "H*N"}),
+    ]})
+    outcomes = HybridOutcomes(model)
+    assert sum(args == (outcomes.rows,) for args in outcomes.args) == 3
+    for seed, samples in CASES:
+        cfg = EstimatorConfig(samples=samples, seed=seed)
+        for include_outcome in (True, False):
+            m = estimate_counterfactual_measure(model, cfg, include_outcome)
+            assert _hex_measure(m) == _hex_measure(_reference_measure(model, cfg, include_outcome))
+
+
 def test_a_parent_no_stage_reads_still_runs_its_node_checks():
     # Y lists P as a parent but its formula reads none; the node loop
     # evaluates P, whose std goes negative, so the plan must too
@@ -532,6 +551,22 @@ def test_block_evaluator_is_freed_without_the_cycle_collector():
         assert sum(r() is not None for r in made) > len(ys)  # held for the later hybrids
         refs = [weakref.ref(outs)] + made
         del outs, ys
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_model_is_freed_without_the_cycle_collector():
+    # a mechanism that held its program would hold its own bound methods,
+    # a cycle that keeps each model read alive until the collector runs
+    model = model_from_json(DAG)
+    e = np.random.default_rng(1).random((50, model.n_nodes))
+    model.outcome_values(e)
+    next(HybridOutcomes(model).open_block(e, e, [0]))
+    refs = [weakref.ref(m) for m in model.mechanisms]
+    gc.disable()
+    try:
+        del model
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

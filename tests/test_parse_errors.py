@@ -19,6 +19,7 @@ FORMULA_ERRORS = [
     ("foo(a)", "unknown function 'foo'", 0),
     ("nope", "unknown identifier 'nope'", 0),
     ("é + $", "unexpected character 'é'", 0),
+    ("(" * 101 + "a", "expression nests too deeply", 100),
 ]
 
 CLAUSE_ERRORS = [
@@ -30,6 +31,7 @@ CLAUSE_ERRORS = [
     ("W1 & é$", "unexpected character 'é'", 5),
     ("~", "unexpected end of input", 1),
     (")", "unexpected token ')'", 0),
+    ("~" * 101 + "W1", "expression nests too deeply", 100),
 ]
 
 
