@@ -39,6 +39,15 @@ def subset_key(names, mask: int, sep: str = "+") -> str:
     return sep.join(n for j, n in enumerate(names) if mask >> j & 1)
 
 
+def subset_keys(names) -> list:
+    """subset_key(names, s) of every mask s, in mask order: the key of
+    s | 1 << j, for j above every member of s, extends the key of s."""
+    keys = [""]
+    for name in names:
+        keys += [f"{key}+{name}" if key else name for key in keys]
+    return keys
+
+
 def subset_label(mask: int, names) -> str:
     """Pretty-print a subset bitmask: its report key, '(none)' if empty."""
     return subset_key(names, mask) or "(none)"
@@ -476,7 +485,28 @@ def measure_interaction(m: ExplanationMeasure, mask: int) -> float:
     n = 1 << m.var_count
     if not 0 <= mask < n:
         raise ValueError("subset mask out of range")
-    return math.fsum(m.atom_mass[(np.arange(n) & mask) == mask])
+    return _superset_fsum(m.atom_mass, mask, n - 1)
+
+
+def measure_interactions(m: ExplanationMeasure) -> list:
+    """measure_interaction of every mask, in mask order."""
+    atoms = m.atom_mass.tolist()
+    full = (1 << m.var_count) - 1
+    return [_superset_fsum(atoms, s, full) for s in range(full + 1)]
+
+
+def _superset_fsum(atoms, mask: int, full: int) -> float:
+    """math.fsum of atoms[t] over the supersets t of mask in increasing
+    order, the order of a scan of every atom: each bit outside mask, from
+    the lowest up, doubles the list with that bit set. fsum is correctly
+    rounded, and the same inputs in the same order also overflow alike."""
+    supersets = [mask]
+    rest = full ^ mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        supersets += [t | bit for t in supersets]
+    return math.fsum(map(atoms.__getitem__, supersets))
 
 
 def totals_from_measure(m: ExplanationMeasure) -> TotalsTable:

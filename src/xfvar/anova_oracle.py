@@ -5,17 +5,20 @@ expectation is an exact weighted sum: nothing is sampled. This module is
 the reference the Monte Carlo estimators and the algebra constructions
 are verified against. Only the decomposition runs in a command
 (`oracle`). It shares work across subsets (each conditional mean is one
-contraction of the next larger one; the Moebius sums of all subsets with
-the same support sizes advance together, one broadcast per term) while
-keeping the float operations, and so every bit, of the brute-force loop
-the tests keep as `reference_decompose`. The pair-enumeration closed forms
-(`exact_pickfreeze`, `exact_contrast_var`, `exact_contrast_cov`) are
-brute force by design and are test references for it.
+BLAS dot of the next larger one with a law; the Moebius sums of all
+subsets with the same support sizes advance together, their terms
+gathered once per stack they read and added one in-place broadcast per
+term) while keeping the float operations, and so every bit, of the
+brute-force loop the tests keep as `reference_decompose`. The
+pair-enumeration closed forms (`exact_pickfreeze`, `exact_contrast_var`,
+`exact_contrast_cov`) are brute force by design and are test references
+for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -136,15 +139,18 @@ def hoeffding_decompose(f, domain: DiscreteDomain) -> AnovaDecomposition:
     loop kept in the tests (`reference_decompose`):
     - m_S contracts the variables outside S from the highest down, each
       by one tensordot with its law; m_S is the last step of that chain,
-      taken from m_{S+j} for the lowest j outside S.
+      taken from m_{S+j} for the lowest j outside S by the one np.dot
+      that tensordot makes (axis j moved last, the rest flattened into
+      rows, times the law as a column), called directly.
     - f_S sums the signed m_T left to right over T from S down to 0
       (`submasks` order), starting from 0.0; subtracting m_T is adding
       -1.0 * m_T, bit for bit.
     - The weights over the S grid multiply the laws of S's members in
       ascending order, starting from 1.0; sigma2[S] and the total
       variance are np.sum of weight * value**2 over one contiguous table.
-    Subsets whose members have the same support sizes share one row
-    gather and one broadcast add (or subtract) per term.
+    Subsets whose members have the same support sizes are summed
+    together: one row gather per stack of m_T their terms read, then one
+    in-place broadcast add (or subtract) per term.
 
     Raises ModelError when a sigma2[S] or the total variance overflows.
     """
@@ -152,34 +158,42 @@ def hoeffding_decompose(f, domain: DiscreteDomain) -> AnovaDecomposition:
     shape = domain.shape()
     vals = _eval_on_grid(f, domain.grid()).reshape(shape)
     n_sub = 1 << k
+    columns = [p.reshape(-1, 1) for p in domain.probs]
     with np.errstate(over="ignore", invalid="ignore"):
         cond = [vals] * n_sub
-        weights = [np.ones(())] * n_sub
         for s in range(n_sub - 2, -1, -1):
             j = ((s + 1) & ~s).bit_length() - 1  # lowest variable outside s
-            cond[s] = np.tensordot(cond[s | 1 << j], domain.probs[j], axes=([j], [0]))
-        for s in range(1, n_sub):
-            j = s.bit_length() - 1  # highest member of s
-            weights[s] = np.multiply.outer(weights[s ^ 1 << j], domain.probs[j])
+            a = cond[s | 1 << j]
+            # the one dot np.tensordot(a, probs[j], axes=([j], [0])) makes:
+            # axis j moved last, the rest flattened into rows
+            rest = (*range(j), *range(j + 1, a.ndim))
+            cond[s] = np.dot(a.transpose(*rest, j).reshape(-1, shape[j]), columns[j]).reshape(
+                a.shape[:j] + a.shape[j + 1:]
+            )
         mean = float(cond[0])
 
         # subsets grouped by their members' support sizes; row[S] is the
         # position of S in its group, and so of its tables in the stacks
-        groups = {}
-        for s in range(n_sub):
-            groups.setdefault(tuple(shape[j] for j in members(s)), []).append(s)
+        weights = [np.ones(())] * n_sub
+        dims = [()] * n_sub
+        groups = {(): [0]}
+        for s in range(1, n_sub):
+            j = s.bit_length() - 1  # highest member of s
+            weights[s] = np.multiply.outer(weights[s ^ 1 << j], domain.probs[j])
+            dims[s] = dims[s ^ 1 << j] + (shape[j],)
+            groups.setdefault(dims[s], []).append(s)
         row = np.zeros(n_sub, dtype=np.int64)
         cond_stack = {}
-        for dims, masks in groups.items():
+        for key, masks in groups.items():
             row[masks] = np.arange(len(masks))
-            cond_stack[dims] = np.stack([np.ravel(cond[s]) for s in masks])
+            cond_stack[key] = np.stack([cond[s].ravel() for s in masks])
         del cond
 
         comps = [None] * n_sub
         sigma2 = np.zeros(n_sub)
-        for dims, masks in groups.items():
-            totals = _mobius_sums(dims, masks, row, cond_stack)
-            w = np.stack([np.ravel(weights[s]) for s in masks])
+        for key, masks in groups.items():
+            totals = _mobius_sums(key, masks, row, cond_stack)
+            w = np.stack([weights[s].ravel() for s in masks])
             sigma2[masks] = np.sum(w * totals.reshape(len(masks), -1) ** 2, axis=1)
             for i, s in enumerate(masks):
                 comps[s] = totals[i, ...]
@@ -196,21 +210,31 @@ def _mobius_sums(dims, masks, row, cond_stack):
 
     Every S in the group has m members, and `submasks(S)` visits them in
     the order it visits the submasks of m bits. So the u-th term of every
-    S is m_T, T the members of S at the positions u picks; the m_T of the
-    whole group are rows of one stack, and one row gather and one
-    broadcast add (or subtract, for the Moebius sign -1) apply them.
+    S is m_T, T the members of S at the positions u picks, and the m_T of
+    the whole group are rows of the stack of T's support sizes. Every
+    term reading one stack is gathered by one row index; the sum then
+    takes, in `submasks` order, a view of each term's rows and adds (or
+    subtracts, for the Moebius sign -1) it in place.
     """
     m = len(dims)
-    every = (1 << m) - 1
-    local = list(submasks(every))
-    member_bits = np.array([[1 << j for j in members(s)] for s in masks], dtype=np.int64)
-    term_rows = row[(np.array(local)[:, None] >> np.arange(m) & 1) @ member_bits.T]
-    totals = np.zeros((len(masks), *dims))
-    for u, rows in zip(local, term_rows):
-        picked = [u >> i & 1 for i in range(m)]
-        term = cond_stack[tuple(d for d, p in zip(dims, picked) if p)][rows]
-        term = term.reshape(len(masks), *(d if p else 1 for d, p in zip(dims, picked)))
-        (np.subtract if mobius_sign(every, u) < 0 else np.add)(totals, term, out=totals)
+    n = len(masks)
+    # the submasks of m set bits count down from all of them to none
+    picks = np.arange((1 << m) - 1, -1, -1)[:, None] >> np.arange(m) & 1
+    # members of each S, ascending: the columns of its set bits
+    in_mask = np.array(masks)[:, None] >> np.arange(masks[-1].bit_length()) & 1
+    term_rows = row[picks @ (1 << np.nonzero(in_mask)[1].reshape(n, m)).T]
+    shapes = np.where(picks, dims, 1).tolist()
+    subtract = ((m - picks.sum(axis=1)) & 1).tolist()  # Moebius sign -1
+    by_key = {}
+    for u, picked in enumerate(picks.tolist()):
+        by_key.setdefault(tuple(compress(dims, picked)), []).append(u)
+    terms = [None] * len(shapes)
+    for key, us in by_key.items():
+        for u, rows in zip(us, cond_stack[key][term_rows[us]]):
+            terms[u] = rows.reshape(n, *shapes[u])
+    totals = np.zeros((n, *dims))
+    for term, sub in zip(terms, subtract):
+        (np.subtract if sub else np.add)(totals, term, out=totals)
     return totals
 
 

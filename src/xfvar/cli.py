@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import __version__
-from .algebra import clip_negative_atoms
+from .algebra import clip_negative_atoms, subset_keys
 from .anova_oracle import exact_measure, hoeffding_decompose, indices_from_decomposition
 
 # Not called here: perfbench/tracing.py wraps these two at xfvar.cli through
@@ -163,7 +163,7 @@ def cmd_oracle(args) -> int:
         exact_measure(dec, names),
         config={"command": "oracle", "model": args.model},
         outcome=model.outcome,
-        extra_tables={"lower": subset_table(names, idx.lower_normalized, 1)},
+        extra_tables={"lower": subset_table(subset_keys(names), idx.lower_normalized, 1)},
     )
     _emit(dumps_report(rep), args.out)
     return 0

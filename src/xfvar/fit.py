@@ -54,7 +54,7 @@ from .scm import (
     cell_key,
     empirical_quantile,
     graph_from_json,
-    json_list,
+    json_strings,
 )
 
 DEFAULT_LEVELS = tuple(round(0.01 + 0.02 * i, 2) for i in range(50))  # 0.01 .. 0.99
@@ -527,8 +527,7 @@ def dag_from_json(obj):
     (FitError) are refused here, before any CSV is read.
     """
     dag, outcome, _ = graph_from_json(obj, "DAG", ("name",))
-    categorical = json_list(obj.get("categorical", []), "DAG 'categorical'")
-    categorical = frozenset(str(c) for c in categorical)
+    categorical = frozenset(json_strings(obj.get("categorical", []), "DAG 'categorical'"))
     unknown = categorical - set(dag.names)
     if unknown:
         raise ModelError(f"categorical lists unknown columns: {', '.join(sorted(unknown))}")

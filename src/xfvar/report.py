@@ -4,6 +4,11 @@ A report carries the full measure (atoms plus stderr), the derived
 subset tables, the sampling configuration, and any warnings. Numbers are
 serialized as shortest round-trip doubles, so serialize -> parse ->
 serialize is byte-identical; golden tests freeze the schema.
+
+Writing and reading a report build its subset keys once (`subset_keys`)
+and every per-subset table shares them. The interactions table is one
+`math.fsum` per subset over the atoms of its supersets, the walk
+`measure_interaction` uses.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from .algebra import (
     MAX_VARS,
     ExplanationMeasure,
     Provenance,
-    measure_interaction,
+    measure_interactions,
     shapley_from_measure,
-    subset_key,
+    subset_key,  # noqa: F401  (re-exported: the key of one subset)
+    subset_keys,
     subset_label,
     totals_from_measure,
 )
@@ -36,27 +42,28 @@ class RunReport:
     extra_tables: dict = field(default_factory=dict)
 
 
-def subset_table(names, values, start: int = 0) -> dict:
-    """A report table: subset key -> value for the masks from start on."""
-    return {subset_key(names, s): float(values[s]) for s in range(start, len(values))}
+def subset_table(keys, values, start: int = 0) -> dict:
+    """A report table: subset key -> value for the masks from start on;
+    keys is `subset_keys` of the report's variables."""
+    return dict(zip(keys[start:], np.asarray(values, dtype=float)[start:].tolist()))
 
 
 def report_to_json(rep: RunReport) -> dict:
     m = rep.measure
     names = m.names
+    keys = subset_keys(names)
     totals = totals_from_measure(m)
-    inter = np.array([measure_interaction(m, s) for s in range(1 << m.var_count)])
     sh = shapley_from_measure(m)
     prov = m.provenance
     out = {
         "variables": list(names),
         "outcome": rep.outcome,
-        "atoms": subset_table(names, m.atom_mass),
+        "atoms": subset_table(keys, m.atom_mass),
     }
     if m.atom_stderr is not None:
-        out["atom_stderr"] = subset_table(names, m.atom_stderr)
-    out["totals"] = subset_table(names, totals.total, 1)
-    out["interactions"] = subset_table(names, inter, 1)
+        out["atom_stderr"] = subset_table(keys, m.atom_stderr)
+    out["totals"] = subset_table(keys, totals.total, 1)
+    out["interactions"] = subset_table(keys, measure_interactions(m), 1)
     for key, table in rep.extra_tables.items():
         out[key] = table
     out["shapley"] = {n: float(v) for n, v in zip(names, sh.values)}
@@ -72,7 +79,8 @@ def report_from_json(obj) -> RunReport:
     """The report a parsed JSON object holds.
 
     Raises ParseError naming the first malformed field: a missing key, a
-    field of the wrong type, a variable name that is empty or holds '+'
+    field of the wrong type (variable names are strings, the outcome is
+    null or a string), a variable name that is empty or holds '+'
     (names join with '+' in subset keys), a missing or non-finite atom or
     lower index, a negative atom stderr, or bad provenance.
     """
@@ -83,41 +91,47 @@ def report_from_json(obj) -> RunReport:
             raise ParseError(f"report is missing {key!r}")
     if not isinstance(obj["variables"], list) or not 1 <= len(obj["variables"]) <= MAX_VARS:
         raise ParseError(f"report 'variables' must be a list of 1 to {MAX_VARS} names")
-    names = tuple(str(n) for n in obj["variables"])
+    names = tuple(obj["variables"])
+    if not all(isinstance(n, str) for n in names):
+        raise ParseError("report 'variables' must be strings")
     if len(set(names)) != len(names):
         raise ParseError("report 'variables' must be unique")
     for n in names:
         if not n or "+" in n:
             raise ParseError(f"report variable {n!r} must be a non-empty name without '+'")
-    atoms = _subset_table(obj, "atoms", names)
-    stderr = _subset_table(obj, "atom_stderr", names, least=0.0) if "atom_stderr" in obj else None
+    keys = subset_keys(names)
+    atoms = _subset_table(obj, "atoms", keys)
+    stderr = _subset_table(obj, "atom_stderr", keys, least=0.0) if "atom_stderr" in obj else None
     config = obj.get("config", {})
     warnings = obj.get("warnings", [])
     if not isinstance(config, dict):
         raise ParseError("report 'config' must be an object")
     if not isinstance(warnings, list):
         raise ParseError("report 'warnings' must be a list")
+    outcome = obj.get("outcome")
+    if outcome is not None and not isinstance(outcome, str):
+        raise ParseError("report 'outcome' must be null or a string")
     # oracle's table of normalized lower indices, one per nonempty subset
     extra = {}
     if "lower" in obj:
-        extra["lower"] = subset_table(names, _subset_table(obj, "lower", names, start=1), 1)
+        extra["lower"] = subset_table(keys, _subset_table(obj, "lower", keys, start=1), 1)
     measure = ExplanationMeasure(names, atoms, stderr, _provenance(obj["provenance"]))
     return RunReport(
-        measure, config=dict(config), warnings=tuple(warnings), outcome=obj.get("outcome"),
+        measure, config=dict(config), warnings=tuple(warnings), outcome=outcome,
         extra_tables=extra,
     )
 
 
-def _subset_table(obj, field, names, least=None, start=0):
+def _subset_table(obj, field, keys, least=None, start=0):
     """Dense bitmask-indexed array of a per-subset table of the report,
-    holding the masks from start on; with least, entries below it are
-    rejected too."""
+    holding the masks from start on (keys is `subset_keys` of the
+    report's variables); with least, entries below it are rejected too."""
     table = obj[field]
     if not isinstance(table, dict):
         raise ParseError(f"report {field!r} must be an object")
-    out = np.zeros(1 << len(names))
+    out = np.zeros(len(keys))
     for s in range(start, len(out)):
-        key = subset_key(names, s)
+        key = keys[s]
         if key not in table:
             raise ParseError(f"report {field!r} is missing subset {key!r}")
         v = table[key]
@@ -172,9 +186,10 @@ def format_table(rep: RunReport) -> str:
     """Human-readable aligned rendering, rounded to 3 decimals."""
     m = rep.measure
     names = m.names
+    keys = subset_keys(names)
     totals = totals_from_measure(m)
     sh = shapley_from_measure(m)
-    width = max([len(subset_key(names, s)) for s in range(1 << m.var_count)] + [8])
+    width = max([len(key) for key in keys] + [8])
     lines = []
     lines.append("variables: " + ", ".join(names))
     prov = m.provenance
@@ -192,7 +207,7 @@ def format_table(rep: RunReport) -> str:
     lines.append("")
     lines.append(f"{'subset':<{width}}  {'total':>9}")
     for s in range(1, 1 << m.var_count):
-        lines.append(f"{subset_key(names, s):<{width}}  {totals.total[s]:9.3f}")
+        lines.append(f"{keys[s]:<{width}}  {totals.total[s]:9.3f}")
     lines.append("")
     lines.append(f"{'variable':<{width}}  {'shapley':>9}")
     for n, v in zip(names, sh.values):

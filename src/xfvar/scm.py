@@ -1373,6 +1373,20 @@ def json_list(v, what):
     return v
 
 
+def json_strings(v, what):
+    """v when it is a list of strings; ModelError naming the field what otherwise."""
+    if not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
+        raise ModelError(f"{what} must be a list of strings")
+    return v
+
+
+def json_string(v, what):
+    """v when it is a string; ModelError naming the field what otherwise."""
+    if not isinstance(v, str):
+        raise ModelError(f"{what} must be a string")
+    return v
+
+
 def graph_from_json(obj, what, node_keys):
     """The Dag, outcome and node objects of a model or DAG file.
 
@@ -1390,12 +1404,12 @@ def graph_from_json(obj, what, node_keys):
     for nd in nodes:
         if not isinstance(nd, dict) or any(k not in nd for k in node_keys):
             raise ModelError(f"each {what} node needs {' and '.join(map(repr, node_keys))}")
-        names.append(str(nd["name"]))
-        parents.append(tuple(json_list(nd.get("parents", []), f"node {names[-1]!r}: parents")))
-    if [str(v) for v in json_list(obj.get("variables", names), "'variables'")] != names:
+        names.append(json_string(nd["name"], f"each {what} node's 'name'"))
+        parents.append(tuple(json_strings(nd.get("parents", []), f"node {names[-1]!r}: parents")))
+    if json_strings(obj.get("variables", names), "'variables'") != names:
         raise ModelError("'variables' must list the node names in declaration order")
     dag = Dag(tuple(names), tuple(parents))
-    outcome = str(obj["outcome"])
+    outcome = json_string(obj["outcome"], f"{what} 'outcome'")
     if outcome not in dag.names:
         raise ModelError(f"outcome {outcome!r} is not a node")
     return dag, outcome, nodes
@@ -1407,12 +1421,10 @@ def model_from_json(obj) -> ScmModel:
         mechanism_from_json(n, ps, nd["mechanism"])
         for n, ps, nd in zip(dag.names, dag.parents, nodes)
     ]
-    fitted = json_list(obj.get("fitted", []), "model 'fitted'")
-    if not all(isinstance(flag, str) for flag in fitted):
-        raise ModelError("model 'fitted' must be a list of strings")
+    fitted = json_strings(obj.get("fitted", []), "model 'fitted'")
     name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ModelError("model 'name' must be a string")
+    if name is not None:
+        json_string(name, "model 'name'")
     return ScmModel(dag, tuple(mechs), outcome, name=name, fitted=tuple(fitted))
 
 

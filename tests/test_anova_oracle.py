@@ -140,6 +140,26 @@ def test_ring_decomposition_takes_no_array_popcount(monkeypatch):
     assert np.allclose(dec.sigma2, want, atol=1e-12)
 
 
+def test_conditional_means_take_one_dot_each(monkeypatch):
+    # each of the 2**K - 1 conditional means is one BLAS call, made
+    # directly and not through np.tensordot's per-call argument handling
+    calls = {"dot": 0, "tensordot": 0}
+
+    def counted(name):
+        fn = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    hoeffding_decompose(_random_table_fn(7, seed=2), rademacher_domain(7))
+    assert calls == {"dot": 127, "tensordot": 0}
+
+
 def test_pickfreeze_identities_match_decomposition():
     dom = DiscreteDomain(
         [[-1.0, 1.0], [0.0, 3.0, 7.0], [-2.0, 5.0]],

@@ -239,6 +239,10 @@ REPORT_CASES = {
     "lower_missing": (_drop("lower", "W1+W2"), "'lower' is missing subset 'W1+W2'"),
     "lower_nan": (_put(["lower", "W2"], math.nan), "'lower' entry 'W2' must be a finite number"),
     "lower_not_numeric": (_put(["lower", "W1"], "0.5"), "'lower' entry 'W1' must be a finite number"),
+    "variable_a_boolean": (_put(["variables"], [True, "W2"]), "report 'variables' must be strings"),
+    "variable_a_number": (_put(["variables"], ["W1", 2]), "report 'variables' must be strings"),
+    "outcome_a_list": (_put(["outcome"], ["Y"]), "report 'outcome' must be null or a string"),
+    "outcome_a_number": (_put(["outcome"], 5), "report 'outcome' must be null or a string"),
 }
 
 
@@ -394,6 +398,14 @@ MODEL_CASES = {
     "fitted_a_number": (_put(["fitted"], 5), "model 'fitted' must be a list"),
     "name_an_object": (_put(["name"], {"a": [1, 2]}), "model 'name' must be a string"),
     "variables_a_number": (_put(["variables"], 5), "'variables' must be a list"),
+    "name_a_number": (_put(["nodes", 0, "name"], 5), "each model node's 'name' must be a string"),
+    "name_a_list": (_put(["nodes", 0, "name"], [["A"]]),
+                    "each model node's 'name' must be a string"),
+    "parent_a_number": (_put(["nodes", 3, "parents"], [5]),
+                        "node 'D': parents must be a list of strings"),
+    "variables_of_numbers": (_put(["variables"], [1, 2, 3, 4, 5, 6]),
+                             "'variables' must be a list of strings"),
+    "outcome_a_list": (_put(["outcome"], ["Y"]), "model 'outcome' must be a string"),
 }
 
 EXCEPTION_NAME = re.compile(r"\b[A-Z]\w*(Error|Exception)\b")
@@ -509,6 +521,12 @@ DAG_CASES = {
     "nodes_a_number": (_put(["nodes"], 5), "DAG 'nodes' must be a list"),
     "categorical_a_number": (_put(["categorical"], 5), "DAG 'categorical' must be a list"),
     "parents_a_string": (_put(["nodes", 1, "parents"], "A"), "node 'Y': parents must be a list"),
+    "name_a_number": (_put(["nodes", 0, "name"], 5), "each DAG node's 'name' must be a string"),
+    "parent_a_number": (_put(["nodes", 1, "parents"], [0]),
+                        "node 'Y': parents must be a list of strings"),
+    "categorical_of_numbers": (_put(["categorical"], [0]),
+                               "DAG 'categorical' must be a list of strings"),
+    "outcome_a_number": (_put(["outcome"], 1), "DAG 'outcome' must be a string"),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,29 @@ def test_oracle_report_round_trips_byte_for_byte():
     rep = read_report(path)
     assert list(rep.extra_tables) == ["lower"]
     assert dumps_report(rep) == path.read_text()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_report_tables_match_the_per_mask_reference(k):
+    # the tables share one key list and the interactions come from a walk
+    # over each mask's supersets; both must give the per-mask bits
+    n = 1 << k
+    names = tuple(f"V{j}" for j in range(k))
+    rng = np.random.default_rng(50 + k)
+    atoms = rng.normal(size=n) * 10.0 ** rng.integers(-12, 3, size=n)
+    atoms[rng.random(n) < 0.2] = 0.0
+    atoms[rng.random(n) < 0.1] = -0.0
+    stderr = np.abs(rng.normal(size=n)) * 10.0 ** rng.integers(-9, 1, size=n)
+    m = ExplanationMeasure(names, atoms, stderr, Provenance("monte_carlo", samples=10, seed=1))
+    obj = report_to_json(RunReport(m, config={}))
+    for table, start in (("atoms", 0), ("atom_stderr", 0), ("totals", 1), ("interactions", 1)):
+        assert list(obj[table]) == [subset_key(names, s) for s in range(start, n)], table
+    assert [v.hex() for v in obj["atoms"].values()] == [float(v).hex() for v in m.atom_mass]
+    assert [v.hex() for v in obj["atom_stderr"].values()] == [float(v).hex() for v in stderr]
+    got = list(obj["interactions"].values())
+    for s in range(1, n):
+        want = math.fsum(m.atom_mass[(np.arange(n) & s) == s])
+        assert got[s - 1].hex() == want.hex(), s
 
 
 def test_read_report_requires_complete_atoms(tmp_path):
